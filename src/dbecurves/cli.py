@@ -205,8 +205,11 @@ def cmd_emit(cfg: RunConfig) -> int:
     elif cfg.emit_kind == "boxcount":
         header = ["m", "count"]
         rows = []
+        top = max(cfg.m_range)
+        pts = sample(curve, top + 2)
         for m in cfg.m_range:
-            bc = box_count(curve, m)
+            # every 2^(top - m)-th point is exactly the depth m + 2 sample
+            bc = box_count(pts[::1 << (top - m)], m)
             rows.append([str(m), str(bc.count)])
     else:
         raise UsageError("emit needs one of --samples, --length-series, --boxcount")

@@ -25,6 +25,7 @@ from .singular import (
     build_full_measure_mapper,
     fn_from_json,
     riesz_nagy_inverse,
+    riesz_nagy_level,
 )
 
 SCHEMA_VERSION = 1
@@ -136,13 +137,45 @@ def build_extremal_curve(n: int, a=Fraction(1, 4), M: int = 4,
                          staircase_depth)
 
 
+def _column(f: MonotoneFn, depth: int, xs, memo: dict) -> list[Fraction]:
+    """[f(x) for x in xs] on the grid xs = k * 2^-depth, memoized by f.
+
+    R_a columns fill level by level, so every R_a that compares equal (h, and
+    the h inside each Composition(mapper, h)) is computed once; a composition
+    maps its outer function over its inner column.
+    """
+    col = memo.get(f)
+    if col is None:
+        if isinstance(f, RieszNagy):
+            col = riesz_nagy_level(f.a, depth)
+        elif isinstance(f, Composition):
+            col = [f.outer(y) for y in _column(f.inner, depth, xs, memo)]
+        else:
+            col = [f(x) for x in xs]
+        memo[f] = col
+    return col
+
+
 def sample(curve, depth: int) -> list[tuple[Fraction, ...]]:
-    """The 2^depth + 1 exact curve points at x = k * 2^-depth, sorted by x."""
+    """The 2^depth + 1 exact curve points at x = k * 2^-depth, sorted by x.
+
+    Equal to [spec.point(k * 2^-depth) for k in ...], evaluated one component
+    column at a time.
+    """
     spec = _as_spec(curve)
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    step = Fraction(1, 1 << depth)
-    return [spec.point(k * step) for k in range((1 << depth) + 1)]
+    xs = [Fraction(k, 1 << depth) for k in range((1 << depth) + 1)]
+    memo: dict = {}
+    try:
+        columns = [_column(f, depth, xs, memo) for f in spec.components]
+    except ValueError:
+        # raise the error that point-by-point evaluation meets first
+        for x in xs:
+            spec.point(x)
+        raise
+    alphas = [spec.alpha] * len(xs)
+    return list(zip(xs, *columns, alphas))
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,10 @@ ONE = Fraction(1)
 
 def parse_rational(s: str) -> Fraction:
     """Parse 'p/q' (or a plain integer string 'p') into a Fraction."""
-    return Fraction(s.strip())
+    try:
+        return Fraction(s.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in rational {s!r}") from None
 
 
 def format_rational(x: Fraction) -> str:

@@ -17,7 +17,6 @@ Everything evaluates in exact rational arithmetic or raises; no floats.
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -124,6 +123,30 @@ def eval_riesz_nagy(a, x) -> Fraction:
     if x == ONE:
         off += scale
     return off
+
+
+def riesz_nagy_level(a, depth: int) -> list[Fraction]:
+    """The 2^depth + 1 values R_a(k/2^depth), k = 0..2^depth, level by level.
+
+    Each level keeps R_a as integer numerators over q^j for a = p/q: the
+    midpoint of a cell with end numerators l, r is q*l + p*(r - l) (the
+    self-similarity R((2k+1)/2^j) = L + a*(R - L)), and the old values are
+    rescaled by q.  Fractions are formed once, at the end.
+    """
+    a = Fraction(a)
+    if not (ZERO < a < ONE):
+        raise ValueError("need 0 < a < 1")
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    p, q = a.numerator, a.denominator
+    nums = [0, 1]
+    for _ in range(depth):
+        nxt = [0] * (2 * len(nums) - 1)
+        nxt[::2] = [q * v for v in nums]
+        nxt[1::2] = [q * l + p * (r - l) for l, r in zip(nums, nums[1:])]
+        nums = nxt
+    den = q**depth
+    return [Fraction(v, den) for v in nums]
 
 
 def dyadic_increment(a, prefix) -> Fraction:
@@ -669,51 +692,40 @@ def build_staircase_tree(I: Interval, excluded: IntervalUnion, depth: int,
     return NestedIntervalTree(I, levels, grid, excluded)
 
 
-def _cantor_cover_addresses(depth: int) -> list[Fraction]:
-    """Left endpoints of the 2^depth level-`depth` Cantor cover intervals."""
-    out = []
-    for bitstring in itertools.product((0, 1), repeat=depth):
-        acc = ZERO
-        p = ONE
-        for b in bitstring:
-            p /= 3
-            acc += 2 * b * p
-        out.append(acc)
-    return out
-
-
 class IntervalStaircase(MonotoneFn):
-    """c composed with the piecewise-linear cell-to-Cantor-cover map.
+    """c composed with the linear map of each leaf cell onto its Cantor cover cell.
 
     Continuous and non-decreasing on [0,1]: 0 left of the tree's root
     interval, 1 right of it, and inside the root it climbs from 0 to 1 while
-    staying constant on every gap between leaf cells (each gap lands inside
-    one removed middle third, where c is flat).  The leaf union N therefore
-    maps onto [0,1]: its image keeps measure 1 at every finite depth.
+    staying constant on every gap between leaf cells.  The leaf union N
+    therefore maps onto [0,1]: its image keeps measure 1 at every finite depth.
+
+    Leaf i (left to right) maps linearly onto the i-th level-d Cantor cover
+    interval, where c climbs from i/2^d to (i+1)/2^d self-similarly, so the
+    value inside leaf i is (i + c(u))/2^d for u the relative position in the
+    leaf, and the gap after leaf i holds the constant (i+1)/2^d.
     """
 
     kind = "interval_staircase"
 
     def __init__(self, tree: NestedIntervalTree):
         self.tree = tree
-        d = tree.depth
-        addrs = _cantor_cover_addresses(d)
-        width = Fraction(1, 3**d)
-        knots: list[tuple[Fraction, Fraction]] = []
-
-        def push(x, y):
-            if knots and knots[-1][0] == x:
-                if knots[-1][1] != y:
-                    raise AssertionError("inconsistent staircase knot")
-                return
-            knots.append((x, y))
-
-        push(tree.root.lo, ZERO)
-        for cell, t in zip(tree.leaves(), addrs):
-            push(cell.iv.lo, t)
-            push(cell.iv.hi, t + width)
-        push(tree.root.hi, ONE)
-        self.phi = PiecewiseLinear(knots)
+        leaves = tree.leaves()
+        if len(leaves) != 1 << tree.depth:
+            raise ValueError(f"a depth-{tree.depth} staircase needs "
+                             f"{1 << tree.depth} leaf cells, got {len(leaves)}")
+        bounds = [tree.root.lo]
+        for cell in leaves:
+            bounds.extend((cell.iv.lo, cell.iv.hi))
+        bounds.append(tree.root.hi)
+        # root.lo <= lo_0 < hi_0 < lo_1 < ... < hi_last <= root.hi
+        for i, (left, right) in enumerate(zip(bounds, bounds[1:])):
+            if left > right or (left == right and 0 < i < len(bounds) - 2):
+                raise ValueError("staircase leaf cells must be nonempty, "
+                                 "separated, and inside the root, left to right")
+        self._bounds = bounds[1:-1]
+        self._scale = len(leaves)
+        self._steps = [Fraction(i, self._scale) for i in range(self._scale + 1)]
 
     @property
     def support(self) -> Interval:
@@ -725,7 +737,12 @@ class IntervalStaircase(MonotoneFn):
             return ZERO
         if x >= self.tree.root.hi:
             return ONE
-        return eval_cantor(self.phi(x))
+        j = bisect_right(self._bounds, x)
+        i = j // 2
+        if j % 2 == 0:  # left of leaf 0, or in the gap after leaf i - 1
+            return self._steps[i]
+        lo, hi = self._bounds[j - 1], self._bounds[j]
+        return (i + eval_cantor((x - lo) / (hi - lo))) / self._scale
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "tree": self.tree.to_json()}

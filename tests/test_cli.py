@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 
 from dbecurves.cli import main, parse_range
+from dbecurves.curves import build_extremal_curve
+from dbecurves.hausdorff import box_count
 
 F = Fraction
 
@@ -149,6 +151,15 @@ def test_emit_boxcount(capsys):
     assert lines[-1] == "10,1365"
 
 
+def test_emit_boxcount_coarsened_sample_matches_per_m_count(capsys):
+    code, out, _ = run_cli(capsys, "emit", "--boxcount", "--n", "4", "--a", "2/7",
+                           "--m", "2..6")
+    assert code == 0
+    curve = build_extremal_curve(4, F(2, 7))
+    want = [f"{m},{box_count(curve, m).count}" for m in range(2, 7)]
+    assert out.strip().split("\n")[1:] == want
+
+
 def test_emit_deterministic(capsys, tmp_path):
     f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
     run_cli(capsys, "emit", "--samples", "--d", "6", "--out", str(f1))
@@ -183,3 +194,22 @@ def test_rational_flag_parsing(capsys):
     blob = json.loads(out)
     assert blob["a"] == "2/5"
     assert blob["alpha"] == "3/7"
+
+
+def test_zero_denominator_flag_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["construct", "--a", "1/0"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.strip().splitlines()[-1].endswith("'1/0'")
+
+
+def test_zero_denominator_in_spec_fails_cleanly(capsys, tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"schema_version": 1, "type": "curve", "n": 3,
+                                "alpha": "1/0", "components": [{"kind": "cantor"}]}))
+    code, out, err = run_cli(capsys, "certify", "--spec", str(spec))
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")

@@ -17,7 +17,17 @@ from dbecurves.curves import (
     shared_coordinate,
 )
 from dbecurves.exact import IntervalUnion
-from dbecurves.singular import Cantor, RieszNagy, eval_riesz_nagy, image_measure
+from dbecurves.singular import (
+    Affine,
+    Cantor,
+    Composition,
+    NotEvaluableError,
+    PiecewiseLinear,
+    RieszNagy,
+    WeightedSum,
+    eval_riesz_nagy,
+    image_measure,
+)
 
 F = Fraction
 
@@ -78,6 +88,49 @@ def test_sample_counts_and_endpoints():
     assert pts[0] == (0, 0, F(1, 2))
     assert pts[-1] == (1, 1, F(1, 2))
     assert all(len(p) == 3 for p in pts)
+
+
+def _pointwise(spec, depth):
+    return [spec.point(F(k, 1 << depth)) for k in range((1 << depth) + 1)]
+
+
+@pytest.mark.parametrize("n, a, depth", [(3, F(1, 3), 9), (4, F(1, 4), 8),
+                                         (4, F(2, 7), 8), (5, F(3, 8), 7),
+                                         (6, F(5, 9), 6)])
+def test_sample_matches_pointwise_on_extremal_curves(n, a, depth):
+    c = build_extremal_curve(n, a=a, M=3)
+    want = _pointwise(c.spec, depth)
+    assert sample(c, depth) == want
+    back = curve_from_json(curve_to_json(c))
+    if n >= 4:
+        # the loaded h and the h inside each composition are separate objects
+        assert back.components[0] is not back.components[-1].inner
+    assert sample(back, depth) == want
+
+
+def test_sample_matches_pointwise_on_generic_components():
+    pl = PiecewiseLinear(((F(0), F(0)), (F(1, 3), F(1, 2)), (F(1), F(1))))
+    ws = WeightedSum((Cantor(), pl, Affine(1, 0)), (F(1, 4), F(1, 2), F(1, 8)))
+    comps = (Cantor(), pl, ws, Affine(F(1, 2), F(1, 4)),
+             Composition(ws, RieszNagy(F(1, 3))), Composition(RieszNagy(F(2, 5)), pl))
+    spec = CurveSpec(2 + len(comps), comps, F(1, 3))
+    for depth in (0, 1, 6):
+        got = sample(spec, depth)
+        assert got == _pointwise(spec, depth)
+        assert all(type(v) is F for p in got for v in p)
+    assert sample(CurveSpec(2, (), F(1, 2)), 2) == _pointwise(CurveSpec(2, (), F(1, 2)), 2)
+
+
+def test_sample_raises_the_pointwise_error():
+    # the first component fails only right of 1/2, the second already at 0
+    left = PiecewiseLinear(((F(0), F(0)), (F(1, 2), F(1))))
+    right = PiecewiseLinear(((F(1, 4), F(0)), (F(1), F(1))))
+    spec = CurveSpec(4, (left, right), F(1, 2))
+    with pytest.raises(NotEvaluableError) as want:
+        spec.point(F(0))
+    with pytest.raises(NotEvaluableError) as got:
+        sample(spec, 3)
+    assert str(got.value) == str(want.value)
 
 
 def test_check_dbe_property_valid_curve():

@@ -24,6 +24,8 @@ def test_parse_and_format_rational():
     assert parse_rational("2/3") == F(2, 3)
     assert parse_rational("5") == F(5)
     assert parse_rational(" -1/4 ") == F(-1, 4)
+    with pytest.raises(ValueError):
+        parse_rational("1/0")
     assert format_rational(F(2)) == "2/1"
     assert format_rational(F(1, 3)) == "1/3"
     assert parse_rational(format_rational(F(-7, 12))) == F(-7, 12)

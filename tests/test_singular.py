@@ -1,5 +1,6 @@
 """Singular functions, staircase trees, and full-measure mappers."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -12,6 +13,8 @@ from dbecurves.singular import (
     Cantor,
     Composition,
     DyadicGrid,
+    IntervalStaircase,
+    NestedIntervalTree,
     NotEvaluableError,
     PiecewiseLinear,
     Restriction,
@@ -29,6 +32,7 @@ from dbecurves.singular import (
     identity_fn,
     image_measure,
     riesz_nagy_inverse,
+    riesz_nagy_level,
 )
 
 F = Fraction
@@ -88,6 +92,26 @@ def test_riesz_nagy_matches_digit_product_oracle():
         for k in range(0, 129):
             x = F(k, 128)
             assert eval_riesz_nagy(a, x) == oracle.riesz_value(a, x), (a, x)
+
+
+@pytest.mark.parametrize("a", [F(1, 4), F(3, 8), F(1, 3), F(2, 7), F(5, 9),
+                               F(1, 1000), F(999, 1000), F(1, 1024), F(1023, 1024)])
+def test_riesz_nagy_level_matches_oracle_and_halving_walk(a):
+    top = riesz_nagy_level(a, 10)
+    for k, v in enumerate(top):
+        x = F(k, 1024)
+        assert v == eval_riesz_nagy(a, x) == oracle.riesz_value(a, x), (a, x)
+    # every coarser level is the finest one at the shared points k/2^d
+    for d in range(10):
+        assert riesz_nagy_level(a, d) == top[::1 << (10 - d)], (a, d)
+
+
+def test_riesz_nagy_level_rejects_bad_input():
+    for a in (F(0), F(1), F(3, 2)):
+        with pytest.raises(ValueError):
+            riesz_nagy_level(a, 3)
+    with pytest.raises(ValueError):
+        riesz_nagy_level(F(1, 3), -1)
 
 
 def test_riesz_nagy_needs_dyadic_input():
@@ -328,6 +352,91 @@ def test_interval_staircase_outside_support_clamps():
     assert stair(F(0)) == 0
     assert stair(F(3, 4)) == 1
     assert image_measure(stair, n) == 1
+
+
+def _reference_staircase(tree, x):
+    """c(phi(x)), phi piecewise linear from each leaf onto its Cantor cover cell."""
+    d = tree.depth
+    width = F(1, 3**d)
+    covers = [sum((F(2 * b, 3 ** (j + 1)) for j, b in enumerate(bits)), F(0))
+              for bits in itertools.product((0, 1), repeat=d)]
+    knots = [(tree.root.lo, F(0))]
+    for cell, t in zip(tree.leaves(), covers):
+        knots += [(cell.iv.lo, t), (cell.iv.hi, t + width)]
+    knots.append((tree.root.hi, F(1)))
+    if x <= tree.root.lo:
+        return F(0)
+    if x >= tree.root.hi:
+        return F(1)
+    for (x1, y1), (x2, y2) in zip(knots, knots[1:]):
+        if x1 <= x <= x2 and x1 < x2:
+            return oracle.cantor_value(y1 + (y2 - y1) * (x - x1) / (x2 - x1))
+    raise AssertionError("x not covered by the reference knots")
+
+
+def _staircase_probes(tree, rng):
+    leaves = [c.iv for c in tree.leaves()]
+    root = tree.root
+    probes = [root.lo, root.hi, root.lo - F(1, 7), root.hi + F(1, 7),
+              (root.lo + leaves[0].lo) / 2, (leaves[-1].hi + root.hi) / 2]
+    for iv in leaves:
+        probes += [iv.lo, iv.hi, (iv.lo + iv.hi) / 2, iv.lo + (iv.hi - iv.lo) / 3]
+    for left, right in zip(leaves, leaves[1:]):
+        probes += [(left.hi + right.lo) / 2, left.hi + (right.lo - left.hi) / 5]
+    for _ in range(40):
+        den = rng.randint(2, 10**6)
+        probes.append(root.lo + root.diam * F(rng.randint(0, den), den))
+    return probes
+
+
+@pytest.mark.parametrize("grid", [DyadicGrid(), RieszNagyImageGrid(F(1, 3)),
+                                  RieszNagyImageGrid(F(3, 8))])
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_interval_staircase_closed_form_matches_reference(grid, depth):
+    rng = random.Random(depth)
+    roots = [(Interval.closed(0, 1), IntervalUnion.empty()),
+             (Interval.closed(F(1, 3), F(5, 6)), IntervalUnion.closed(F(2, 5), F(1, 2))),
+             (Interval.closed(F(1, 8), F(1, 4)), IntervalUnion.empty())]
+    checked = 0
+    for root, excluded in roots:
+        tree = build_staircase_tree(root, excluded, depth, grid=grid)
+        stair = IntervalStaircase(tree)
+        for x in _staircase_probes(tree, rng):
+            assert stair(x) == _reference_staircase(tree, x), (root, depth, x)
+            checked += 1
+    assert checked > 3 * 50
+
+
+def _tree_json_with_leaves(leaves, root=("0/1", "1/1")):
+    tree = build_staircase_tree(Interval.closed(0, 1), IntervalUnion.empty(), 1)
+    blob = tree.to_json()
+    blob["root"] = list(root)
+    blob["levels"][1] = [list(iv) for iv in leaves]
+    return blob
+
+
+@pytest.mark.parametrize("leaves, root", [
+    ((("1/8", "1/4"), ("1/4", "3/8")), ("0/1", "1/1")),   # touching leaves
+    ((("1/8", "1/8"), ("1/2", "5/8")), ("0/1", "1/1")),   # zero-width leaf
+    ((("1/8", "1/4"), ("1/2", "5/8")), ("1/4", "1/1")),   # leaf left of the root
+    ((("1/8", "1/4"), ("1/2", "5/8")), ("0/1", "1/2")),   # leaf right of the root
+    ((("1/2", "5/8"), ("1/8", "1/4")), ("0/1", "1/1")),   # leaves out of order
+])
+def test_interval_staircase_rejects_malformed_trees(leaves, root):
+    tree = NestedIntervalTree.from_json(_tree_json_with_leaves(leaves, root))
+    with pytest.raises(ValueError):
+        IntervalStaircase(tree)
+    with pytest.raises(ValueError):
+        fn_from_json({"kind": "interval_staircase",
+                      "tree": _tree_json_with_leaves(leaves, root)})
+
+
+def test_interval_staircase_rejects_wrong_leaf_count():
+    blob = _tree_json_with_leaves((("1/8", "1/4"), ("1/2", "5/8")))
+    blob["levels"][1].append(["3/4", "7/8"])
+    blob["addresses"][1].append([6, 3])
+    with pytest.raises(ValueError):
+        IntervalStaircase(NestedIntervalTree.from_json(blob))
 
 
 # -- rational interval enumeration and mappers ------------------------------
