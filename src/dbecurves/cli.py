@@ -24,7 +24,7 @@ from .curves import (
     sample,
 )
 from .exact import decimal_str, format_rational, parse_rational
-from .hausdorff import box_count, certify_h1, polyline_length
+from .hausdorff import box_counts, certify_h1, polyline_length
 from .setfamily import max_family_size, near_pencil, unique_intersection
 from .singular import ConstructionError, NotEvaluableError
 from .trials import run_all
@@ -113,7 +113,12 @@ def _json_text(obj) -> str:
 def _load_curve(cfg: RunConfig):
     if cfg.spec_path is not None:
         with open(cfg.spec_path, "r", encoding="utf-8") as fh:
-            return curve_from_json(json.load(fh))
+            obj = json.load(fh)
+        try:
+            return curve_from_json(obj)
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ValueError(f"malformed curve spec {cfg.spec_path}: "
+                             f"{type(exc).__name__}: {exc}") from exc
     return build_extremal_curve(cfg.n, cfg.a, cfg.M, cfg.alpha, cfg.staircase_depth)
 
 
@@ -204,13 +209,8 @@ def cmd_emit(cfg: RunConfig) -> int:
             rows.append([str(d), decimal_str(value), decimal_str(radius)])
     elif cfg.emit_kind == "boxcount":
         header = ["m", "count"]
-        rows = []
-        top = max(cfg.m_range)
-        pts = sample(curve, top + 2)
-        for m in cfg.m_range:
-            # every 2^(top - m)-th point is exactly the depth m + 2 sample
-            bc = box_count(pts[::1 << (top - m)], m)
-            rows.append([str(m), str(bc.count)])
+        rows = [[str(m), str(bc.count)]
+                for m, bc in zip(cfg.m_range, box_counts(curve, cfg.m_range))]
     else:
         raise UsageError("emit needs one of --samples, --length-series, --boxcount")
     _write(_csv(header, rows), cfg.out)

@@ -11,8 +11,10 @@ W_j = h^{-1}(N_j) on which those mappers climb fastest.
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .exact import Interval, IntervalUnion, ONE, ZERO, format_rational, parse_rational
 from .partitions import LRPartition
@@ -188,7 +190,16 @@ class DbeReport:
 
 
 def check_dbe_property(points) -> DbeReport:
-    """Check every pair of points agrees in exactly one coordinate."""
+    """Check every pair of points agrees in exactly one coordinate.
+
+    Counts equal-value classes instead of comparing pairs.  The class sizes
+    of each coordinate give `shared`, the match count summed over all pairs.
+    A pair agreeing in two or more coordinates shares a value pair in two
+    repeated coordinates, so grouping by value pairs lists every such pair;
+    they are the violations exactly when `shared` minus their excess matches
+    equals the pair count, i.e. when no pair agrees nowhere.  Otherwise the
+    pairwise loop gives the report.
+    """
     pts = [tuple(Fraction(c) for c in p) for p in points]
     if len(pts) < 2:
         raise ValueError("need at least two points")
@@ -197,6 +208,33 @@ def check_dbe_property(points) -> DbeReport:
     dims = {len(p) for p in pts}
     if len(dims) != 1:
         raise ValueError("points of mixed dimension")
+    shared = 0
+    repeated = []
+    for c in range(len(pts[0])):
+        same = sum(k * (k - 1) // 2 for k in Counter(p[c] for p in pts).values())
+        if same:
+            shared += same
+            repeated.append(c)
+    multi = set()
+    for c1, c2 in combinations(repeated, 2):
+        groups = defaultdict(list)
+        for i, p in enumerate(pts):
+            groups[p[c1], p[c2]].append(i)
+        for group in groups.values():
+            multi.update(combinations(group, 2))
+    violations = sorted(
+        (i, j, sum(1 for c1, c2 in zip(pts[i], pts[j]) if c1 == c2))
+        for i, j in multi
+    )
+    pair_count = len(pts) * (len(pts) - 1) // 2
+    excess = sum(m - 1 for _, _, m in violations)
+    if shared - excess != pair_count:  # some pair agrees in no coordinate
+        return _pairwise_dbe(pts)
+    return DbeReport(not violations, tuple(violations), pair_count)
+
+
+def _pairwise_dbe(pts) -> DbeReport:
+    """The O(N^2) pair-by-pair report on validated points."""
     violations = []
     for i in range(len(pts)):
         p = pts[i]

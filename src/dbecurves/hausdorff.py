@@ -82,18 +82,26 @@ def _collapsed_riesz_length(a: Fraction, depth: int, bits: int):
     """O(depth) enclosure of the depth-d polyline length of (x, R_a(x), alpha).
 
     Cells with the same digit counts share their increment, so the 2^d chords
-    collapse into d+1 binomial-weighted terms.
+    collapse into d+1 binomial-weighted terms.  With a = p/q and
+    P_k = p^(d-k) (q-p)^k the k-th squared chord is
+    (q^2d + 4^d P_k^2) / (4^d q^2d), so each term is one integer isqrt.  The
+    floor of num * 4^bits / den does not depend on how the fraction is
+    reduced, so the sums equal those of `sqrt_enclosure` term by term.
     """
-    lo_total = ZERO
-    hi_total = ZERO
-    dx2 = Fraction(1, 1 << (2 * depth))
+    p, q = a.numerator, a.denominator
+    q2d = q ** (2 * depth)
+    den = q2d << (2 * depth)
+    r_sum = inexact = 0
     for k in range(depth + 1):
-        w = a ** (depth - k) * (ONE - a) ** k
-        lo, hi = sqrt_enclosure(dx2 + w * w, bits)
+        pk = p ** (depth - k) * (q - p) ** k
+        num = (q2d + (pk * pk << (2 * depth))) << (2 * bits)
+        r = math.isqrt(num // den)
         count = math.comb(depth, k)
-        lo_total += count * lo
-        hi_total += count * hi
-    return lo_total, hi_total
+        r_sum += count * r
+        if r * r * den != num:
+            inexact += count
+    lo = Fraction(r_sum, 1 << bits)
+    return lo, lo + Fraction(inexact, 1 << bits)
 
 
 def _is_collapsible(spec) -> bool:
@@ -208,12 +216,26 @@ def box_count(curve_or_points, m: int, sample_depth: int | None = None) -> BoxCo
     return BoxCount(Fraction(1, scale), len(cells))
 
 
+def box_counts(curve_or_points, ms, sample_depth: int | None = None) -> list[BoxCount]:
+    """[box_count(curve_or_points, m, sample_depth) for m in ms], sampling once.
+
+    A curve is sampled at the finest depth needed; the depth-t sample is every
+    2^(top - t)-th point of the depth-top sample.
+    """
+    if isinstance(curve_or_points, (list, tuple)):
+        return [box_count(curve_or_points, m) for m in ms]
+    depths = [max(m + 2, sample_depth or 0) for m in ms]
+    top = max(depths)
+    pts = sample(curve_or_points, top)
+    return [box_count(pts[::1 << (top - t)], m) for m, t in zip(ms, depths)]
+
+
 def box_count_slope(curve_or_points, ms, sample_depth: int | None = None):
     """(slope, series): least-squares dimension estimate over a range of m."""
     ms = list(ms)
     if len(ms) < 2:
         raise ValueError("need at least two grid resolutions")
-    raw = [box_count(curve_or_points, m, sample_depth) for m in ms]
+    raw = box_counts(curve_or_points, ms, sample_depth)
     xs = [m * math.log(2.0) for m in ms]
     ys = [math.log(bc.count) for bc in raw]
     slope = statistics.linear_regression(xs, ys).slope

@@ -213,3 +213,19 @@ def test_zero_denominator_in_spec_fails_cleanly(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("blob", [
+    {"schema_version": 1, "type": "curve", "n": 3, "alpha": "1/2"},
+    {"schema_version": 1, "type": "curve", "n": 3, "alpha": "1/2",
+     "components": [{"kind": "affine", "slope": "1/2"}]},
+    [{"schema_version": 1}],
+], ids=["no-components", "affine-without-offset", "top-level-list"])
+def test_malformed_spec_fails_cleanly(capsys, tmp_path, blob):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(blob))
+    code, out, err = run_cli(capsys, "certify", "--spec", str(spec))
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert str(spec) in err

@@ -1,9 +1,12 @@
 """Curve construction, the pairwise-coordinate property, and projections."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
+from dbecurves import curves
 from dbecurves.curves import (
     CurveSpec,
     ExtremalCurve,
@@ -155,6 +158,54 @@ def test_check_dbe_property_cantor_control():
     assert not rep.ok
     # two x values inside the flat central gap share the c-value and alpha
     assert any(m == 2 for (_, _, m) in rep.violations)
+
+
+def _random_point_sets(seed: int, count: int):
+    """Seeded small-alphabet point sets, n = 2..5, 1-4 values per coordinate;
+    one in three has a constant coordinate, so no pair can agree nowhere."""
+    rng = random.Random(seed)
+    while count:
+        n = rng.randint(2, 5)
+        alphabets = [[F(v, 4) for v in range(rng.randint(1, 4))] for _ in range(n)]
+        if rng.random() < 1 / 3:
+            alphabets[rng.randrange(n)] = [F(1, 2)]
+        grid = list(itertools.product(*alphabets))
+        if len(grid) < 2:
+            continue
+        count -= 1
+        yield rng.sample(grid, rng.randint(2, min(len(grid), 12)))
+
+
+def test_check_dbe_property_matches_pairwise_on_random_sets():
+    kinds = set()
+    for pts in _random_point_sets(11, 600):
+        want = curves._pairwise_dbe(pts)
+        assert check_dbe_property(pts) == want
+        matches = {m for _, _, m in want.violations}
+        kinds.add((0 in matches, any(m >= 2 for m in matches)))
+    # zero-match pairs, two-or-more-match pairs, both, and neither
+    assert kinds == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def _dbe_samples():
+    for n in (3, 4, 5, 6):
+        yield sample(build_extremal_curve(n, a=F(2, 7)), 6)
+    yield sample(CurveSpec(3, (Cantor(),), F(1, 2)), 6)
+    # one flat piece holding five depth-6 sample points, ten violating pairs
+    flat = PiecewiseLinear([(0, 0), (F(5, 16), F(3, 8)), (F(6, 16), F(3, 8)), (1, 1)])
+    yield sample(CurveSpec(4, (RieszNagy(F(1, 3)), flat), F(3, 4)), 6)
+
+
+@pytest.mark.parametrize("pts", list(_dbe_samples()),
+                         ids=["n3", "n4", "n5", "n6", "cantor", "flat-piece"])
+def test_check_dbe_property_curve_samples_skip_the_pairwise_loop(pts, monkeypatch):
+    want = curves._pairwise_dbe(pts)
+
+    def refuse(_pts):
+        raise AssertionError("curve samples share alpha, so no fallback")
+
+    monkeypatch.setattr(curves, "_pairwise_dbe", refuse)
+    assert check_dbe_property(pts) == want
 
 
 def test_check_dbe_property_input_validation():

@@ -11,6 +11,7 @@ from dbecurves.curves import CurveSpec, build_extremal_curve
 from dbecurves.exact import Interval, IntervalUnion
 from dbecurves.hausdorff import (
     BoxCount,
+    _collapsed_riesz_length,
     H1Certificate,
     LipschitzWitnessError,
     box_count,
@@ -113,6 +114,20 @@ def test_polyline_collapsed_matches_naive_oracle():
         assert abs(value - naive) <= radius + F(1, 1 << 40)
 
 
+@pytest.mark.parametrize("a", [F(1, 4), F(1, 3), F(2, 7), F(3, 7), F(1, 1024),
+                               F(999, 1000)])
+def test_collapsed_length_equals_sqrt_enclosure_sum(a):
+    for d in [*range(41), 132]:
+        for bits in (1, 32, 64 + d):
+            lo = hi = F(0)
+            for k in range(d + 1):
+                w = a ** (d - k) * (1 - a) ** k
+                tlo, thi = sqrt_enclosure(F(1, 4 ** d) + w * w, bits)
+                lo += math.comb(d, k) * tlo
+                hi += math.comb(d, k) * thi
+            assert _collapsed_riesz_length(a, d, bits) == (lo, hi)
+
+
 def test_polyline_general_path_matches_collapsed():
     a = F(1, 4)
     collapsed_curve = build_extremal_curve(3, a=a)
@@ -166,6 +181,14 @@ def test_box_count_pinned_series_and_slope():
     assert all(isinstance(bc, BoxCount) for bc in series)
     counts = [bc.count for bc in series]
     assert counts == sorted(counts)
+
+
+def test_box_count_slope_samples_once_at_the_finest_depth():
+    c = build_extremal_curve(4, a=F(2, 7))
+    for sample_depth in (None, 7):
+        _, series = box_count_slope(c, range(3, 9), sample_depth)
+        for bc, m in zip(series, range(3, 9)):
+            assert bc.count == box_count(c, m, sample_depth).count
 
 
 def test_box_count_segment_slope_near_one():
