@@ -116,14 +116,14 @@ def _load_curve(cfg: RunConfig):
             obj = json.load(fh)
         try:
             return curve_from_json(obj)
-        except (KeyError, TypeError, AttributeError) as exc:
+        except (KeyError, TypeError, AttributeError, ValueError) as exc:
             raise ValueError(f"malformed curve spec {cfg.spec_path}: "
                              f"{type(exc).__name__}: {exc}") from exc
     return build_extremal_curve(cfg.n, cfg.a, cfg.M, cfg.alpha, cfg.staircase_depth)
 
 
 def cmd_construct(cfg: RunConfig) -> int:
-    curve = build_extremal_curve(cfg.n, cfg.a, cfg.M, cfg.alpha, cfg.staircase_depth)
+    curve = _load_curve(cfg)
     _write(_json_text(curve_to_json(curve)), cfg.out)
     return 0
 

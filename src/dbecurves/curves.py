@@ -62,7 +62,6 @@ class ExtremalCurve:
     """A measure-extremal curve plus the objects its certification uses."""
 
     spec: CurveSpec
-    h: MonotoneFn
     mappers: tuple[MapperResult, ...]
     w_domains: tuple[IntervalUnion, ...]
     q1: IntervalUnion
@@ -82,12 +81,12 @@ class ExtremalCurve:
     def components(self) -> tuple[MonotoneFn, ...]:
         return self.spec.components
 
+    @property
+    def piece_domains(self) -> LRPartition | None:
+        return self.spec.piece_domains
+
     def point(self, x) -> tuple[Fraction, ...]:
         return self.spec.point(x)
-
-
-def _as_spec(curve) -> CurveSpec:
-    return curve.spec if isinstance(curve, ExtremalCurve) else curve
 
 
 def build_extremal_curve(n: int, a=Fraction(1, 4), M: int = 4,
@@ -108,7 +107,7 @@ def build_extremal_curve(n: int, a=Fraction(1, 4), M: int = 4,
     h = RieszNagy(a)
     if n == 3:
         spec = CurveSpec(3, (h,), alpha)
-        return ExtremalCurve(spec, h, (), (), IntervalUnion.closed(0, 1), a, M,
+        return ExtremalCurve(spec, (), (), IntervalUnion.closed(0, 1), a, M,
                              staircase_depth)
     grid = RieszNagyImageGrid(a)
     avoid = IntervalUnion.empty()
@@ -135,7 +134,7 @@ def build_extremal_curve(n: int, a=Fraction(1, 4), M: int = 4,
         q1 = q1.subtract(w)
     components = (h, *(Composition(mr.f, h) for mr in mappers))
     spec = CurveSpec(n, components, alpha)
-    return ExtremalCurve(spec, h, tuple(mappers), tuple(w_domains), q1, a, M,
+    return ExtremalCurve(spec, tuple(mappers), tuple(w_domains), q1, a, M,
                          staircase_depth)
 
 
@@ -161,22 +160,21 @@ def _column(f: MonotoneFn, depth: int, xs, memo: dict) -> list[Fraction]:
 def sample(curve, depth: int) -> list[tuple[Fraction, ...]]:
     """The 2^depth + 1 exact curve points at x = k * 2^-depth, sorted by x.
 
-    Equal to [spec.point(k * 2^-depth) for k in ...], evaluated one component
+    Equal to [curve.point(k * 2^-depth) for k in ...], evaluated one component
     column at a time.
     """
-    spec = _as_spec(curve)
     if depth < 0:
         raise ValueError("depth must be >= 0")
     xs = [Fraction(k, 1 << depth) for k in range((1 << depth) + 1)]
     memo: dict = {}
     try:
-        columns = [_column(f, depth, xs, memo) for f in spec.components]
+        columns = [_column(f, depth, xs, memo) for f in curve.components]
     except ValueError:
         # raise the error that point-by-point evaluation meets first
         for x in xs:
-            spec.point(x)
+            curve.point(x)
         raise
-    alphas = [spec.alpha] * len(xs)
+    alphas = [curve.alpha] * len(xs)
     return list(zip(xs, *columns, alphas))
 
 
@@ -247,51 +245,6 @@ def _pairwise_dbe(pts) -> DbeReport:
     return DbeReport(not violations, tuple(violations), pair_count)
 
 
-def project(points, i: int) -> list[Fraction]:
-    """The i-th coordinates (1-indexed) of a point list."""
-    if not points:
-        return []
-    n = len(points[0])
-    if not (1 <= i <= n):
-        raise ValueError(f"coordinate index {i} out of range 1..{n}")
-    return [p[i - 1] for p in points]
-
-
-def projection_image(curve, i: int, domain: IntervalUnion) -> IntervalUnion:
-    """Exact image of a domain under the i-th coordinate map (1-indexed)."""
-    spec = _as_spec(curve)
-    if not (1 <= i <= spec.n):
-        raise ValueError(f"coordinate index {i} out of range 1..{spec.n}")
-    if i == 1:
-        return domain
-    if i == spec.n:
-        return IntervalUnion.point(spec.alpha)
-    f = spec.components[i - 2]
-    images = []
-    for comp in domain.components:
-        ylo, yhi = f(comp.lo), f(comp.hi)
-        if f.increasing:
-            images.append(Interval(ylo, yhi, comp.lo_closed, comp.hi_closed))
-        else:
-            images.append(Interval(yhi, ylo, comp.hi_closed, comp.lo_closed))
-    return IntervalUnion(images)
-
-
-def shared_coordinate(points) -> int | None:
-    """The 1-indexed coordinate all points share, or None.
-
-    Valid pairwise-unique-match point sets in the plane always lie on one
-    axis-parallel line, so for n=2 samples this returns the line's axis.
-    """
-    if not points:
-        return None
-    first = points[0]
-    for c in range(len(first)):
-        if all(p[c] == first[c] for p in points):
-            return c + 1
-    return None
-
-
 # -- serialization -------------------------------------------------------------
 
 
@@ -317,16 +270,15 @@ def curve_to_json(curve) -> dict:
             "w_domains": [w.to_json() for w in curve.w_domains],
             "q1": curve.q1.to_json(),
         }
-    spec = _as_spec(curve)
     out = {
         "schema_version": SCHEMA_VERSION,
         "type": "curve",
-        "n": spec.n,
-        "alpha": format_rational(spec.alpha),
-        "components": [f.to_json() for f in spec.components],
+        "n": curve.n,
+        "alpha": format_rational(curve.alpha),
+        "components": [f.to_json() for f in curve.components],
     }
-    if spec.piece_domains is not None:
-        out["piece_domains"] = spec.piece_domains.to_json()
+    if curve.piece_domains is not None:
+        out["piece_domains"] = curve.piece_domains.to_json()
     return out
 
 
@@ -334,6 +286,13 @@ def curve_from_json(obj: dict):
     if obj.get("schema_version") != SCHEMA_VERSION:
         raise ValueError("unsupported schema_version")
     components = tuple(fn_from_json(f) for f in obj["components"])
+    # Every component kind is monotone, so its values at 0 and 1 bound it.
+    for i, f in enumerate(components, 2):
+        for x in (ZERO, ONE):
+            y = f(x)
+            if not ZERO <= y <= ONE:
+                raise ValueError(f"coordinate {i} leaves the unit cube: "
+                                 f"{format_rational(y)} at x = {x}")
     alpha = parse_rational(obj["alpha"])
     if obj["type"] == "curve":
         domains = obj.get("piece_domains")
@@ -345,7 +304,6 @@ def curve_from_json(obj: dict):
         raise ValueError(f"unknown curve type {obj['type']!r}")
     a = parse_rational(obj["a"])
     spec = CurveSpec(obj["n"], components, alpha)
-    h = components[0]
     mappers = tuple(
         MapperResult(
             f=components[idx + 1].outer,
@@ -358,7 +316,6 @@ def curve_from_json(obj: dict):
     )
     return ExtremalCurve(
         spec,
-        h,
         mappers,
         tuple(IntervalUnion.from_json(w) for w in obj["w_domains"]),
         IntervalUnion.from_json(obj["q1"]),

@@ -326,70 +326,3 @@ class IntervalUnion:
     def from_json(cls, obj: list) -> "IntervalUnion":
         return cls(Interval.from_json(o) for o in obj)
 
-
-def measure(u: IntervalUnion) -> Fraction:
-    return u.measure()
-
-
-def set_ops(a: IntervalUnion, b: IntervalUnion, kind: str) -> IntervalUnion:
-    """Dispatch union/intersect/subtract by name (CLI and serialization use)."""
-    try:
-        return {
-            "union": a.union,
-            "intersect": a.intersect,
-            "subtract": a.subtract,
-        }[kind](b)
-    except KeyError:
-        raise ValueError(f"unknown set operation {kind!r}") from None
-
-
-# -- digit expansions ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DigitString:
-    """First k digits of x in a given base, most significant first."""
-
-    base: int
-    digits: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.base < 2:
-            raise ValueError("base must be >= 2")
-        if any(d < 0 or d >= self.base for d in self.digits):
-            raise ValueError("digit out of range")
-
-    def value(self) -> Fraction:
-        """The rational whose expansion starts with these digits (trailing zeros)."""
-        acc = ZERO
-        p = ONE
-        for d in self.digits:
-            p /= self.base
-            acc += d * p
-        return acc
-
-    def __iter__(self):
-        return iter(self.digits)
-
-    def __len__(self):
-        return len(self.digits)
-
-
-def expand_digits(x, base: int, k: int) -> DigitString:
-    """First k base-`base` digits of x in [0,1].
-
-    The terminating expansion is preferred when x has one (1/2 in base 2 is
-    ``10...``, not ``01...1``); x = 1 is written as all (base-1) digits.
-    """
-    x = Fraction(x)
-    if not (ZERO <= x <= ONE):
-        raise ValueError("expand_digits needs x in [0,1]")
-    if x == ONE:
-        return DigitString(base, (base - 1,) * k)
-    num, den = x.numerator, x.denominator
-    digits = []
-    for _ in range(k):
-        num *= base
-        d, num = divmod(num, den)
-        digits.append(d)
-    return DigitString(base, tuple(digits))

@@ -54,10 +54,6 @@ def sqrt_enclosure(x, bits: int) -> tuple[Fraction, Fraction]:
     return lo, lo + Fraction(1, 1 << bits)
 
 
-def _spec_of(curve):
-    return getattr(curve, "spec", curve)
-
-
 def upper_bound_h1(curve) -> Fraction:
     """Exact sum of piece lengths plus per-component image measures.
 
@@ -65,15 +61,14 @@ def upper_bound_h1(curve) -> Fraction:
     telescopes to exactly n-1; it is an upper bound for H^1 of any curve
     with monotone components over the declared pieces.
     """
-    spec = _spec_of(curve)
-    if spec.piece_domains is None:
+    if curve.piece_domains is None:
         blocks = (IntervalUnion.closed(0, 1),)
     else:
-        blocks = spec.piece_domains.blocks
+        blocks = curve.piece_domains.blocks
     total = ZERO
     for block in blocks:
         total += block.measure()
-        for f in spec.components:
+        for f in curve.components:
             total += image_measure(f, block)
     return total
 
@@ -104,8 +99,8 @@ def _collapsed_riesz_length(a: Fraction, depth: int, bits: int):
     return lo, lo + Fraction(inexact, 1 << bits)
 
 
-def _is_collapsible(spec) -> bool:
-    return len(spec.components) == 1 and isinstance(spec.components[0], RieszNagy)
+def _is_collapsible(curve) -> bool:
+    return len(curve.components) == 1 and isinstance(curve.components[0], RieszNagy)
 
 
 def polyline_length(curve, depth: int, precision: int = 64):
@@ -116,7 +111,6 @@ def polyline_length(curve, depth: int, precision: int = 64):
     else is exact, so the bound is rigorous.  Single-R_a curves use the
     collapsed binomial sum; everything else walks the 2^depth sample cells.
     """
-    spec = _spec_of(curve)
     if depth < 0:
         raise ValueError("depth must be >= 0")
     if precision < 1:
@@ -124,10 +118,10 @@ def polyline_length(curve, depth: int, precision: int = 64):
     # Per-chord enclosures get depth extra bits so that the sum over the
     # 2^depth chords still lands within 2^-precision of the true length.
     bits = precision + depth
-    if _is_collapsible(spec):
-        lo, hi = _collapsed_riesz_length(spec.components[0].a, depth, bits)
+    if _is_collapsible(curve):
+        lo, hi = _collapsed_riesz_length(curve.components[0].a, depth, bits)
     else:
-        pts = sample(spec, depth)
+        pts = sample(curve, depth)
         lo = hi = ZERO
         for p, q in zip(pts, pts[1:]):
             s = sum(((c2 - c1) ** 2 for c1, c2 in zip(p, q)), ZERO)
@@ -140,7 +134,7 @@ def polyline_length(curve, depth: int, precision: int = 64):
 def lower_method(curve) -> str:
     return (
         "inscribed-polyline/collapsed-binomial"
-        if _is_collapsible(_spec_of(curve))
+        if _is_collapsible(curve)
         else "inscribed-polyline/chord-sum"
     )
 
@@ -193,26 +187,17 @@ class BoxCount:
     slope_estimate: float | None = None
 
 
-def _as_points(curve_or_points, m: int, sample_depth: int | None):
-    if isinstance(curve_or_points, (list, tuple)):
-        return list(curve_or_points)
-    depth = max(m + 2, sample_depth or 0)
-    return sample(curve_or_points, depth)
-
-
 def box_count(curve_or_points, m: int, sample_depth: int | None = None) -> BoxCount:
     """Count 2^-m grid boxes hit by a curve sample (or an explicit point list)."""
-    pts = _as_points(curve_or_points, m, sample_depth)
+    pts = curve_or_points
+    if not isinstance(pts, (list, tuple)):
+        pts = sample(pts, max(m + 2, sample_depth or 0))
     scale = 1 << m
     top = scale - 1
     cells = set()
     for p in pts:
-        cells.add(
-            tuple(
-                min(Fraction(c).numerator * scale // Fraction(c).denominator, top)
-                for c in p
-            )
-        )
+        cells.add(tuple(min(c.numerator * scale // c.denominator, top)
+                        for c in map(Fraction, p)))
     return BoxCount(Fraction(1, scale), len(cells))
 
 
@@ -251,8 +236,12 @@ def check_lipschitz_image(f: MonotoneFn, c, F: IntervalUnion,
     """Exact check that measure(f(F)) <= c * measure(F).
 
     The caller declares f to be c-Lipschitz on F; the declaration is probed
-    on all pairs of a dyadic sample first and a falsifying pair raises
-    LipschitzWitnessError with the witness.
+    first on the consecutive pairs of a sorted dyadic sample, and a
+    falsifying pair raises LipschitzWitnessError with the witness.  By the
+    triangle inequality every sample pair satisfies the bound exactly when
+    every consecutive pair does, so the verdict is that of an all-pairs
+    probe; the witness is the leftmost violating consecutive pair, which
+    need not be the pair an all-pairs scan would report.
     """
     c = Fraction(c)
     xs = set()
@@ -268,10 +257,9 @@ def check_lipschitz_image(f: MonotoneFn, c, F: IntervalUnion,
         k += 1
     pts = sorted(xs)
     vals = [f(x) for x in pts]
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if abs(vals[j] - vals[i]) > c * (pts[j] - pts[i]):
-                raise LipschitzWitnessError(pts[i], pts[j], vals[i], vals[j], c)
+    for x, y, fx, fy in zip(pts, pts[1:], vals, vals[1:]):
+        if abs(fy - fx) > c * (y - x):
+            raise LipschitzWitnessError(x, y, fx, fy, c)
     return image_measure(f, F) <= c * F.measure()
 
 
@@ -351,45 +339,3 @@ def check_derivative_bound(f: MonotoneFn, E: IntervalUnion) -> bool:
         total += abs(slope) * E.intersect(IntervalUnion((iv,))).measure()
     return image_measure(f, E) <= total
 
-
-# -- non-certifying flat/steep diagnostic ----------------------------------------
-
-
-@dataclass(frozen=True)
-class FlatSteepSplit:
-    """Cell classification illustrating the two-part lower-bound heuristic.
-
-    Cells where the second coordinate climbs at most theta times the x-step
-    are 'flat' (their x-extent is tallied); the rest are 'steep' (their
-    second-coordinate rise is tallied).  Diagnostic only: not a certificate.
-    """
-
-    flat_x_measure: Fraction
-    steep_rise_measure: Fraction
-    flat_cells: int
-    steep_cells: int
-    theta: Fraction
-    depth: int
-
-
-def flat_steep_split(curve, depth: int, theta=Fraction(1, 256)) -> FlatSteepSplit:
-    spec = _spec_of(curve)
-    if not spec.components:
-        raise ValueError("curve has no monotone component to classify")
-    theta = Fraction(theta)
-    f = spec.components[0]
-    step = Fraction(1, 1 << depth)
-    flat_x = steep_rise = ZERO
-    flat_cells = steep_cells = 0
-    prev = f(ZERO)
-    for k in range(1, (1 << depth) + 1):
-        cur = f(k * step)
-        rise = abs(cur - prev)
-        if rise <= theta * step:
-            flat_x += step
-            flat_cells += 1
-        else:
-            steep_rise += rise
-            steep_cells += 1
-        prev = cur
-    return FlatSteepSplit(flat_x, steep_rise, flat_cells, steep_cells, theta, depth)

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import (
-    DigitString,
     Interval,
     IntervalUnion,
     ONE,
@@ -147,27 +146,6 @@ def riesz_nagy_level(a, depth: int) -> list[Fraction]:
         nums = nxt
     den = q**depth
     return [Fraction(v, den) for v in nums]
-
-
-def dyadic_increment(a, prefix) -> Fraction:
-    """Increase of R_a over the dyadic cell addressed by a 0/1 prefix.
-
-    Equals a^(#zeros) * (1-a)^(#ones); the empty prefix gives 1.
-    """
-    a = Fraction(a)
-    if isinstance(prefix, DigitString):
-        if prefix.base != 2:
-            raise ValueError("prefix must be a base-2 digit string")
-        prefix = prefix.digits
-    zeros = ones = 0
-    for d in prefix:
-        if d == 0:
-            zeros += 1
-        elif d == 1:
-            ones += 1
-        else:
-            raise ValueError("prefix digits must be 0 or 1")
-    return a**zeros * (ONE - a) ** ones
 
 
 def riesz_nagy_inverse(a, y, max_steps: int = 4096) -> Fraction:
@@ -388,33 +366,6 @@ class Composition(MonotoneFn):
 
     def __repr__(self) -> str:
         return f"Composition({self.outer!r}, {self.inner!r})"
-
-
-class Restriction(MonotoneFn):
-    """A function together with an explicit domain; evaluation outside raises."""
-
-    kind = "restriction"
-
-    def __init__(self, fn, domain):
-        if isinstance(domain, Interval):
-            domain = IntervalUnion((domain,))
-        self.fn = fn
-        self.domain = domain
-        self.increasing = fn.increasing
-        self.strictly_monotone = fn.strictly_monotone
-
-    def __call__(self, x) -> Fraction:
-        x = Fraction(x)
-        if not self.domain.contains(x):
-            raise NotEvaluableError(f"{x} outside restriction domain")
-        return self.fn(x)
-
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "fn": self.fn.to_json(),
-            "domain": self.domain.to_json(),
-        }
 
 
 # -- grids supplying staircase cells ------------------------------------------
@@ -871,8 +822,4 @@ def fn_from_json(obj: dict) -> MonotoneFn:
         )
     if kind == "composition":
         return Composition(fn_from_json(obj["outer"]), fn_from_json(obj["inner"]))
-    if kind == "restriction":
-        return Restriction(
-            fn_from_json(obj["fn"]), IntervalUnion.from_json(obj["domain"])
-        )
     raise ValueError(f"unknown function kind {kind!r}")

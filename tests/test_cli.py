@@ -220,7 +220,13 @@ def test_zero_denominator_in_spec_fails_cleanly(capsys, tmp_path):
     {"schema_version": 1, "type": "curve", "n": 3, "alpha": "1/2",
      "components": [{"kind": "affine", "slope": "1/2"}]},
     [{"schema_version": 1}],
-], ids=["no-components", "affine-without-offset", "top-level-list"])
+    {"schema_version": 1, "type": "curve", "n": 3, "alpha": "1/2",
+     "components": [{"kind": "affine", "slope": "3/1", "offset": "0/1"}]},
+    {"schema_version": 1, "type": "curve", "n": 3, "alpha": "1/2",
+     "components": [{"kind": "restriction", "fn": {"kind": "cantor"},
+                     "domain": [{"lo": "0/1", "hi": "1/1"}]}]},
+], ids=["no-components", "affine-without-offset", "top-level-list", "outside-cube",
+        "restriction-kind"])
 def test_malformed_spec_fails_cleanly(capsys, tmp_path, blob):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(blob))

@@ -1,4 +1,4 @@
-"""Curve construction, the pairwise-coordinate property, and projections."""
+"""Curve construction, sampling, the pairwise-coordinate property, and JSON."""
 
 import itertools
 import random
@@ -14,10 +14,7 @@ from dbecurves.curves import (
     check_dbe_property,
     curve_from_json,
     curve_to_json,
-    project,
-    projection_image,
     sample,
-    shared_coordinate,
 )
 from dbecurves.exact import IntervalUnion
 from dbecurves.singular import (
@@ -215,28 +212,6 @@ def test_check_dbe_property_input_validation():
         check_dbe_property([(F(0), F(0)), (F(0), F(0))])
     with pytest.raises(ValueError):
         check_dbe_property([(F(0), F(0)), (F(1), F(0), F(1))])
-
-
-def test_project_and_shared_coordinate():
-    c = build_extremal_curve(3)
-    pts = sample(c, 3)
-    assert project(pts, 1) == [F(k, 8) for k in range(9)]
-    assert project(pts, 3) == [F(1, 2)] * 9
-    assert shared_coordinate(pts) == 3
-    with pytest.raises(ValueError):
-        project(pts, 4)
-
-
-def test_projection_image():
-    c = build_extremal_curve(3, a=F(1, 4))
-    dom = IntervalUnion.closed(0, F(1, 2))
-    assert projection_image(c, 1, dom) == dom
-    assert projection_image(c, 3, dom) == IntervalUnion.point(F(1, 2))
-    img = projection_image(c, 2, dom)
-    assert img == IntervalUnion.closed(0, F(1, 4))
-    # monotone under domain inclusion
-    sub = IntervalUnion.closed(0, F(1, 4))
-    assert projection_image(c, 2, sub).subset_of(img)
 
 
 def test_curve_json_roundtrip_plain():

@@ -1,4 +1,4 @@
-"""Exact interval arithmetic: intervals, unions, measures, digit strings."""
+"""Exact interval arithmetic: intervals, unions, measures, rationals."""
 
 import random
 from fractions import Fraction
@@ -6,15 +6,11 @@ from fractions import Fraction
 import pytest
 
 from dbecurves.exact import (
-    DigitString,
     Interval,
     IntervalUnion,
     decimal_str,
-    expand_digits,
     format_rational,
-    measure,
     parse_rational,
-    set_ops,
 )
 
 F = Fraction
@@ -112,18 +108,6 @@ def test_subset_and_intersects():
     assert not small.intersects(gap)
 
 
-def test_measure_and_set_ops_dispatch():
-    a = IntervalUnion.closed(0, F(1, 2))
-    b = IntervalUnion.closed(F(1, 4), 1)
-    assert measure(a) == F(1, 2)
-    ops = set_ops(a, b, "union"), set_ops(a, b, "intersect"), set_ops(a, b, "subtract")
-    assert ops[0] == IntervalUnion.closed(0, 1)
-    assert ops[1] == IntervalUnion.closed(F(1, 4), F(1, 2))
-    assert ops[2].measure() == F(1, 4)
-    with pytest.raises(ValueError):
-        set_ops(a, b, "xor")
-
-
 def test_union_json_roundtrip():
     u = IntervalUnion.closed(0, F(1, 3)) | IntervalUnion(
         (Interval(F(1, 2), F(2, 3), lo_closed=False),)
@@ -150,21 +134,3 @@ def test_inclusion_exclusion_randomized():
         assert (a - b).measure() == a.measure() - (a & b).measure()
         assert a - (a - b) == (a & b)
         assert (a - b) | (a & b) | (b - a) == (a | b)
-
-
-def test_expand_digits_terminating_and_edge():
-    d = expand_digits(F(1, 4), 2, 4)
-    assert d.digits == (0, 1, 0, 0)
-    assert d.value() == F(1, 4)
-    ones = expand_digits(F(1), 3, 5)
-    assert ones.digits == (2, 2, 2, 2, 2)
-    third = expand_digits(F(1, 3), 3, 3)
-    assert third.digits == (1, 0, 0)
-    assert third.value() == F(1, 3)
-
-
-def test_digit_string_value():
-    d = DigitString(2, (1, 0, 1))
-    assert d.value() == F(5, 8)
-    with pytest.raises(ValueError):
-        DigitString(2, (2,))

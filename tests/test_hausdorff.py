@@ -1,12 +1,13 @@
 """Two-sided measure certification, box counts, and inequality checkers."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from dbecurves import oracle
+from dbecurves import oracle, trials
 from dbecurves.curves import CurveSpec, build_extremal_curve
 from dbecurves.exact import Interval, IntervalUnion
 from dbecurves.hausdorff import (
@@ -20,7 +21,6 @@ from dbecurves.hausdorff import (
     check_derivative_bound,
     check_lipschitz_image,
     check_sum_image_bound,
-    flat_steep_split,
     polyline_length,
     sqrt_enclosure,
     upper_bound_h1,
@@ -32,6 +32,7 @@ from dbecurves.singular import (
     PiecewiseLinear,
     RieszNagy,
     identity_fn,
+    image_measure,
 )
 
 F = Fraction
@@ -246,6 +247,51 @@ def test_lipschitz_false_declaration_raises_with_witness():
     assert abs(fy - fx) > abs(y - x)
 
 
+def _all_pairs_witness(f, c, dom, depth):
+    """First (x, y, f(x), f(y)) over all sample pairs with |f(y) - f(x)| > c (y - x)."""
+    xs = {e for comp in dom.components for e in (comp.lo, comp.hi)}
+    xs |= {F(k, 1 << depth) for k in range((1 << depth) + 1)
+           if dom.contains(F(k, 1 << depth))}
+    pts = sorted(xs)
+    vals = [f(x) for x in pts]
+    for i, j in itertools.combinations(range(len(pts)), 2):
+        if abs(vals[j] - vals[i]) > c * (pts[j] - pts[i]):
+            return pts[i], pts[j], vals[i], vals[j]
+    return None
+
+
+def test_lipschitz_consecutive_probe_matches_all_pairs():
+    rng = random.Random(2207)
+    depth = 5
+    cases = []
+    for _ in range(60):
+        f = trials.random_piecewise_linear(rng, strict=rng.random() < 0.5,
+                                           allow_flat=True)
+        c = max(abs(s) for _, s in f.pieces())
+        cases.append((f, c, trials.random_union(rng)))
+    for _ in range(20):
+        f = RieszNagy(rng.choice((F(1, 4), F(1, 3), F(3, 4), F(2, 5))))
+        grid = [f(F(k, 1 << depth)) for k in range((1 << depth) + 1)]
+        c = max(v - u for u, v in zip(grid, grid[1:])) * (1 << depth)
+        cases.append((f, c, trials.random_union(rng, den=1 << depth)))
+    raised = 0
+    for f, c_true, dom in cases:
+        for c in (c_true, c_true - F(1, 1 << 20)):
+            want = _all_pairs_witness(f, c, dom, depth)
+            try:
+                ok = check_lipschitz_image(f, c, dom, sample_depth=depth)
+            except LipschitzWitnessError as err:
+                assert want is not None
+                x, y, fx, fy = err.witness
+                assert x < y and (fx, fy) == (f(x), f(y))
+                assert abs(fy - fx) > c * (y - x)
+                raised += 1
+            else:
+                assert want is None
+                assert ok == (image_measure(f, dom) <= c * dom.measure())
+    assert 0 < raised < 2 * len(cases)
+
+
 # -- two-function cover-sum bound ---------------------------------------------
 
 
@@ -298,22 +344,3 @@ def test_derivative_bound_domain_check():
     pl = PiecewiseLinear(((F(0), F(0)), (F(1, 2), F(1))))
     with pytest.raises(Exception):
         check_derivative_bound(pl, IntervalUnion.closed(0, 1))
-
-
-# -- flat/steep diagnostic ------------------------------------------------------
-
-
-def test_flat_steep_split_heuristic():
-    c = build_extremal_curve(3, a=F(1, 4))
-    theta = F(1, 4)
-    split = flat_steep_split(c, 10, theta)
-    assert split.flat_cells + split.steep_cells == 1 << 10
-    assert 0 < split.flat_x_measure < 1
-    assert 0 < split.steep_rise_measure <= 1
-    # flat rises are capped by theta, so the tallies always top 1 ...
-    total = split.flat_x_measure + split.steep_rise_measure
-    assert total >= 1
-    # ... and creep toward 2 as the grid refines
-    coarse = flat_steep_split(c, 6, theta)
-    assert total > coarse.flat_x_measure + coarse.steep_rise_measure
-    assert float(total) > 1.5

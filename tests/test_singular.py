@@ -17,14 +17,12 @@ from dbecurves.singular import (
     NestedIntervalTree,
     NotEvaluableError,
     PiecewiseLinear,
-    Restriction,
     RieszNagy,
     RieszNagyImageGrid,
     WeightedSum,
     build_full_measure_mapper,
     build_interval_staircase,
     build_staircase_tree,
-    dyadic_increment,
     enumerate_rational_intervals,
     eval_cantor,
     eval_riesz_nagy,
@@ -125,17 +123,6 @@ def test_riesz_nagy_strictly_increasing_on_dyadics():
     assert all(u < v for u, v in zip(vals, vals[1:]))
 
 
-def test_dyadic_increment_formula():
-    a = F(1, 4)
-    # cell [k/2^g, (k+1)/2^g] increment equals a^zeros * (1-a)^ones
-    for g in range(1, 7):
-        for k in range(1 << g):
-            lo = eval_riesz_nagy(a, F(k, 1 << g))
-            hi = eval_riesz_nagy(a, F(k + 1, 1 << g))
-            prefix = tuple((k >> (g - 1 - i)) & 1 for i in range(g))
-            assert dyadic_increment(a, prefix) == hi - lo
-
-
 def test_riesz_nagy_inverse_roundtrip():
     a = F(1, 4)
     for k in range(0, 33):
@@ -168,10 +155,6 @@ def test_monotone_fn_wrappers():
     assert ident(F(5, 7)) == F(5, 7)
     comp = Composition(r, ident)
     assert comp(F(1, 2)) == F(1, 4)
-    restr = Restriction(r, Interval.closed(0, F(1, 2)))
-    assert restr(F(1, 2)) == F(1, 4)
-    with pytest.raises(NotEvaluableError):
-        restr(F(3, 4))
 
 
 def test_piecewise_linear_eval_and_pieces():
@@ -211,7 +194,6 @@ def test_fn_json_roundtrip():
         PiecewiseLinear(((F(0), F(0)), (F(1), F(2)))),
         WeightedSum((identity_fn(), Cantor()), (F(1, 4), F(1, 2))),
         Composition(RieszNagy(F(1, 4)), identity_fn()),
-        Restriction(Cantor(), Interval.closed(0, F(1, 2))),
     ]
     for fn in fns:
         back = fn_from_json(fn.to_json())
