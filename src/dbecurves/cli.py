@@ -113,10 +113,12 @@ def _json_text(obj) -> str:
 def _load_curve(cfg: RunConfig):
     if cfg.spec_path is not None:
         with open(cfg.spec_path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+            text = fh.read()
         try:
-            return curve_from_json(obj)
-        except (KeyError, TypeError, AttributeError, ValueError) as exc:
+            # json raises RecursionError on input nested about 1000 deep
+            return curve_from_json(json.loads(text))
+        except (RecursionError, KeyError, TypeError, AttributeError,
+                ValueError) as exc:
             raise ValueError(f"malformed curve spec {cfg.spec_path}: "
                              f"{type(exc).__name__}: {exc}") from exc
     return build_extremal_curve(cfg.n, cfg.a, cfg.M, cfg.alpha, cfg.staircase_depth)

@@ -32,6 +32,11 @@ from .singular import (
 
 SCHEMA_VERSION = 1
 
+# Deepest JSON nesting a curve spec may have.  Building and evaluating a spec
+# recurse once per level, so the limit keeps them far below Python's
+# recursion limit; constructed specs nest about 10 deep.
+MAX_NESTING = 64
+
 
 @dataclass(frozen=True)
 class CurveSpec:
@@ -142,17 +147,24 @@ def _column(f: MonotoneFn, depth: int, xs, memo: dict) -> list[Fraction]:
     """[f(x) for x in xs] on the grid xs = k * 2^-depth, memoized by f.
 
     R_a columns fill level by level, so every R_a that compares equal (h, and
-    the h inside each Composition(mapper, h)) is computed once; a composition
-    maps its outer function over its inner column.
+    the h inside each Composition(mapper, h)) is computed once.  Every other
+    column comes from `MonotoneFn.column`, which staircase sums fill by runs:
+    a composition with an increasing inner function hands its inner column,
+    which is then non-decreasing, to `outer.column`, and any other
+    composition maps its outer function point by point.
     """
     col = memo.get(f)
     if col is None:
         if isinstance(f, RieszNagy):
             col = riesz_nagy_level(f.a, depth)
         elif isinstance(f, Composition):
-            col = [f.outer(y) for y in _column(f.inner, depth, xs, memo)]
+            inner = _column(f.inner, depth, xs, memo)
+            if f.inner.increasing:
+                col = f.outer.column(inner)
+            else:
+                col = [f.outer(y) for y in inner]
         else:
-            col = [f(x) for x in xs]
+            col = f.column(xs)
         memo[f] = col
     return col
 
@@ -282,7 +294,29 @@ def curve_to_json(curve) -> dict:
     return out
 
 
+def _nesting(obj) -> int:
+    """Container depth of a JSON value (a scalar is 0), found without recursion."""
+    deepest = 0
+    stack = [(obj, 1)]
+    while stack:
+        value, depth = stack.pop()
+        if isinstance(value, dict):
+            value = list(value.values())
+        if isinstance(value, list):
+            deepest = max(deepest, depth)
+            stack.extend((v, depth + 1) for v in value)
+    return deepest
+
+
 def curve_from_json(obj: dict):
+    """Rebuild a curve from `curve_to_json` output.
+
+    A spec nesting deeper than MAX_NESTING is rejected before anything is
+    built.  The JSON keeps only each mapper's N_trunc, so the mappers of a
+    loaded extremal curve have `stair_unions == ()`.
+    """
+    if _nesting(obj) > MAX_NESTING:
+        raise ValueError(f"spec nests deeper than {MAX_NESTING} levels")
     if obj.get("schema_version") != SCHEMA_VERSION:
         raise ValueError("unsupported schema_version")
     components = tuple(fn_from_json(f) for f in obj["components"])

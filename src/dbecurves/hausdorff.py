@@ -54,6 +54,26 @@ def sqrt_enclosure(x, bits: int) -> tuple[Fraction, Fraction]:
     return lo, lo + Fraction(1, 1 << bits)
 
 
+def _sqrt_sum(terms, bits: int) -> tuple[Fraction, Fraction]:
+    """Dyadic (lo, hi) around the sum of count * sqrt(num / den).
+
+    `terms` yields integer triples (count, num, den) with num >= 0, den > 0.
+    Each root is floored to r / 2^bits with r = isqrt(num * 4^bits // den),
+    exact iff r^2 * den == num * 4^bits, and an inexact root adds 2^-bits to
+    hi.  The floor does not depend on how num / den is reduced, so every term
+    contributes exactly what `sqrt_enclosure(num / den, bits)` gives.
+    """
+    r_sum = inexact = 0
+    for count, num, den in terms:
+        num <<= 2 * bits
+        r = math.isqrt(num // den)
+        r_sum += count * r
+        if r * r * den != num:
+            inexact += count
+    lo = Fraction(r_sum, 1 << bits)
+    return lo, lo + Fraction(inexact, 1 << bits)
+
+
 def upper_bound_h1(curve) -> Fraction:
     """Exact sum of piece lengths plus per-component image measures.
 
@@ -79,24 +99,32 @@ def _collapsed_riesz_length(a: Fraction, depth: int, bits: int):
     Cells with the same digit counts share their increment, so the 2^d chords
     collapse into d+1 binomial-weighted terms.  With a = p/q and
     P_k = p^(d-k) (q-p)^k the k-th squared chord is
-    (q^2d + 4^d P_k^2) / (4^d q^2d), so each term is one integer isqrt.  The
-    floor of num * 4^bits / den does not depend on how the fraction is
-    reduced, so the sums equal those of `sqrt_enclosure` term by term.
+    (q^2d + 4^d P_k^2) / (4^d q^2d), so each term is one integer isqrt.
     """
     p, q = a.numerator, a.denominator
     q2d = q ** (2 * depth)
     den = q2d << (2 * depth)
-    r_sum = inexact = 0
-    for k in range(depth + 1):
-        pk = p ** (depth - k) * (q - p) ** k
-        num = (q2d + (pk * pk << (2 * depth))) << (2 * bits)
-        r = math.isqrt(num // den)
-        count = math.comb(depth, k)
-        r_sum += count * r
-        if r * r * den != num:
-            inexact += count
-    lo = Fraction(r_sum, 1 << bits)
-    return lo, lo + Fraction(inexact, 1 << bits)
+    pks = (p ** (depth - k) * (q - p) ** k for k in range(depth + 1))
+    return _sqrt_sum(((math.comb(depth, k), q2d + (pk * pk << (2 * depth)), den)
+                      for k, pk in enumerate(pks)), bits)
+
+
+def _chord_squares(pts):
+    """(1, S, L^2) per chord of a point list: its squared length is S / L^2.
+
+    L is the lcm of the coordinate denominators of the chord's two ends, so
+    every coordinate difference times L is an integer and S is their sum of
+    squares.  L is taken per chord, so it stays small even when different
+    columns have coprime denominators.
+    """
+    for p, q in zip(pts, pts[1:]):
+        L = math.lcm(*(c.denominator for c in p), *(c.denominator for c in q))
+        S = 0
+        for c1, c2 in zip(p, q):
+            d = (c2.numerator * (L // c2.denominator)
+                 - c1.numerator * (L // c1.denominator))
+            S += d * d
+        yield 1, S, L * L
 
 
 def _is_collapsible(curve) -> bool:
@@ -121,13 +149,7 @@ def polyline_length(curve, depth: int, precision: int = 64):
     if _is_collapsible(curve):
         lo, hi = _collapsed_riesz_length(curve.components[0].a, depth, bits)
     else:
-        pts = sample(curve, depth)
-        lo = hi = ZERO
-        for p, q in zip(pts, pts[1:]):
-            s = sum(((c2 - c1) ** 2 for c1, c2 in zip(p, q)), ZERO)
-            slo, shi = sqrt_enclosure(s, bits)
-            lo += slo
-            hi += shi
+        lo, hi = _sqrt_sum(_chord_squares(sample(curve, depth)), bits)
     return (lo + hi) / 2, (hi - lo) / 2
 
 

@@ -64,14 +64,6 @@ class LRPartition:
         return cls(IntervalUnion.from_json(b) for b in obj)
 
 
-def is_left_right_ordered(p: LRPartition) -> bool:
-    """True iff every pair of blocks is separated (sup of one <= inf of other)."""
-    ordered = sorted(p.blocks, key=lambda b: (b.inf, b.sup))
-    return all(
-        ordered[i].sup <= ordered[i + 1].inf for i in range(len(ordered) - 1)
-    )
-
-
 def diam_sum(p: LRPartition) -> Fraction:
     """Sum of block diameters (sup - inf per block, not measure)."""
     return sum((b.diam for b in p.blocks), ZERO)

@@ -90,28 +90,6 @@ def unique_intersection(f: SetFamily) -> bool:
     return True
 
 
-def member_vector(mask: int, n: int) -> tuple[int, ...]:
-    """The 0/1 incidence vector of a member over ground set {1..n}."""
-    return tuple((mask >> i) & 1 for i in range(n))
-
-
-def unique_intersection_vectors(vectors) -> bool:
-    """Incidence-vector reformulation: every pair has dot product exactly 1.
-
-    Independent of the bitmask route on purpose; the two encodings are
-    cross-checked against each other in the test suite.
-    """
-    vs = list(vectors)
-    if len(vs) < 2:
-        raise ValueError("need at least two vectors to compare")
-    for i in range(len(vs)):
-        for j in range(i + 1, len(vs)):
-            dot = sum(x * y for x, y in zip(vs[i], vs[j]))
-            if dot != 1:
-                return False
-    return True
-
-
 def near_pencil(n: int) -> SetFamily:
     """The size-n extremal family: {2..n} together with all pairs {1,k}."""
     if n < 3:

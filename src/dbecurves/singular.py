@@ -17,7 +17,7 @@ Everything evaluates in exact rational arithmetic or raises; no floats.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -191,6 +191,10 @@ class MonotoneFn:
     def __call__(self, x) -> Fraction:
         raise NotImplementedError
 
+    def column(self, ys) -> list[Fraction]:
+        """[self(y) for y in ys] for a non-decreasing list ys."""
+        return [self(y) for y in ys]
+
     def to_json(self) -> dict:
         raise NotImplementedError
 
@@ -254,6 +258,10 @@ class Affine(MonotoneFn):
 
     def __call__(self, x) -> Fraction:
         return self.slope * Fraction(x) + self.offset
+
+    def column(self, ys) -> list[Fraction]:
+        slope, offset = self.slope, self.offset
+        return [slope * y + offset for y in ys]
 
     def to_json(self) -> dict:
         return {
@@ -336,6 +344,47 @@ class WeightedSum(MonotoneFn):
     def __call__(self, x) -> Fraction:
         x = Fraction(x)
         return sum((w * t(x) for t, w in zip(self.terms, self.weights)), ZERO)
+
+    def column(self, ys) -> list[Fraction]:
+        """[self(y) for y in ys] for a non-decreasing list ys, by runs.
+
+        Affine terms fold into one slope and offset.  A staircase term is
+        constant on each run of ys between its leaf bounds, so its weighted
+        value enters a running constant once per run; a point strictly
+        inside a leaf of any staircase is evaluated as `__call__` does.
+        Other terms add their own columns point by point.
+        """
+        slope = offset = ZERO
+        changes: dict[int, Fraction] = {}  # index -> change of the run constant
+        inside: set[int] = set()
+        others = []
+        for t, w in zip(self.terms, self.weights):
+            if isinstance(t, Affine):
+                slope += w * t.slope
+                offset += w * t.offset
+            elif isinstance(t, IntervalStaircase):
+                prev = ZERO
+                for start, stop, v in t._runs(ys):
+                    if v is None:
+                        inside.update(range(start, stop))
+                    elif start < stop and v != prev:
+                        changes[start] = changes.get(start, ZERO) + w * (v - prev)
+                        prev = v
+            else:
+                others.append((w, t.column(ys)))
+        out = []
+        const = offset
+        for k, y in enumerate(ys):
+            if k in changes:
+                const += changes[k]
+            if k in inside:
+                out.append(self(y))
+                continue
+            v = slope * y + const
+            for w, col in others:
+                v += w * col[k]
+            out.append(v)
+        return out
 
     def to_json(self) -> dict:
         return {
@@ -694,6 +743,33 @@ class IntervalStaircase(MonotoneFn):
             return self._steps[i]
         lo, hi = self._bounds[j - 1], self._bounds[j]
         return (i + eval_cantor((x - lo) / (hi - lo))) / self._scale
+
+    def _runs(self, ys):
+        """Yield (start, stop, value) covering a non-decreasing list ys.
+
+        The staircase equals `value` on ys[start:stop]; value None marks the
+        points strictly inside a leaf.  Leaf i's bounds lo < hi split ys into
+        the run [hi of leaf i - 1, lo] at i/2^depth and the open run (lo, hi);
+        left of the root is 0 = the first step and right of it 1 = the last.
+        """
+        bounds, steps = self._bounds, self._steps
+        start = 0
+        for i in range(self._scale):
+            lo_end = bisect_right(ys, bounds[2 * i], start)
+            hi_start = bisect_left(ys, bounds[2 * i + 1], lo_end)
+            yield start, lo_end, steps[i]
+            yield lo_end, hi_start, None
+            start = hi_start
+        yield start, len(ys), steps[-1]
+
+    def column(self, ys) -> list[Fraction]:
+        out = []
+        for start, stop, v in self._runs(ys):
+            if v is None:
+                out.extend(self(y) for y in ys[start:stop])
+            else:
+                out.extend([v] * (stop - start))
+        return out
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "tree": self.tree.to_json()}

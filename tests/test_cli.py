@@ -215,6 +215,14 @@ def test_zero_denominator_in_spec_fails_cleanly(capsys, tmp_path):
     assert err.count("\n") == 1 and err.startswith("error: ")
 
 
+_AFFINE = '{"kind": "affine", "slope": "1/1", "offset": "0/1"}'
+# 600 nested compositions: json decodes it, the nesting limit rejects it
+_DEEP_COMPOSITION = (
+    '{"schema_version": 1, "type": "curve", "n": 3, "alpha": "1/2", "components": ['
+    + ('{"kind": "composition", "inner": ' + _AFFINE + ', "outer": ') * 600
+    + _AFFINE + "}" * 600 + "]}")
+
+
 @pytest.mark.parametrize("blob", [
     {"schema_version": 1, "type": "curve", "n": 3, "alpha": "1/2"},
     {"schema_version": 1, "type": "curve", "n": 3, "alpha": "1/2",
@@ -225,11 +233,13 @@ def test_zero_denominator_in_spec_fails_cleanly(capsys, tmp_path):
     {"schema_version": 1, "type": "curve", "n": 3, "alpha": "1/2",
      "components": [{"kind": "restriction", "fn": {"kind": "cantor"},
                      "domain": [{"lo": "0/1", "hi": "1/1"}]}]},
+    _DEEP_COMPOSITION,
+    "[" * 2000 + "]" * 2000,
 ], ids=["no-components", "affine-without-offset", "top-level-list", "outside-cube",
-        "restriction-kind"])
+        "restriction-kind", "600-nested-compositions", "json-nested-2000-deep"])
 def test_malformed_spec_fails_cleanly(capsys, tmp_path, blob):
     spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps(blob))
+    spec.write_text(blob if isinstance(blob, str) else json.dumps(blob))
     code, out, err = run_cli(capsys, "certify", "--spec", str(spec))
     assert code == 1
     assert out == ""

@@ -21,6 +21,7 @@ from dbecurves.singular import (
     Affine,
     Cantor,
     Composition,
+    IntervalStaircase,
     NotEvaluableError,
     PiecewiseLinear,
     RieszNagy,
@@ -94,9 +95,23 @@ def _pointwise(spec, depth):
     return [spec.point(F(k, 1 << depth)) for k in range((1 << depth) + 1)]
 
 
-@pytest.mark.parametrize("n, a, depth", [(3, F(1, 3), 9), (4, F(1, 4), 8),
-                                         (4, F(2, 7), 8), (5, F(3, 8), 7),
-                                         (6, F(5, 9), 6)])
+def _inside_leaf_count(c, depth):
+    """Sample points whose h lies strictly inside a leaf of a mapper staircase."""
+    hs = [c.components[0](F(k, 1 << depth)) for k in range((1 << depth) + 1)]
+    return sum(1 for mr in c.mappers for t in mr.f.terms
+               if isinstance(t, IntervalStaircase)
+               for leaf in t.tree.leaves() for y in hs if leaf.iv.lo < y < leaf.iv.hi)
+
+
+_COLUMN_WEIGHTS = (F(1, 4), F(1, 3), F(3, 8), F(25, 32), F(1, 8))
+
+
+@pytest.mark.parametrize("n, a, depth", [
+    (3, F(1, 3), 9), (4, F(1, 4), 8), (4, F(2, 7), 8), (5, F(3, 8), 7),
+    (6, F(5, 9), 6),
+    *((n, a, 8) for a in _COLUMN_WEIGHTS for n in (4, 5, 6)
+      if (n, a) != (4, F(1, 4))),
+    (5, F(3, 8), 10)])
 def test_sample_matches_pointwise_on_extremal_curves(n, a, depth):
     c = build_extremal_curve(n, a=a, M=3)
     want = _pointwise(c.spec, depth)
@@ -106,6 +121,30 @@ def test_sample_matches_pointwise_on_extremal_curves(n, a, depth):
         # the loaded h and the h inside each composition are separate objects
         assert back.components[0] is not back.components[-1].inner
     assert sample(back, depth) == want
+
+
+def test_sample_cases_reach_inside_staircase_leaves():
+    # the run-filled mapper columns evaluate these points like __call__ does
+    assert _inside_leaf_count(build_extremal_curve(5, a=F(3, 8), M=3), 10) >= 1
+    assert _inside_leaf_count(build_extremal_curve(4, a=F(3, 8), M=3), 8) >= 1
+
+
+def test_sample_matches_pointwise_on_mapper_compositions():
+    c = build_extremal_curve(4, a=F(3, 8), M=3)
+    mapper = c.mappers[0].f
+    comps = (
+        Composition(mapper, Affine(-1, 1)),  # decreasing inner: point by point
+        Composition(mapper, Affine(F(1, 2), F(1, 4))),
+        Composition(WeightedSum((mapper, Cantor(), Affine(1, 0)),
+                                (F(1, 2), F(1, 4), F(1, 8))), c.components[0]),
+        Composition(Composition(mapper, mapper), c.components[0]),
+        Composition(mapper.terms[0], c.components[0]),  # a bare staircase
+        Composition(mapper, Cantor()),  # inner column with repeated values
+    )
+    spec = CurveSpec(2 + len(comps), comps, F(1, 3))
+    want = _pointwise(spec, 8)
+    assert sample(spec, 8) == want
+    assert sample(curve_from_json(curve_to_json(spec)), 8) == want
 
 
 def test_sample_matches_pointwise_on_generic_components():

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from dbecurves import oracle, trials
-from dbecurves.curves import CurveSpec, build_extremal_curve
+from dbecurves.curves import CurveSpec, build_extremal_curve, sample
 from dbecurves.exact import Interval, IntervalUnion
 from dbecurves.hausdorff import (
     BoxCount,
@@ -31,6 +31,7 @@ from dbecurves.singular import (
     Cantor,
     PiecewiseLinear,
     RieszNagy,
+    WeightedSum,
     identity_fn,
     image_measure,
 )
@@ -127,6 +128,52 @@ def test_collapsed_length_equals_sqrt_enclosure_sum(a):
                 lo += math.comb(d, k) * tlo
                 hi += math.comb(d, k) * thi
             assert _collapsed_riesz_length(a, d, bits) == (lo, hi)
+
+
+def _fraction_chord_sum(curve, depth, precision=64):
+    """Reference: the chord loop summing `sqrt_enclosure` of Fraction squares."""
+    bits = precision + depth
+    pts = sample(curve, depth)
+    lo = hi = F(0)
+    for p, q in zip(pts, pts[1:]):
+        slo, shi = sqrt_enclosure(sum(((c2 - c1) ** 2 for c1, c2 in zip(p, q)), F(0)),
+                                  bits)
+        lo += slo
+        hi += shi
+    return (lo + hi) / 2, (hi - lo) / 2
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_integer_chord_sum_equals_fraction_loop_on_extremal_curves(n):
+    for a in (F(1, 4), F(3, 8), F(5, 7)):
+        c = build_extremal_curve(n, a=a)
+        for d in (0, 1, 5, 9):
+            for precision in (1, 64):
+                assert polyline_length(c, d, precision) == \
+                    _fraction_chord_sum(c, d, precision)
+
+
+def test_integer_chord_sum_equals_fraction_loop_on_generic_specs():
+    # column denominators 3-smooth times 2^k, 7^d, and 3 * 5 * 7 * 11
+    pl = PiecewiseLinear(((F(0), F(0)), (F(1, 3), F(1, 5)), (F(5, 7), F(3, 11)),
+                          (F(1), F(1))))
+    ws = WeightedSum((Cantor(), RieszNagy(F(2, 7))), (F(1, 2), F(1, 3)))
+    specs = [CurveSpec(3, (Cantor(),), F(1, 2)), CurveSpec(3, (ws,), F(1, 3)),
+             CurveSpec(3, (pl,), F(2, 3)), CurveSpec(5, (Cantor(), ws, pl), F(1, 7))]
+    for spec in specs:
+        for d in (0, 3, 9):
+            for precision in (1, 64):
+                assert polyline_length(spec, d, precision) == \
+                    _fraction_chord_sum(spec, d, precision)
+
+
+def test_polyline_chord_sum_matches_naive_oracle():
+    c = build_extremal_curve(4, a=F(3, 8), M=3)
+    for d in (3, 6):
+        value, radius = polyline_length(c, d)
+        rasters = [oracle.raster_from_fn(f, d) for f in c.components]
+        naive = oracle.naive_polyline(rasters, d)
+        assert abs(value - naive) <= radius + F(1, 1 << 40)
 
 
 def test_polyline_general_path_matches_collapsed():

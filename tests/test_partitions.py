@@ -12,7 +12,6 @@ from dbecurves.partitions import (
     cover_sum,
     diam_sum,
     greedy_partition,
-    is_left_right_ordered,
     refine,
 )
 
@@ -35,18 +34,6 @@ def test_partition_validation():
     p = LRPartition([half_open(0, F(1, 2)), _u((F(1, 2), 1))])
     assert len(p) == 2
     assert p.support() == IntervalUnion.closed(0, 1)
-
-
-def test_is_left_right_ordered():
-    p = LRPartition([half_open(0, F(1, 2)), _u((F(1, 2), 1))])
-    assert is_left_right_ordered(p)
-    wrap = IntervalUnion((
-        Interval(F(0), F(1, 4), hi_closed=False),
-        Interval(F(1, 2), F(1), lo_closed=False),
-    ))
-    q = LRPartition([wrap, _u((F(1, 4), F(1, 2)))])
-    # first block wraps around the second, so no ordering works
-    assert not is_left_right_ordered(q)
 
 
 def test_refine_matches_expected_blocks():

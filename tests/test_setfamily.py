@@ -9,10 +9,8 @@ from dbecurves.setfamily import (
     elements,
     mask_of,
     max_family_size,
-    member_vector,
     near_pencil,
     unique_intersection,
-    unique_intersection_vectors,
 )
 
 
@@ -83,6 +81,27 @@ def test_max_family_witness_is_valid_and_deterministic():
 def test_near_pencil_attains_maximum():
     for n in (3, 4, 5):
         assert len(near_pencil(n)) == max_family_size(n)
+
+
+def member_vector(mask: int, n: int) -> tuple[int, ...]:
+    """The 0/1 incidence vector of a member over ground set {1..n}."""
+    return tuple((mask >> i) & 1 for i in range(n))
+
+
+def unique_intersection_vectors(vectors) -> bool:
+    """Reference: every pair of incidence vectors has dot product exactly 1.
+
+    Independent of the bitmask route of `unique_intersection` on purpose.
+    """
+    vs = list(vectors)
+    if len(vs) < 2:
+        raise ValueError("need at least two vectors to compare")
+    for i in range(len(vs)):
+        for j in range(i + 1, len(vs)):
+            dot = sum(x * y for x, y in zip(vs[i], vs[j]))
+            if dot != 1:
+                return False
+    return True
 
 
 def test_vector_encoding_matches_bitmask_encoding():

@@ -4,8 +4,8 @@ runs the full 500-trial versions)."""
 import random
 from fractions import Fraction
 
-from dbecurves.exact import IntervalUnion
-from dbecurves.partitions import is_left_right_ordered
+from dbecurves.exact import Interval, IntervalUnion
+from dbecurves.partitions import LRPartition
 from dbecurves.trials import (
     random_partition,
     random_piecewise_linear,
@@ -18,6 +18,27 @@ from dbecurves.trials import (
 )
 
 F = Fraction
+
+
+def is_left_right_ordered(p: LRPartition) -> bool:
+    """Reference: every pair of blocks is separated (sup of one <= inf of other)."""
+    ordered = sorted(p.blocks, key=lambda b: (b.inf, b.sup))
+    return all(
+        ordered[i].sup <= ordered[i + 1].inf for i in range(len(ordered) - 1)
+    )
+
+
+def test_is_left_right_ordered_reference():
+    p = LRPartition([IntervalUnion((Interval(F(0), F(1, 2), hi_closed=False),)),
+                     IntervalUnion.closed(F(1, 2), 1)])
+    assert is_left_right_ordered(p)
+    wrap = IntervalUnion((
+        Interval(F(0), F(1, 4), hi_closed=False),
+        Interval(F(1, 2), F(1), lo_closed=False),
+    ))
+    q = LRPartition([wrap, IntervalUnion.closed(F(1, 4), F(1, 2))])
+    # first block wraps around the second, so no ordering works
+    assert not is_left_right_ordered(q)
 
 
 def test_random_union_shape():
