@@ -259,10 +259,6 @@ class Affine(MonotoneFn):
     def __call__(self, x) -> Fraction:
         return self.slope * Fraction(x) + self.offset
 
-    def column(self, ys) -> list[Fraction]:
-        slope, offset = self.slope, self.offset
-        return [slope * y + offset for y in ys]
-
     def to_json(self) -> dict:
         return {
             "kind": self.kind,
@@ -761,15 +757,6 @@ class IntervalStaircase(MonotoneFn):
             yield lo_end, hi_start, None
             start = hi_start
         yield start, len(ys), steps[-1]
-
-    def column(self, ys) -> list[Fraction]:
-        out = []
-        for start, stop, v in self._runs(ys):
-            if v is None:
-                out.extend(self(y) for y in ys[start:stop])
-            else:
-                out.extend([v] * (stop - start))
-        return out
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "tree": self.tree.to_json()}
