@@ -55,13 +55,14 @@ def default_precision() -> int:
 def parse_range(text: str) -> list[int]:
     """Parse '4..10' into [4, ..., 10] and '8' into [8]."""
     text = text.strip()
-    if ".." in text:
-        lo_s, hi_s = text.split("..", 1)
-        lo, hi = int(lo_s), int(hi_s)
-        if hi < lo:
-            raise UsageError(f"empty range {text!r}")
-        return list(range(lo, hi + 1))
-    return [int(text)]
+    lo_s, sep, hi_s = text.partition("..")
+    try:
+        lo, hi = int(lo_s), int(hi_s if sep else lo_s)
+    except ValueError as exc:
+        raise UsageError(f"range must be an integer or 'lo..hi', got {text!r}") from exc
+    if hi < lo:
+        raise UsageError(f"empty range {text!r}")
+    return list(range(lo, hi + 1))
 
 
 @dataclass(frozen=True)
@@ -87,6 +88,8 @@ class RunConfig:
     def __post_init__(self):
         if any(d < 0 for d in self.depths):
             raise UsageError("depths must be >= 0")
+        if any(m < 0 for m in self.m_range):
+            raise UsageError("box-count resolutions must be >= 0")
         if self.precision < _MIN_PRECISION:
             raise UsageError(f"precision must be >= {_MIN_PRECISION} bits")
         needs_curve = self.command in ("construct", "certify", "emit")

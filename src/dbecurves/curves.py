@@ -20,13 +20,13 @@ from .exact import Interval, IntervalUnion, ONE, ZERO, format_rational, parse_ra
 from .partitions import LRPartition
 from .singular import (
     Composition,
+    IntervalStaircase,
     MapperResult,
     MonotoneFn,
     RieszNagy,
     RieszNagyImageGrid,
     build_full_measure_mapper,
     fn_from_json,
-    riesz_nagy_inverse,
     riesz_nagy_level,
 )
 
@@ -101,7 +101,7 @@ def build_extremal_curve(n: int, a=Fraction(1, 4), M: int = 4,
     n=3 gives (x, R_a(x), alpha).  For n >= 4 the later components are
     full-measure mappers composed with h = R_a, each built to avoid the
     previous mappers' N sets; the mappers' staircase cells come from the
-    R_a image grid so that every W_j = h^{-1}(N_j) is exactly computable.
+    R_a image grid, so every W_j = h^{-1}(N_j) is read off their addresses.
     """
     a = Fraction(a)
     alpha = Fraction(alpha)
@@ -121,19 +121,17 @@ def build_extremal_curve(n: int, a=Fraction(1, 4), M: int = 4,
         mr = build_full_measure_mapper(avoid, M, staircase_depth, grid=grid)
         mappers.append(mr)
         avoid = avoid.union(mr.n_trunc)
-    w_domains = []
-    for mr in mappers:
-        w_domains.append(
-            IntervalUnion(
-                Interval(
-                    riesz_nagy_inverse(a, comp.lo),
-                    riesz_nagy_inverse(a, comp.hi),
-                    comp.lo_closed,
-                    comp.hi_closed,
-                )
-                for comp in mr.n_trunc.components
-            )
+    # W_j = h^{-1}(N_j): leaf (k, g) is the image of [k/2^g, (k+1)/2^g]; a
+    # depth-0 leaf is its root, which can only be the first interval [0, 1]
+    w_domains = [
+        IntervalUnion(
+            Interval(Fraction(c.k, 1 << c.g), Fraction(c.k + 1, 1 << c.g))
+            if c.k >= 0 else c.iv
+            for t in mr.f.terms if isinstance(t, IntervalStaircase)
+            for c in t.tree.leaves()
         )
+        for mr in mappers
+    ]
     q1 = IntervalUnion.closed(0, 1)
     for w in w_domains:
         q1 = q1.subtract(w)

@@ -22,10 +22,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import (
+    _AT,
     Interval,
     IntervalUnion,
     ONE,
     ZERO,
+    _end_cut,
+    _start_cut,
     format_rational,
     parse_rational,
 )
@@ -419,24 +422,10 @@ class Composition(MonotoneFn):
 class DyadicGrid:
     """Cells [k*2^-g, (k+1)*2^-g]; the default staircase cell source."""
 
-    shrink = _HALF  # max cell-width ratio per extra generation
+    ratio = _HALF  # a cell's split point, as a fraction of its width
 
     def point(self, k: int, g: int) -> Fraction:
         return Fraction(k, 1 << g)
-
-    def cell(self, k: int, g: int) -> Interval:
-        return Interval(self.point(k, g), self.point(k + 1, g))
-
-    def max_width(self, g: int) -> Fraction:
-        return Fraction(1, 1 << g)
-
-    def index_at_or_after(self, x, g: int) -> int:
-        # smallest k with point(k, g) >= x
-        n = Fraction(x) * (1 << g)
-        return -((-n.numerator) // n.denominator)
-
-    def preimage_cell(self, k: int, g: int) -> Interval:
-        return self.cell(k, g)
 
     def to_json(self) -> dict:
         return {"kind": "dyadic"}
@@ -452,53 +441,21 @@ class RieszNagyImageGrid:
     """Cells [R_a(k*2^-g), R_a((k+1)*2^-g)]: the R_a image of the dyadic grid.
 
     Staircases built on this grid keep every endpoint inside the dyadic
-    image of R_a, so preimages under R_a stay exactly computable.
+    image of R_a, so preimages under R_a stay exactly computable.  By
+    self-similarity a cell [lo, hi] splits at lo + a*(hi - lo).
     """
 
     def __init__(self, a):
         self.a = Fraction(a)
         if not (ZERO < self.a < ONE) or self.a == _HALF:
             raise ValueError("need 0 < a < 1, a != 1/2")
-        self._cache: dict[tuple[int, int], Fraction] = {}
 
     @property
-    def shrink(self) -> Fraction:
-        return max(self.a, ONE - self.a)
+    def ratio(self) -> Fraction:
+        return self.a
 
     def point(self, k: int, g: int) -> Fraction:
-        # normalize the address so cache hits survive generation changes
-        while g > 0 and k % 2 == 0:
-            k //= 2
-            g -= 1
-        key = (k, g)
-        v = self._cache.get(key)
-        if v is None:
-            v = eval_riesz_nagy(self.a, Fraction(k, 1 << g))
-            self._cache[key] = v
-        return v
-
-    def cell(self, k: int, g: int) -> Interval:
-        return Interval(self.point(k, g), self.point(k + 1, g))
-
-    def max_width(self, g: int) -> Fraction:
-        return self.shrink**g
-
-    def index_at_or_after(self, x, g: int) -> int:
-        x = Fraction(x)
-        if self.point(0, g) >= x:
-            return 0
-        lo, hi = 0, 1 << g
-        # invariant: point(lo) < x <= point(hi)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if self.point(mid, g) >= x:
-                hi = mid
-            else:
-                lo = mid
-        return hi
-
-    def preimage_cell(self, k: int, g: int) -> Interval:
-        return Interval(Fraction(k, 1 << g), Fraction(k + 1, 1 << g))
+        return eval_riesz_nagy(self.a, Fraction(k, 1 << g))
 
     def to_json(self) -> dict:
         return {"kind": "riesz_nagy_image", "a": format_rational(self.a)}
@@ -606,60 +563,73 @@ class NestedIntervalTree:
 _RETRY_GENERATIONS = 64
 
 
-def _find_children(grid, parent, root_iv: Interval, width_bound: Fraction,
+def _admissible_cells(ratio, start: StairCell, g: int, avoid_cuts):
+    """Yield, left to right, the generation-g cells under `start` that meet
+    no component of a set given as (start, end) cuts, whose last component
+    lies right of every cell.
+
+    A left-first descent: a cell [lo, hi] splits at lo + ratio*(hi - lo).
+    Nodes arrive in non-decreasing lo, so one pointer walks the components;
+    a node inside one is skipped with its subtree.
+    """
+    j = 0
+    stack = [(start.k, start.g, start.iv.lo, start.iv.hi)]
+    while stack:
+        k, gk, lo, hi = stack.pop()
+        while avoid_cuts[j][1] < (lo, _AT):
+            j += 1  # the component ends left of this node and of all later ones
+        comp_start, comp_end = avoid_cuts[j]
+        if comp_start <= (lo, _AT) and (hi, _AT) <= comp_end:
+            continue
+        if gk < g:
+            mid = lo + ratio * (hi - lo)
+            stack += ((2 * k + 1, gk + 1, mid, hi), (2 * k, gk + 1, lo, mid))
+        elif (hi, _AT) < comp_start:
+            yield StairCell(k, g, Interval(lo, hi))
+
+
+def _find_children(grid, parent: StairCell, width_bound: Fraction,
                    excluded: IntervalUnion):
     """Pick the two leftmost separated admissible cells under one parent.
 
-    `parent` is a StairCell, or None for the (non-grid-aligned) root.
-    Admissible: inside the parent, width <= width_bound, disjoint from
-    excluded.  The sibling must start at least two grid steps after the
-    first cell so the two are separated by a gap.  If a generation has no
-    admissible pair the search retries one generation finer, up to a cap.
+    The tree's root (k = -1) need not be a grid cell, so its cells come from
+    under the unit cell.  Admissible: inside the parent and disjoint from
+    excluded, at the first generation where every cell under the start fits
+    the width target.  The sibling must start at least two grid steps after
+    the first cell so the two are separated by a gap.  The descent finds the
+    same cells, with the same exact ends, as a left-to-right scan of the
+    generation.  If a generation has no admissible pair the search retries
+    one generation finer, up to a cap.
     """
-    if parent is None:
-        lo_bound, hi_bound = root_iv.lo, root_iv.hi
-        target = min(width_bound, root_iv.diam / 8)
-        g0 = 0
-        while grid.max_width(g0) > target:
-            g0 += 1
+    bounds = parent.iv
+    if parent.k < 0:
+        start = StairCell(0, 0, Interval(ZERO, ONE))
+        w, target, least = ONE, min(width_bound, bounds.diam / 8), 0
     else:
-        lo_bound, hi_bound = parent.iv.lo, parent.iv.hi
-        extra = 0
-        w = parent.iv.diam
-        while w > width_bound:
-            w *= grid.shrink
-            extra += 1
-        g0 = parent.g + max(extra, 2)
-
-    for attempt in range(_RETRY_GENERATIONS + 1):
-        g = g0 + attempt
-        if parent is None:
-            k = grid.index_at_or_after(lo_bound, g)
-            k_end = 1 << g
-        else:
-            shift = g - parent.g
-            k = parent.k << shift
-            k_end = (parent.k + 1) << shift
-        first = None
-        while k < k_end:
-            cell = grid.cell(k, g)
-            if cell.hi > hi_bound:
-                break
-            if cell.diam > width_bound:
-                k += 1
-                continue
-            hit = excluded.intersect(IntervalUnion((cell,)))
-            if not hit.is_empty:
-                k = max(k + 1, grid.index_at_or_after(hit.components[-1].hi, g))
-                continue
-            if first is None:
-                first = StairCell(k, g, cell)
-                k += 2  # leave at least a one-cell gap before the sibling
-            else:
-                return first, StairCell(k, g, cell)
+        start, w, target, least = parent, bounds.diam, width_bound, 2
+    shrink = max(grid.ratio, ONE - grid.ratio)  # max child/parent width ratio
+    extra = 0
+    while w > target:
+        w *= shrink
+        extra += 1
+    g0 = start.g + max(extra, least)
+    comps = excluded.components
+    near = comps[bisect_left(comps, (bounds.lo, _AT), key=_end_cut):
+                 bisect_right(comps, (bounds.hi, _AT), key=_start_cut)]
+    # cells must also avoid the outside of the bounds; its right piece ends
+    # past 1, after every cell
+    avoid = IntervalUnion((*near, Interval(bounds.lo - 1, bounds.lo, True, False),
+                           Interval(bounds.hi, bounds.hi + 1, False)))
+    cuts = [(_start_cut(c), _end_cut(c)) for c in avoid.components]
+    for g in range(g0, g0 + _RETRY_GENERATIONS + 1):
+        cells = _admissible_cells(grid.ratio, start, g, cuts)
+        first = next(cells, None)
+        for cell in cells:
+            if cell.k >= first.k + 2:  # leave at least a one-cell gap
+                return first, cell
         # no pair at this generation; try finer cells
     raise ConstructionError(
-        f"no admissible pair of subintervals in [{lo_bound},{hi_bound}] "
+        f"no admissible pair of subintervals in [{bounds.lo},{bounds.hi}] "
         f"under width {width_bound}"
     )
 
@@ -669,8 +639,8 @@ def build_staircase_tree(I: Interval, excluded: IntervalUnion, depth: int,
     """Grow the nested-cell tree behind build_interval_staircase."""
     if grid is None:
         grid = DyadicGrid()
-    if I.is_empty or not I.lo_closed or not I.hi_closed or I.lo == I.hi:
-        raise ValueError("I must be a nondegenerate closed interval")
+    if not (I.lo_closed and I.hi_closed and ZERO <= I.lo < I.hi <= ONE):
+        raise ValueError("I must be a nondegenerate closed interval in [0, 1]")
     if excluded.measure() >= I.diam:
         raise ConstructionError("excluded set leaves no room inside I")
     root = StairCell(-1, 0, I)
@@ -681,9 +651,7 @@ def build_staircase_tree(I: Interval, excluded: IntervalUnion, depth: int,
             bound = min(bound, Fraction(leaf_cap))
         nxt: list[StairCell] = []
         for cell in levels[-1]:
-            parent = None if cell.k < 0 else cell
-            left, right = _find_children(grid, parent, I, bound, excluded)
-            nxt.extend((left, right))
+            nxt.extend(_find_children(grid, cell, bound, excluded))
         levels.append(nxt)
     return NestedIntervalTree(I, levels, grid, excluded)
 

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, formats, exit codes, determinism."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -22,6 +23,14 @@ def test_parse_range():
     assert parse_range("4..10") == [4, 5, 6, 7, 8, 9, 10]
     assert parse_range("8") == [8]
     assert parse_range(" 1..3 ") == [1, 2, 3]
+
+
+@pytest.mark.parametrize("m", ["--m=-3..2", "--m=3..x", "--m=-1", "--m=2.5"])
+def test_bad_boxcount_range_is_a_usage_error(capsys, m):
+    code, out, err = run_cli(capsys, "emit", "--boxcount", "--n", "4", m)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
 
 
 def test_construct_n3(capsys):
@@ -165,6 +174,36 @@ def test_emit_deterministic(capsys, tmp_path):
     run_cli(capsys, "emit", "--samples", "--d", "6", "--out", str(f1))
     run_cli(capsys, "emit", "--samples", "--d", "6", "--out", str(f2))
     assert f1.read_bytes() == f2.read_bytes()
+
+
+# sha256 of `construct` stdout, fixed when the staircase cells were found by
+# a left-to-right scan of each generation
+_CONSTRUCT_SHA256 = {
+    ("4", "1/8", "10", "3"):
+        "1aaca78fa175156ef39ad56da80802a1af9fd6987195c08f06aacb8052350a35",
+    ("5", "7/8", "6", "2"):
+        "a25ed8592f5782a597bcc37f00351f6fd5e62013f7f02e6e4f44f6f8ed239c2d",
+    ("6", "25/32", "4", "3"):
+        "1db664c75a29fb0fc014f88436196e604f18ebb01458cc9e27e24875aa6a25e8",
+    ("6", "2/7", "8", "2"):
+        "c08b3e0d982368a8effea6f4d31ec85082cb847300363092dcc035a25aa83176",
+}
+
+
+@pytest.mark.parametrize("n, a, M, depth", sorted(_CONSTRUCT_SHA256))
+def test_construct_bytes_are_pinned(capsys, n, a, M, depth):
+    code, out, _ = run_cli(capsys, "construct", "--n", n, "--a", a, "--M", M,
+                           "--staircase-depth", depth)
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == _CONSTRUCT_SHA256[n, a, M, depth]
+
+
+@pytest.mark.parametrize("a", ["1/16", "15/16"])
+def test_construct_at_skewed_weights(capsys, a):
+    code, out, _ = run_cli(capsys, "construct", "--n", "6", "--a", a)
+    assert code == 0
+    assert len(json.loads(out)["mappers"]) == 3
 
 
 def test_construct_deterministic(capsys):

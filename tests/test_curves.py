@@ -82,6 +82,24 @@ def test_build_extremal_curve_n5_disjoint_w():
     assert not n1.intersects(n2)
 
 
+@pytest.mark.parametrize("a", [F(1, 16), F(15, 16)])
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_extremal_curve_at_skewed_weights(n, a):
+    # the staircase search keeps these fast: a = 1/16 starts 33-52
+    # generations below each staircase root
+    c = build_extremal_curve(n, a=a)
+    h = c.components[0]
+    for mr, w in zip(c.mappers, c.w_domains):
+        for t in mr.f.terms:
+            if isinstance(t, IntervalStaircase):
+                t.tree.validate()
+        assert IntervalUnion(
+            type(comp)(h(comp.lo), h(comp.hi), comp.lo_closed, comp.hi_closed)
+            for comp in w.components) == mr.n_trunc
+        assert image_measure(mr.f, mr.n_trunc) >= mr.image_lower_bound
+    assert check_dbe_property(sample(c, 5)).ok
+
+
 def test_sample_counts_and_endpoints():
     c = build_extremal_curve(3)
     pts = sample(c, 4)

@@ -12,6 +12,7 @@ from dbecurves.singular import (
     Affine,
     Cantor,
     Composition,
+    ConstructionError,
     DyadicGrid,
     IntervalStaircase,
     NestedIntervalTree,
@@ -19,7 +20,9 @@ from dbecurves.singular import (
     PiecewiseLinear,
     RieszNagy,
     RieszNagyImageGrid,
+    StairCell,
     WeightedSum,
+    _find_children,
     build_full_measure_mapper,
     build_interval_staircase,
     build_staircase_tree,
@@ -205,32 +208,129 @@ def test_fn_json_roundtrip():
 # -- grids ------------------------------------------------------------------
 
 
+def _split_holds(grid, gens):
+    for g in range(gens):
+        for k in range(1 << g):
+            lo, hi = grid.point(k, g), grid.point(k + 1, g)
+            assert grid.point(2 * k, g + 1) == lo
+            assert grid.point(2 * k + 1, g + 1) == lo + grid.ratio * (hi - lo)
+
+
 def test_dyadic_grid():
     g = DyadicGrid()
     assert g.point(3, 2) == F(3, 4)
-    cell = g.cell(1, 2)
-    assert (cell.lo, cell.hi) == (F(1, 4), F(1, 2))
-    assert g.max_width(3) == F(1, 8)
-    assert g.index_at_or_after(F(1, 3), 3) == 3  # first k with k/8 >= 1/3
+    assert g.ratio == F(1, 2)
+    _split_holds(g, 6)
 
 
 def test_riesz_image_grid():
-    a = F(1, 4)
-    g = RieszNagyImageGrid(a)
-    cell = g.cell(1, 1)
-    assert (cell.lo, cell.hi) == (F(1, 4), F(1))
-    assert g.max_width(2) == max(
-        g.cell(k, 2).diam for k in range(4)
-    )
-    # index_at_or_after: smallest k with point(k) >= x
-    x = F(1, 5)
-    k = g.index_at_or_after(x, 3)
-    assert g.point(k, 3) >= x
-    assert k == 0 or g.point(k - 1, 3) < x
-    pre = g.preimage_cell(2, 3)
-    assert (pre.lo, pre.hi) == (F(2, 8), F(3, 8))
+    for a in (F(1, 4), F(5, 7), F(1, 16), F(15, 16)):
+        g = RieszNagyImageGrid(a)
+        assert g.ratio == a
+        assert (g.point(0, 0), g.point(1, 1), g.point(1, 0)) == (0, a, 1)
+        assert g.point(3, 3) == eval_riesz_nagy(a, F(3, 8))
+        _split_holds(g, 5)
     with pytest.raises(ValueError):
         RieszNagyImageGrid(F(1, 2))
+
+
+_SCAN_RETRIES = 3
+
+
+def _scan_children(grid, parent, width_bound, excluded):
+    """Reference for `_find_children`: list every cell of a generation under
+    the start via `grid.point` and take the two leftmost admissible cells at
+    least two indices apart.
+
+    The first generation is the first one, at least 2 below a parent, where
+    every cell under the start fits the width target.  For the root (k = -1)
+    the start is the unit cell and the target min(width_bound, diam/8).
+    Returns that generation and the pair, or None if no pair shows up within
+    _SCAN_RETRIES more generations.
+    """
+    lo_bound, hi_bound = parent.iv.lo, parent.iv.hi
+    if parent.k < 0:
+        k0, g_start, target, least = 0, 0, min(width_bound, parent.iv.diam / 8), 0
+    else:
+        k0, g_start, target, least = parent.k, parent.g, width_bound, 2
+
+    def cells(g):
+        shift = g - g_start
+        ks = range(k0 << shift, ((k0 + 1) << shift) + 1)
+        pts = [grid.point(k, g) for k in ks]
+        return [(k, g, Interval(lo, hi)) for k, lo, hi in zip(ks, pts, pts[1:])]
+
+    first = g_start + least
+    while max(iv.diam for _, _, iv in cells(first)) > target:
+        first += 1
+    for g in range(first, first + _SCAN_RETRIES + 1):
+        good = [(k, g, iv) for k, g, iv in cells(g)
+                if lo_bound <= iv.lo and iv.hi <= hi_bound
+                and not IntervalUnion((iv,)).intersects(excluded)]
+        later = [c for c in good[1:] if c[0] >= good[0][0] + 2]
+        if later:
+            return first, [good[0], later[0]]
+    return first, None
+
+
+def _random_excluded(rng, grid, k0, g0, depth):
+    """Up to three intervals under the cell (k0, g0), mostly with ends on
+    grid points (where cells start and end), with random open/closed flags."""
+    comps = []
+    for _ in range(rng.randint(0, 3)):
+        g = g0 + rng.randint(1, depth)
+        i = rng.randrange(k0 << (g - g0), (k0 + 1) << (g - g0))
+        j = min(i + rng.randint(1, 4), (k0 + 1) << (g - g0))
+        x, y = grid.point(i, g), grid.point(j, g)
+        if rng.random() < 0.2:
+            y = x + (y - x) * F(rng.randint(1, 9), 10)
+        comps.append(Interval(x, y, rng.random() < 0.5, rng.random() < 0.5))
+    return IntervalUnion(comps)
+
+
+_DESCENT_GRIDS = [DyadicGrid()] + [RieszNagyImageGrid(a) for a in
+                                   (F(1, 4), F(5, 7), F(1, 16), F(15, 16))]
+
+
+@pytest.mark.parametrize("grid", _DESCENT_GRIDS,
+                         ids=lambda g: str(getattr(g, "a", "dyadic")))
+def test_find_children_matches_brute_force_scan(grid):
+    rng = random.Random(str(grid.to_json()))
+    shrink = max(grid.ratio, 1 - grid.ratio)
+    cases = []
+    for _ in range(30):
+        g = rng.randint(1, 4)
+        k = rng.randrange(1 << g)
+        parent = StairCell(k, g, Interval(grid.point(k, g), grid.point(k + 1, g)))
+        bound = parent.iv.diam * shrink ** rng.randint(1, 5)
+        cases.append((parent, bound, _random_excluded(rng, grid, k, g, 6)))
+    # a component ends exactly where the first admissible cell starts
+    parent = StairCell(1, 1, Interval(grid.point(1, 1), grid.point(2, 1)))
+    for closed in (False, True):
+        for edge in (grid.point(5, 3), grid.point(11, 4)):
+            left = Interval(parent.iv.lo, edge, True, closed)
+            right = Interval(grid.point(7, 3), parent.iv.hi, closed, True)
+            cases.append((parent, parent.iv.diam, IntervalUnion((left, right))))
+    if shrink <= F(3, 4):  # else the root search starts too deep to list
+        for _ in range(4):
+            lo = F(rng.randint(0, 40), 97)
+            root = Interval(lo, lo + F(rng.randint(45, 56), 97))
+            cases.append((StairCell(-1, 0, root), F(1, 4),
+                          _random_excluded(rng, grid, 0, 0, 7)))
+    compared = 0
+    for parent, bound, excluded in cases:
+        first, want = _scan_children(grid, parent, bound, excluded)
+        try:
+            got = [(c.k, c.g, c.iv) for c in
+                   _find_children(grid, parent, bound, excluded)]
+        except ConstructionError:
+            got = None
+        if want is None:  # then no pair exists before the reference gave up
+            assert got is None or got[0][1] > first + _SCAN_RETRIES
+        else:
+            assert got == want, (parent, excluded)
+            compared += 1
+    assert compared >= 0.75 * len(cases)
 
 
 # -- staircase trees --------------------------------------------------------
@@ -247,6 +347,13 @@ def test_staircase_tree_structure_and_bounds():
             assert cell.iv.diam <= width_bound
     n = tree.level_union(3)
     assert n.measure() <= F(1, 4)
+
+
+@pytest.mark.parametrize("root", [Interval(F(3, 2), F(3)), Interval(F(-1), F(1, 2)),
+                                  Interval(F(1, 2), F(1, 2)), Interval(0, 1, False)])
+def test_staircase_tree_needs_a_closed_root_in_the_unit_interval(root):
+    with pytest.raises(ValueError):
+        build_staircase_tree(root, IntervalUnion.empty(), 2)
 
 
 def test_staircase_tree_avoids_excluded():
