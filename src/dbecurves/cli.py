@@ -33,6 +33,9 @@ SCHEMA_VERSION = 1
 
 _DEFAULT_PRECISION = 64
 _MIN_PRECISION = 32
+# each mapper term builds 2^depth leaf cells and the spec JSON doubles per
+# level; depth 8 already takes seconds, so larger depths are refused up front
+_MAX_STAIRCASE_DEPTH = 7
 
 
 class UsageError(ValueError):
@@ -97,6 +100,10 @@ class RunConfig:
             raise UsageError("curve construction needs n >= 3")
         if self.trials < 1:
             raise UsageError("trials must be >= 1")
+        if self.M < 1:
+            raise UsageError("M must be >= 1")
+        if not 0 <= self.staircase_depth <= _MAX_STAIRCASE_DEPTH:
+            raise UsageError(f"staircase depth must be in 0..{_MAX_STAIRCASE_DEPTH}")
 
 
 def _write(text: str, out: str | None) -> None:

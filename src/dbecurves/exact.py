@@ -273,21 +273,32 @@ class IntervalUnion:
         return IntervalUnion(out)
 
     def subtract(self, other: "IntervalUnion") -> "IntervalUnion":
-        pieces = list(self.components)
-        for j in other.components:
-            js, je = _start_cut(j), _end_cut(j)
-            nxt: list[Interval] = []
-            for p in pieces:
-                ps, pe = _start_cut(p), _end_cut(p)
-                if je < ps or pe < js:
-                    nxt.append(p)
-                    continue
-                if ps < js:
-                    nxt.append(Interval._from_cuts(ps, min(pe, _pred(js))))
-                if je < pe:
-                    nxt.append(Interval._from_cuts(max(ps, _succ(je)), pe))
-            pieces = nxt
-        return IntervalUnion(pieces)
+        """self minus other, in one left-to-right pass over both lists.
+
+        Both component lists are canonical, so each piece of self meets a
+        contiguous run of other's components; a component of other may reach
+        across several pieces, so the pointer only skips the ones that end
+        before the current piece starts.
+        """
+        out: list[Interval] = []
+        b = other.components
+        j = 0
+        for p in self.components:
+            start, end = _start_cut(p), _end_cut(p)
+            while j < len(b) and _end_cut(b[j]) < start:
+                j += 1
+            k = j
+            while start is not None and k < len(b):
+                bs, be = _start_cut(b[k]), _end_cut(b[k])
+                if end < bs:
+                    break
+                if start < bs:
+                    out.append(Interval._from_cuts(start, _pred(bs)))
+                start = _succ(be) if be < end else None
+                k += 1
+            if start is not None:
+                out.append(Interval._from_cuts(start, end))
+        return IntervalUnion(out)
 
     def intersects(self, other: "IntervalUnion") -> bool:
         return not self.intersect(other).is_empty

@@ -253,6 +253,18 @@ def box_count_slope(curve_or_points, ms, sample_depth: int | None = None):
 # -- inequality checkers ----------------------------------------------------------
 
 
+def _grid_points(F: IntervalUnion, depth: int) -> list[Fraction]:
+    """The points k/2^depth of [0, 1] that lie in F, left to right."""
+    scale = 1 << depth
+    out = []
+    for comp in F.components:
+        lo, hi = comp.lo * scale, comp.hi * scale
+        k_lo = math.ceil(lo) + (not comp.lo_closed and lo.denominator == 1)
+        k_hi = math.floor(hi) - (not comp.hi_closed and hi.denominator == 1)
+        out += (Fraction(k, scale) for k in range(max(k_lo, 0), min(k_hi, scale) + 1))
+    return out
+
+
 def check_lipschitz_image(f: MonotoneFn, c, F: IntervalUnion,
                           sample_depth: int = 8) -> bool:
     """Exact check that measure(f(F)) <= c * measure(F).
@@ -266,17 +278,10 @@ def check_lipschitz_image(f: MonotoneFn, c, F: IntervalUnion,
     need not be the pair an all-pairs scan would report.
     """
     c = Fraction(c)
-    xs = set()
+    xs = set(_grid_points(F, sample_depth))
     for comp in F.components:
         xs.add(comp.lo)
         xs.add(comp.hi)
-    step = Fraction(1, 1 << sample_depth)
-    k = 0
-    while k * step <= ONE:
-        x = k * step
-        if F.contains(x):
-            xs.add(x)
-        k += 1
     pts = sorted(xs)
     vals = [f(x) for x in pts]
     for x, y, fx, fy in zip(pts, pts[1:], vals, vals[1:]):
@@ -309,6 +314,18 @@ def _delta_cuts(f: MonotoneFn, comp: Interval, delta: Fraction) -> list[Fraction
     return cuts
 
 
+def _memoized(f):
+    """f evaluated once per distinct point, for the life of one check."""
+    memo: dict[Fraction, Fraction] = {}
+
+    def at(x):
+        v = memo.get(x)
+        if v is None:
+            v = memo[x] = f(x)
+        return v
+    return at
+
+
 def check_sum_image_bound(f1: MonotoneFn, f2: MonotoneFn, D: IntervalUnion,
                           delta) -> bool:
     """Exact two-function cover-sum inequality for strictly increasing f1, f2.
@@ -321,6 +338,7 @@ def check_sum_image_bound(f1: MonotoneFn, f2: MonotoneFn, D: IntervalUnion,
     delta = Fraction(delta)
     if delta <= 0:
         raise ValueError("delta must be positive")
+    f1, f2 = _memoized(f1), _memoized(f2)
     s1 = s2 = refined = ZERO
     for comp in D.components:
         cuts1 = _delta_cuts(f1, comp, delta)

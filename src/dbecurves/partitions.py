@@ -45,10 +45,7 @@ class LRPartition:
         object.__setattr__(self, "blocks", blocks)
 
     def support(self) -> IntervalUnion:
-        out = IntervalUnion.empty()
-        for b in self.blocks:
-            out = out.union(b)
-        return out
+        return IntervalUnion(c for b in self.blocks for c in b.components)
 
     def __len__(self) -> int:
         return len(self.blocks)

@@ -780,11 +780,13 @@ class MapperResult:
 
 
 def image_measure(f: MonotoneFn, u: IntervalUnion) -> Fraction:
-    """Measure of f(u) for monotone f: summed endpoint differences."""
-    total = ZERO
-    for comp in u.components:
-        total += abs(f(comp.hi) - f(comp.lo))
-    return total
+    """Measure of f(u) for monotone f: summed endpoint differences.
+
+    The endpoints lo_0 <= hi_0 <= lo_1 <= ... form a non-decreasing list, so
+    f reads them as one column.
+    """
+    vals = f.column([x for comp in u.components for x in (comp.lo, comp.hi)])
+    return sum((abs(hi - lo) for lo, hi in zip(vals[::2], vals[1::2])), ZERO)
 
 
 def build_full_measure_mapper(excluded: IntervalUnion, M: int,
@@ -816,9 +818,7 @@ def build_full_measure_mapper(excluded: IntervalUnion, M: int,
         stairs.append(g_m)
         unions.append(N_m)
         avoid = avoid.union(N_m)
-    n_trunc = IntervalUnion.empty()
-    for u in unions:
-        n_trunc = n_trunc.union(u)
+    n_trunc = IntervalUnion(c for u in unions for c in u.components)
     weights = [Fraction(1, 1 << (m + 1)) for m in range(M)]
     tail = Fraction(1, 1 << M)
     f = WeightedSum(stairs + [identity_fn()], weights + [tail])

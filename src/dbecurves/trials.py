@@ -19,7 +19,7 @@ from .hausdorff import (
     check_sum_image_bound,
 )
 from .partitions import LRPartition, RefinementBoundError, refine
-from .singular import PiecewiseLinear, RieszNagy
+from .singular import PiecewiseLinear, RieszNagy, riesz_nagy_level
 
 _RIESZ_WEIGHTS = (Fraction(1, 4), Fraction(1, 3), Fraction(3, 4), Fraction(2, 5))
 
@@ -132,13 +132,8 @@ def run_sum_bound_trials(trials: int = 500, seed: int = 0) -> int:
 
 def _max_cell_slope(f: RieszNagy, depth: int) -> Fraction:
     scale = 1 << depth
-    best = ZERO
-    prev = f(ZERO)
-    for k in range(1, scale + 1):
-        cur = f(Fraction(k, scale))
-        best = max(best, (cur - prev) * scale)
-        prev = cur
-    return best
+    vals = riesz_nagy_level(f.a, depth)
+    return max(scale * (cur - prev) for prev, cur in zip(vals, vals[1:]))
 
 
 def run_lipschitz_trials(trials: int = 500, seed: int = 0) -> int:

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from dbecurves.cli import main, parse_range
+from dbecurves.cli import _MAX_STAIRCASE_DEPTH, main, parse_range
 from dbecurves.curves import build_extremal_curve
 from dbecurves.hausdorff import box_count
 
@@ -167,6 +167,19 @@ def test_emit_boxcount_coarsened_sample_matches_per_m_count(capsys):
     curve = build_extremal_curve(4, F(2, 7))
     want = [f"{m},{box_count(curve, m).count}" for m in range(2, 7)]
     assert out.strip().split("\n")[1:] == want
+
+
+@pytest.mark.parametrize("argv", [
+    ("--staircase-depth", "-1"),
+    ("--M", "0"),
+    ("--staircase-depth", str(_MAX_STAIRCASE_DEPTH + 1)),
+], ids=["negative-staircase-depth", "M-zero", "staircase-depth-over-budget"])
+def test_curve_parameter_out_of_range_is_a_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, "construct", "--n", "4", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "mapper term" not in err
 
 
 def test_emit_deterministic(capsys, tmp_path):

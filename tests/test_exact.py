@@ -5,9 +5,14 @@ from fractions import Fraction
 
 import pytest
 
+from dbecurves.curves import build_extremal_curve
 from dbecurves.exact import (
     Interval,
     IntervalUnion,
+    _end_cut,
+    _pred,
+    _start_cut,
+    _succ,
     decimal_str,
     format_rational,
     parse_rational,
@@ -134,3 +139,72 @@ def test_inclusion_exclusion_randomized():
         assert (a - b).measure() == a.measure() - (a & b).measure()
         assert a - (a - b) == (a & b)
         assert (a - b) | (a & b) | (b - a) == (a | b)
+
+
+def _subtract_reference(a: IntervalUnion, b: IntervalUnion) -> IntervalUnion:
+    """Reference: every component of b re-splits every piece left so far."""
+    pieces = list(a.components)
+    for j in b.components:
+        js, je = _start_cut(j), _end_cut(j)
+        nxt = []
+        for p in pieces:
+            ps, pe = _start_cut(p), _end_cut(p)
+            if je < ps or pe < js:
+                nxt.append(p)
+                continue
+            if ps < js:
+                nxt.append(Interval._from_cuts(ps, min(pe, _pred(js))))
+            if je < pe:
+                nxt.append(Interval._from_cuts(max(ps, _succ(je)), pe))
+        pieces = nxt
+    return IntervalUnion(pieces)
+
+
+def _grid_union(rng, den, max_parts, max_len):
+    """Possibly empty union of intervals and points on the grid k/den."""
+    parts = []
+    for _ in range(rng.randint(0, max_parts)):
+        lo = rng.randint(0, den)
+        hi = min(den, lo + rng.randint(0, max_len))
+        closed = lo == hi or rng.random() < 0.5
+        parts.append(Interval(F(lo, den), F(hi, den),
+                              lo_closed=closed or rng.random() < 0.5,
+                              hi_closed=closed or rng.random() < 0.5))
+    return IntervalUnion(parts)
+
+
+def _check_points(*unions):
+    """Every cut value of the unions, their midpoints, and a point either side."""
+    vals = sorted({v for u in unions for c in u.components for v in (c.lo, c.hi)}
+                  | {F(-1), F(2)})
+    return vals + [(u + v) / 2 for u, v in zip(vals, vals[1:])]
+
+
+def test_subtract_merge_matches_nested_loop_reference():
+    rng = random.Random(9104)
+    spans = 0
+    for _ in range(2500):
+        a = _grid_union(rng, 16, 6, 4)
+        b = _grid_union(rng, 16, 4, rng.choice((1, 4, 12)))
+        got = a - b
+        assert got == _subtract_reference(a, b)
+        for x in _check_points(a, b):
+            assert got.contains(x) == (a.contains(x) and not b.contains(x))
+        spans += any(len(a & IntervalUnion((c,))) >= 2 for c in b.components)
+    assert spans > 200
+
+
+@pytest.mark.parametrize("a", [F(1, 4), F(1, 16)])
+def test_one_shot_n_trunc_and_q1_match_the_folds(a):
+    for n in (4, 5, 6):
+        curve = build_extremal_curve(n, a, M=4, staircase_depth=2)
+        for mr in curve.mappers:
+            fold = IntervalUnion.empty()
+            for u in mr.stair_unions:
+                fold = fold.union(u)
+            assert mr.n_trunc == fold
+        q1 = IntervalUnion.closed(0, 1)
+        for w in curve.w_domains:
+            q1 = _subtract_reference(q1, w)
+        assert curve.q1 == q1
+

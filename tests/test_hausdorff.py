@@ -13,6 +13,8 @@ from dbecurves.exact import Interval, IntervalUnion
 from dbecurves.hausdorff import (
     BoxCount,
     _collapsed_riesz_length,
+    _delta_cuts,
+    _grid_points,
     H1Certificate,
     LipschitzWitnessError,
     box_count,
@@ -29,6 +31,7 @@ from dbecurves.partitions import LRPartition
 from dbecurves.singular import (
     Affine,
     Cantor,
+    MonotoneFn,
     PiecewiseLinear,
     RieszNagy,
     WeightedSum,
@@ -339,7 +342,95 @@ def test_lipschitz_consecutive_probe_matches_all_pairs():
     assert 0 < raised < 2 * len(cases)
 
 
+def _open_grid_domains():
+    """Unions with open ends on grid points and parts outside [0, 1]."""
+    yield IntervalUnion((Interval(F(-1, 2), F(1, 4), hi_closed=False),
+                         Interval(F(1, 2), F(3, 4), lo_closed=False),
+                         Interval(F(7, 8), F(3, 2), lo_closed=False)))
+    yield IntervalUnion((Interval(F(-1), F(0), hi_closed=True),
+                         Interval(F(1, 8), F(1, 8)),
+                         Interval(F(3, 16), F(5, 16), False, False),
+                         Interval(F(1), F(2), lo_closed=False)))
+    rng = random.Random(6610)
+    for _ in range(200):
+        parts = []
+        for _ in range(rng.randint(0, 4)):
+            lo = rng.randint(-8, 40)
+            hi = lo + rng.randint(0, 12)
+            parts.append(Interval(F(lo, 32), F(hi, 32), rng.random() < 0.5 or lo == hi,
+                                  rng.random() < 0.5 or lo == hi))
+        yield IntervalUnion(parts)
+
+
+def test_lipschitz_grid_listing_matches_contains_scan():
+    for dom in _open_grid_domains():
+        for depth in (0, 3, 5):
+            scale = 1 << depth
+            want = [F(k, scale) for k in range(scale + 1) if dom.contains(F(k, scale))]
+            assert _grid_points(dom, depth) == want
+
+
+def test_lipschitz_false_constant_raises_on_open_and_outside_domains():
+    f = Affine(F(2), F(0))
+    for dom in _open_grid_domains():
+        if dom.measure() == 0:
+            continue
+        with pytest.raises(LipschitzWitnessError) as err:
+            check_lipschitz_image(f, F(3, 2), dom, sample_depth=3)
+        x, y, fx, fy = err.value.witness
+        assert x < y and abs(fy - fx) > F(3, 2) * (y - x)
+        assert check_lipschitz_image(f, F(2), dom, sample_depth=3)
+
+
 # -- two-function cover-sum bound ---------------------------------------------
+
+
+class _Recorder(MonotoneFn):
+    """Wraps f and records every point it is evaluated at."""
+
+    def __init__(self, f):
+        self.f = f
+        self.calls = []
+        self.increasing = f.increasing
+        self.strictly_monotone = f.strictly_monotone
+
+    def __call__(self, x):
+        self.calls.append(x)
+        return self.f(x)
+
+
+def _sum_image_bound_reference(f1, f2, D, delta):
+    """Reference: every sum and the refinement evaluate f1 and f2 afresh."""
+    s1 = s2 = refined = F(0)
+    for comp in D.components:
+        cuts1 = _delta_cuts(f1, comp, delta)
+        cuts2 = _delta_cuts(f2, comp, delta)
+        s1 += sum((f1(v) - f1(u) for u, v in zip(cuts1, cuts1[1:])), F(0))
+        s2 += sum((f2(v) - f2(u) for u, v in zip(cuts2, cuts2[1:])), F(0))
+        merged = sorted(set(cuts1) | set(cuts2))
+        for u, v in zip(merged, merged[1:]):
+            d1, d2 = f1(v) - f1(u), f2(v) - f2(u)
+            assert d1 <= delta and d2 <= delta
+            refined += d1 + d2
+    return refined <= s1 + s2
+
+
+def test_sum_image_bound_evaluates_each_point_once():
+    rng = random.Random(3318)
+    cases = [(identity_fn(), Cantor(), IntervalUnion.closed(0, 1), F(1, 8))]
+    for _ in range(40):
+        f1 = trials.random_piecewise_linear(rng, strict=True)
+        f2 = trials.random_piecewise_linear(rng, strict=True)
+        cases.append((f1, f2, trials.random_union(rng), F(1, 1 << rng.randint(2, 5))))
+    for f1, f2, dom, delta in cases:
+        r1, r2 = _Recorder(f1), _Recorder(f2)
+        ok = check_sum_image_bound(r1, r2, dom, delta)
+        ref1, ref2 = _Recorder(f1), _Recorder(f2)
+        assert ok == _sum_image_bound_reference(ref1, ref2, dom, delta)
+        for got, ref in ((r1, ref1), (r2, ref2)):
+            assert len(got.calls) == len(set(got.calls))
+            assert set(got.calls) == set(ref.calls)
+            assert len(ref.calls) > len(got.calls)
 
 
 def test_sum_image_bound_identity_pair():

@@ -1,5 +1,6 @@
 """Ordered partitions, common refinements, and delta-fine cover sums."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from dbecurves.partitions import (
     greedy_partition,
     refine,
 )
+from dbecurves.trials import random_partition, random_union
 
 F = Fraction
 
@@ -34,6 +36,17 @@ def test_partition_validation():
     p = LRPartition([half_open(0, F(1, 2)), _u((F(1, 2), 1))])
     assert len(p) == 2
     assert p.support() == IntervalUnion.closed(0, 1)
+
+
+def test_support_is_the_union_of_the_blocks():
+    rng = random.Random(7741)
+    for _ in range(200):
+        u = random_union(rng, max_components=4)
+        p = random_partition(rng, u)
+        fold = IntervalUnion.empty()
+        for b in p.blocks:
+            fold = fold.union(b)
+        assert p.support() == fold == u
 
 
 def test_refine_matches_expected_blocks():

@@ -1,12 +1,14 @@
 """Singular functions, staircase trees, and full-measure mappers."""
 
 import itertools
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
 from dbecurves import oracle
+from dbecurves.curves import build_extremal_curve, curve_from_json, curve_to_json
 from dbecurves.exact import Interval, IntervalUnion
 from dbecurves.singular import (
     Affine,
@@ -186,6 +188,36 @@ def test_image_measure():
     assert image_measure(RieszNagy(F(1, 4)), u) == F(1, 4)
     two = IntervalUnion.closed(0, F(1, 4)) | IntervalUnion.closed(F(1, 2), 1)
     assert image_measure(RieszNagy(F(1, 4)), two) == F(1, 16) + F(3, 4)
+
+
+def _pointwise_image_measure(f, u):
+    return sum((abs(f(c.hi) - f(c.lo)) for c in u.components), F(0))
+
+
+@pytest.mark.parametrize("a", [F(1, 4), F(2, 7)])
+def test_image_measure_column_matches_pointwise_endpoints(a):
+    for n in (4, 5, 6):
+        curve = build_extremal_curve(n, a, M=5, staircase_depth=2)
+        back = curve_from_json(json.loads(json.dumps(curve_to_json(curve))))
+        for mr in curve.mappers + back.mappers:
+            got = image_measure(mr.f, mr.n_trunc)
+            assert got == _pointwise_image_measure(mr.f, mr.n_trunc)
+            assert got >= mr.image_lower_bound
+            # endpoints strictly inside leaf cells take the pointwise branch
+            inner = IntervalUnion(Interval(c.lo + c.diam / 3, c.hi - c.diam / 5)
+                                  for c in mr.n_trunc.components)
+            assert image_measure(mr.f, inner) == _pointwise_image_measure(mr.f, inner)
+
+
+def test_image_measure_of_piecewise_linear_on_open_ends():
+    f = PiecewiseLinear(((F(0), F(0)), (F(1, 4), F(1, 2)), (F(3, 4), F(5, 8)),
+                         (F(1), F(1))))
+    u = IntervalUnion((Interval(F(0), F(1, 8), hi_closed=False),
+                       Interval(F(1, 4), F(1, 2), lo_closed=False, hi_closed=False),
+                       Interval.point(F(5, 8)),
+                       Interval(F(3, 4), F(1), lo_closed=False)))
+    assert image_measure(f, u) == _pointwise_image_measure(f, u)
+    assert image_measure(f, u) == F(1, 4) + F(1, 16) + F(3, 8)
 
 
 def test_fn_json_roundtrip():

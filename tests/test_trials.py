@@ -6,7 +6,10 @@ from fractions import Fraction
 
 from dbecurves.exact import Interval, IntervalUnion
 from dbecurves.partitions import LRPartition
+from dbecurves.singular import RieszNagy
 from dbecurves.trials import (
+    _RIESZ_WEIGHTS,
+    _max_cell_slope,
     random_partition,
     random_piecewise_linear,
     random_union,
@@ -91,3 +94,13 @@ def test_trials_deterministic_by_seed():
     a = run_all(20, seed=42)
     b = run_all(20, seed=42)
     assert a == b
+
+
+def test_max_cell_slope_matches_pointwise_cells():
+    for a in _RIESZ_WEIGHTS:
+        f = RieszNagy(a)
+        for depth in range(1, 7):
+            scale = 1 << depth
+            vals = [f(F(k, scale)) for k in range(scale + 1)]
+            want = max((v - u) * scale for u, v in zip(vals, vals[1:]))
+            assert _max_cell_slope(f, depth) == want
