@@ -3,15 +3,14 @@
 All numeric inputs accept exact "p/q" rational syntax.  Outputs are
 deterministic: JSON with sorted keys, CSV with a header row, '.' decimals
 and ',' separators.  Exit codes: 0 all checks passed, 1 verification or
-evaluation failure, 2 usage error.  The DBECURVES_PRECISION environment
-variable sets the default square-root precision (bits, minimum 32).
+evaluation failure, 2 usage error.  `--precision` sets the square-root
+precision in bits (default 64, minimum 32).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,19 +39,6 @@ _MAX_STAIRCASE_DEPTH = 7
 
 class UsageError(ValueError):
     """Bad parameter combination; maps to exit code 2."""
-
-
-def default_precision() -> int:
-    raw = os.environ.get("DBECURVES_PRECISION")
-    if raw is None:
-        return _DEFAULT_PRECISION
-    try:
-        bits = int(raw)
-    except ValueError as exc:
-        raise UsageError(f"DBECURVES_PRECISION must be an integer, got {raw!r}") from exc
-    if bits < _MIN_PRECISION:
-        raise UsageError(f"precision must be >= {_MIN_PRECISION} bits")
-    return bits
 
 
 def parse_range(text: str) -> list[int]:
@@ -257,7 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_curve_args(sp)
     sp.add_argument("--spec", dest="spec_path", help="curve spec JSON to load")
     sp.add_argument("--d", default="10", help="polyline depth")
-    sp.add_argument("--precision", type=int, default=None, help="sqrt bits (>= 32)")
+    sp.add_argument("--precision", type=int, default=_DEFAULT_PRECISION,
+                    help="sqrt bits (>= 32)")
     sp.add_argument("--out", help="output path (default stdout)")
 
     sp = sub.add_parser("verify", help="run a verification suite, JSON report")
@@ -287,16 +274,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--spec", dest="spec_path", help="curve spec JSON to load")
     sp.add_argument("--d", default="8", help="depth or depth range, e.g. 8 or 1..14")
     sp.add_argument("--m", default="4..10", help="box-count resolution range")
-    sp.add_argument("--precision", type=int, default=None, help="sqrt bits (>= 32)")
+    sp.add_argument("--precision", type=int, default=_DEFAULT_PRECISION,
+                    help="sqrt bits (>= 32)")
     sp.add_argument("--out", help="output path (default stdout)")
 
     return parser
 
 
 def _config_from(args: argparse.Namespace) -> RunConfig:
-    precision = getattr(args, "precision", None)
-    if precision is None:
-        precision = default_precision()
     emit_kind = None
     if args.command == "emit":
         if args.samples:
@@ -317,7 +302,7 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
         staircase_depth=args.staircase_depth,
         depths=tuple(parse_range(getattr(args, "d", "8"))),
         m_range=tuple(parse_range(getattr(args, "m", "4..10"))),
-        precision=precision,
+        precision=getattr(args, "precision", _DEFAULT_PRECISION),
         trials=getattr(args, "trials", 500),
         seed=getattr(args, "seed", 0),
         suite=suite,

@@ -17,7 +17,6 @@ from fractions import Fraction
 from itertools import combinations
 
 from .exact import Interval, IntervalUnion, ONE, ZERO, format_rational, parse_rational
-from .partitions import LRPartition
 from .singular import (
     Composition,
     IntervalStaircase,
@@ -45,7 +44,6 @@ class CurveSpec:
     n: int
     components: tuple[MonotoneFn, ...]
     alpha: Fraction
-    piece_domains: LRPartition | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", Fraction(self.alpha))
@@ -63,35 +61,15 @@ class CurveSpec:
 
 
 @dataclass(frozen=True)
-class ExtremalCurve:
+class ExtremalCurve(CurveSpec):
     """A measure-extremal curve plus the objects its certification uses."""
 
-    spec: CurveSpec
     mappers: tuple[MapperResult, ...]
     w_domains: tuple[IntervalUnion, ...]
     q1: IntervalUnion
     a: Fraction
     M: int
     staircase_depth: int
-
-    @property
-    def n(self) -> int:
-        return self.spec.n
-
-    @property
-    def alpha(self) -> Fraction:
-        return self.spec.alpha
-
-    @property
-    def components(self) -> tuple[MonotoneFn, ...]:
-        return self.spec.components
-
-    @property
-    def piece_domains(self) -> LRPartition | None:
-        return self.spec.piece_domains
-
-    def point(self, x) -> tuple[Fraction, ...]:
-        return self.spec.point(x)
 
 
 def build_extremal_curve(n: int, a=Fraction(1, 4), M: int = 4,
@@ -111,9 +89,8 @@ def build_extremal_curve(n: int, a=Fraction(1, 4), M: int = 4,
         raise ValueError("need 0 < a < 1 with a != 1/2")
     h = RieszNagy(a)
     if n == 3:
-        spec = CurveSpec(3, (h,), alpha)
-        return ExtremalCurve(spec, (), (), IntervalUnion.closed(0, 1), a, M,
-                             staircase_depth)
+        return ExtremalCurve(3, (h,), alpha, (), (), IntervalUnion.closed(0, 1),
+                             a, M, staircase_depth)
     grid = RieszNagyImageGrid(a)
     avoid = IntervalUnion.empty()
     mappers: list[MapperResult] = []
@@ -136,9 +113,8 @@ def build_extremal_curve(n: int, a=Fraction(1, 4), M: int = 4,
     for w in w_domains:
         q1 = q1.subtract(w)
     components = (h, *(Composition(mr.f, h) for mr in mappers))
-    spec = CurveSpec(n, components, alpha)
-    return ExtremalCurve(spec, tuple(mappers), tuple(w_domains), q1, a, M,
-                         staircase_depth)
+    return ExtremalCurve(n, components, alpha, tuple(mappers), tuple(w_domains),
+                         q1, a, M, staircase_depth)
 
 
 def _column(f: MonotoneFn, depth: int, xs, memo: dict) -> list[Fraction]:
@@ -259,16 +235,19 @@ def _pairwise_dbe(pts) -> DbeReport:
 
 
 def curve_to_json(curve) -> dict:
-    if isinstance(curve, ExtremalCurve):
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "type": "extremal_curve",
-            "n": curve.n,
+    extremal = isinstance(curve, ExtremalCurve)
+    out = {
+        "schema_version": SCHEMA_VERSION,
+        "type": "extremal_curve" if extremal else "curve",
+        "n": curve.n,
+        "alpha": format_rational(curve.alpha),
+        "components": [f.to_json() for f in curve.components],
+    }
+    if extremal:
+        out.update({
             "a": format_rational(curve.a),
             "M": curve.M,
-            "alpha": format_rational(curve.alpha),
             "staircase_depth": curve.staircase_depth,
-            "components": [f.to_json() for f in curve.components],
             "mappers": [
                 {
                     "level": mr.level,
@@ -279,16 +258,7 @@ def curve_to_json(curve) -> dict:
             ],
             "w_domains": [w.to_json() for w in curve.w_domains],
             "q1": curve.q1.to_json(),
-        }
-    out = {
-        "schema_version": SCHEMA_VERSION,
-        "type": "curve",
-        "n": curve.n,
-        "alpha": format_rational(curve.alpha),
-        "components": [f.to_json() for f in curve.components],
-    }
-    if curve.piece_domains is not None:
-        out["piece_domains"] = curve.piece_domains.to_json()
+        })
     return out
 
 
@@ -310,8 +280,11 @@ def curve_from_json(obj: dict):
     """Rebuild a curve from `curve_to_json` output.
 
     A spec nesting deeper than MAX_NESTING is rejected before anything is
-    built.  The JSON keeps only each mapper's N_trunc, so the mappers of a
-    loaded extremal curve have `stair_unions == ()`.
+    built.  Keys the loader does not read are ignored; that includes the
+    `"piece_domains"` partition older specs may carry, which never changed
+    the upper bound of a curve whose pieces cover [0,1].  The JSON keeps only
+    each mapper's N_trunc, so the mappers of a loaded extremal curve have
+    `stair_unions == ()`.
     """
     if _nesting(obj) > MAX_NESTING:
         raise ValueError(f"spec nests deeper than {MAX_NESTING} levels")
@@ -327,15 +300,9 @@ def curve_from_json(obj: dict):
                                  f"{format_rational(y)} at x = {x}")
     alpha = parse_rational(obj["alpha"])
     if obj["type"] == "curve":
-        domains = obj.get("piece_domains")
-        return CurveSpec(
-            obj["n"], components, alpha,
-            LRPartition.from_json(domains) if domains is not None else None,
-        )
+        return CurveSpec(obj["n"], components, alpha)
     if obj["type"] != "extremal_curve":
         raise ValueError(f"unknown curve type {obj['type']!r}")
-    a = parse_rational(obj["a"])
-    spec = CurveSpec(obj["n"], components, alpha)
     mappers = tuple(
         MapperResult(
             f=components[idx + 1].outer,
@@ -347,11 +314,13 @@ def curve_from_json(obj: dict):
         for idx, m in enumerate(obj["mappers"])
     )
     return ExtremalCurve(
-        spec,
+        obj["n"],
+        components,
+        alpha,
         mappers,
         tuple(IntervalUnion.from_json(w) for w in obj["w_domains"]),
         IntervalUnion.from_json(obj["q1"]),
-        a,
+        parse_rational(obj["a"]),
         obj["M"],
         obj["staircase_depth"],
     )

@@ -1,10 +1,10 @@
 """Two-sided certification of the 1-dimensional Hausdorff measure of curves.
 
 Upper bounds are exact rationals: the length of [0,1] plus each component's
-summed image measures over the declared piece partition.  Lower bounds come
-from inscribed polylines whose chord lengths are enclosed by integer-sqrt
-directed rounding at a chosen precision, so the reported value carries a
-rigorous error radius.  Box counts support dimension estimates, and the
+total variation, which for a monotone component is |f(1) - f(0)|.  Lower
+bounds come from inscribed polylines whose chord lengths are enclosed by
+integer-sqrt directed rounding at a chosen precision, so the reported value
+carries a rigorous error radius.  Box counts support dimension estimates, and the
 remaining functions check the classical inequalities the bounds lean on
 (Lipschitz images, two-function cover sums, derivative bounds) in exact
 arithmetic.
@@ -75,22 +75,14 @@ def _sqrt_sum(terms, bits: int) -> tuple[Fraction, Fraction]:
 
 
 def upper_bound_h1(curve) -> Fraction:
-    """Exact sum of piece lengths plus per-component image measures.
+    """Exact 1 + sum over components f of |f(1) - f(0)|.
 
-    For a curve with strictly monotone components mapping onto [0,1] this
-    telescopes to exactly n-1; it is an upper bound for H^1 of any curve
-    with monotone components over the declared pieces.
+    H^1 of a curve is at most the sum of its coordinates' total variations.
+    The first coordinate x varies by 1, the constant alpha by 0, and each
+    component is monotone on [0,1], so its total variation is |f(1) - f(0)|.
+    For components mapping onto [0,1] the bound is exactly n-1.
     """
-    if curve.piece_domains is None:
-        blocks = (IntervalUnion.closed(0, 1),)
-    else:
-        blocks = curve.piece_domains.blocks
-    total = ZERO
-    for block in blocks:
-        total += block.measure()
-        for f in curve.components:
-            total += image_measure(f, block)
-    return total
+    return ONE + sum((abs(f(ONE) - f(ZERO)) for f in curve.components), ZERO)
 
 
 def _collapsed_riesz_length(a: Fraction, depth: int, bits: int):
@@ -209,11 +201,11 @@ class BoxCount:
     slope_estimate: float | None = None
 
 
-def box_count(curve_or_points, m: int, sample_depth: int | None = None) -> BoxCount:
+def box_count(curve_or_points, m: int) -> BoxCount:
     """Count 2^-m grid boxes hit by a curve sample (or an explicit point list)."""
     pts = curve_or_points
     if not isinstance(pts, (list, tuple)):
-        pts = sample(pts, max(m + 2, sample_depth or 0))
+        pts = sample(pts, m + 2)
     scale = 1 << m
     top = scale - 1
     cells = set()
@@ -223,26 +215,26 @@ def box_count(curve_or_points, m: int, sample_depth: int | None = None) -> BoxCo
     return BoxCount(Fraction(1, scale), len(cells))
 
 
-def box_counts(curve_or_points, ms, sample_depth: int | None = None) -> list[BoxCount]:
-    """[box_count(curve_or_points, m, sample_depth) for m in ms], sampling once.
+def box_counts(curve_or_points, ms) -> list[BoxCount]:
+    """[box_count(curve_or_points, m) for m in ms], sampling once.
 
     A curve is sampled at the finest depth needed; the depth-t sample is every
     2^(top - t)-th point of the depth-top sample.
     """
     if isinstance(curve_or_points, (list, tuple)):
         return [box_count(curve_or_points, m) for m in ms]
-    depths = [max(m + 2, sample_depth or 0) for m in ms]
+    depths = [m + 2 for m in ms]
     top = max(depths)
     pts = sample(curve_or_points, top)
     return [box_count(pts[::1 << (top - t)], m) for m, t in zip(ms, depths)]
 
 
-def box_count_slope(curve_or_points, ms, sample_depth: int | None = None):
+def box_count_slope(curve_or_points, ms):
     """(slope, series): least-squares dimension estimate over a range of m."""
     ms = list(ms)
     if len(ms) < 2:
         raise ValueError("need at least two grid resolutions")
-    raw = box_counts(curve_or_points, ms, sample_depth)
+    raw = box_counts(curve_or_points, ms)
     xs = [m * math.log(2.0) for m in ms]
     ys = [math.log(bc.count) for bc in raw]
     slope = statistics.linear_regression(xs, ys).slope

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import Interval, IntervalUnion, ZERO
+from .exact import Interval, IntervalUnion, ZERO, _end_cut, _start_cut
 
 
 class DomainMismatchError(ValueError):
@@ -38,10 +38,11 @@ class LRPartition:
                 raise TypeError("blocks must be IntervalUnions")
             if b.is_empty:
                 raise ValueError("empty block in partition")
-        for i in range(len(blocks)):
-            for j in range(i + 1, len(blocks)):
-                if blocks[i].intersects(blocks[j]):
-                    raise ValueError("partition blocks overlap")
+        # blocks overlap exactly when some component, in start order, starts
+        # at or before the end of the one before it
+        comps = sorted((c for b in blocks for c in b.components), key=_start_cut)
+        if any(_start_cut(c) <= _end_cut(prev) for prev, c in zip(comps, comps[1:])):
+            raise ValueError("partition blocks overlap")
         object.__setattr__(self, "blocks", blocks)
 
     def support(self) -> IntervalUnion:
@@ -52,13 +53,6 @@ class LRPartition:
 
     def __iter__(self):
         return iter(self.blocks)
-
-    def to_json(self) -> list:
-        return [b.to_json() for b in self.blocks]
-
-    @classmethod
-    def from_json(cls, obj: list) -> "LRPartition":
-        return cls(IntervalUnion.from_json(b) for b in obj)
 
 
 def diam_sum(p: LRPartition) -> Fraction:

@@ -225,18 +225,27 @@ def test_construct_deterministic(capsys):
     assert out1 == out2
 
 
-def test_precision_env_and_flag(capsys, monkeypatch):
-    monkeypatch.setenv("DBECURVES_PRECISION", "16")
-    code, _, err = run_cli(capsys, "certify", "--n", "3", "--d", "2")
-    assert code == 2
-    assert "precision" in err
-    monkeypatch.setenv("DBECURVES_PRECISION", "48")
-    code, out, _ = run_cli(capsys, "certify", "--n", "3", "--d", "2")
-    assert code == 0
-    monkeypatch.delenv("DBECURVES_PRECISION")
+def test_precision_below_minimum_is_a_usage_error(capsys):
     code, _, err = run_cli(capsys, "certify", "--n", "3", "--d", "2",
                            "--precision", "8")
     assert code == 2
+    assert "precision" in err
+
+
+def test_spec_piece_domains_cannot_lower_the_upper_bound(capsys, tmp_path):
+    # a declared partition that stops at 15/16 once certified 415/256 < H^1 = 2
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "schema_version": 1, "type": "curve", "n": 3, "alpha": "1/2",
+        "components": [{"kind": "riesz_nagy", "a": "1/4"}],
+        "piece_domains": [[{"lo": "0/1", "hi": "15/16",
+                            "lo_closed": True, "hi_closed": True}]]}))
+    for d in range(13):
+        code, out, _ = run_cli(capsys, "certify", "--spec", str(spec), "--d", str(d))
+        assert code == 0, d
+        cert = json.loads(out)
+        assert cert["upper"] == "2/1"
+        assert F(cert["lower"]) - F(cert["error_radius"]) <= 2
 
 
 def test_rational_flag_parsing(capsys):

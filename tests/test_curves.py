@@ -132,7 +132,7 @@ _COLUMN_WEIGHTS = (F(1, 4), F(1, 3), F(3, 8), F(25, 32), F(1, 8))
     (5, F(3, 8), 10)])
 def test_sample_matches_pointwise_on_extremal_curves(n, a, depth):
     c = build_extremal_curve(n, a=a, M=3)
-    want = _pointwise(c.spec, depth)
+    want = _pointwise(c, depth)
     assert sample(c, depth) == want
     back = curve_from_json(curve_to_json(c))
     if n >= 4:

@@ -8,7 +8,13 @@ from fractions import Fraction
 import pytest
 
 from dbecurves import oracle, trials
-from dbecurves.curves import CurveSpec, build_extremal_curve, sample
+from dbecurves.curves import (
+    CurveSpec,
+    build_extremal_curve,
+    curve_from_json,
+    curve_to_json,
+    sample,
+)
 from dbecurves.exact import Interval, IntervalUnion
 from dbecurves.hausdorff import (
     BoxCount,
@@ -31,6 +37,7 @@ from dbecurves.partitions import LRPartition
 from dbecurves.singular import (
     Affine,
     Cantor,
+    Composition,
     MonotoneFn,
     PiecewiseLinear,
     RieszNagy,
@@ -79,13 +86,49 @@ def test_upper_bound_affine_component():
 
 
 def test_upper_bound_with_declared_pieces():
-    blocks = (
-        IntervalUnion((Interval(F(0), F(1, 2), hi_closed=False),)),
-        IntervalUnion.closed(F(1, 2), 1),
-    )
-    spec = CurveSpec(3, (RieszNagy(F(1, 4)),), F(1, 2),
-                     piece_domains=LRPartition(blocks))
-    assert upper_bound_h1(spec) == 2
+    blob = {"schema_version": 1, "type": "curve", "n": 3, "alpha": "1/2",
+            "components": [{"kind": "riesz_nagy", "a": "1/4"}]}
+    halves = [[{"lo": "0/1", "hi": "1/2", "lo_closed": True, "hi_closed": False}],
+              [{"lo": "1/2", "hi": "1/1", "lo_closed": True, "hi_closed": True}]]
+    short = [[{"lo": "0/1", "hi": "15/16", "lo_closed": True, "hi_closed": True}]]
+    for pieces in (halves, short):
+        spec = curve_from_json({**blob, "piece_domains": pieces})
+        assert type(spec) is CurveSpec
+        assert curve_to_json(spec) == blob
+        assert upper_bound_h1(spec) == 2
+
+
+def _block_sum_upper(curve, partition):
+    """Reference: block measures plus per-component image measures per block."""
+    total = F(0)
+    for block in partition.blocks:
+        total += block.measure()
+        for f in curve.components:
+            total += image_measure(f, block)
+    return total
+
+
+def test_upper_bound_equals_block_sum_over_partitions_of_the_unit_interval():
+    mapper = build_extremal_curve(4, a=F(2, 7), M=2).components[1].outer
+    pl = PiecewiseLinear(((F(0), F(0)), (F(1, 3), F(1, 5)), (F(5, 7), F(3, 11)),
+                          (F(1), F(1))))
+    kinds = (Cantor(), RieszNagy(F(1, 3)), Affine(F(-1, 2), F(3, 4)), pl,
+             mapper.terms[0], mapper, Composition(mapper, Affine(-1, 1)),
+             Composition(pl, RieszNagy(F(3, 8))))
+    assert {f.kind for f in kinds} == {
+        "cantor", "riesz_nagy", "affine", "piecewise_linear",
+        "interval_staircase", "weighted_sum", "composition"}
+    unit = IntervalUnion.closed(0, 1)
+    rng = random.Random(9)
+    for _ in range(200):
+        comps = rng.sample(kinds, rng.randint(1, 4))
+        spec = CurveSpec(len(comps) + 2, comps, F(rng.randint(0, 8), 8))
+        partition = trials.random_partition(rng, unit)
+        assert upper_bound_h1(spec) == _block_sum_upper(spec, partition)
+    # a partition that misses part of [0,1] undercounts: 415/256 < H^1 = 2
+    short = LRPartition([IntervalUnion.closed(0, F(15, 16))])
+    spec = CurveSpec(3, (RieszNagy(F(1, 4)),), F(1, 2))
+    assert _block_sum_upper(spec, short) == F(415, 256) < upper_bound_h1(spec)
 
 
 # -- polyline lower bounds ----------------------------------------------------
@@ -236,10 +279,9 @@ def test_box_count_pinned_series_and_slope():
 
 def test_box_count_slope_samples_once_at_the_finest_depth():
     c = build_extremal_curve(4, a=F(2, 7))
-    for sample_depth in (None, 7):
-        _, series = box_count_slope(c, range(3, 9), sample_depth)
-        for bc, m in zip(series, range(3, 9)):
-            assert bc.count == box_count(c, m, sample_depth).count
+    _, series = box_count_slope(c, range(3, 9))
+    for bc, m in zip(series, range(3, 9)):
+        assert bc.count == box_count(c, m).count
 
 
 def test_box_count_segment_slope_near_one():

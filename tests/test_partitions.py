@@ -38,6 +38,45 @@ def test_partition_validation():
     assert p.support() == IntervalUnion.closed(0, 1)
 
 
+def _pairwise_overlap(blocks):
+    """Reference: some two blocks intersect."""
+    return any(blocks[i].intersects(blocks[j])
+               for i in range(len(blocks)) for j in range(i + 1, len(blocks)))
+
+
+def _random_interval(rng):
+    lo, hi = sorted(rng.choices(range(9), k=2))
+    if lo == hi:
+        return Interval(F(lo, 8), F(hi, 8))
+    return Interval(F(lo, 8), F(hi, 8), rng.random() < 0.5, rng.random() < 0.5)
+
+
+def test_overlap_sweep_matches_pairwise_check():
+    rng = random.Random(20240)
+    outcomes = {True: 0, False: 0}
+    for _ in range(3000):
+        blocks = [IntervalUnion(_random_interval(rng)
+                                for _ in range(rng.randint(1, 3)))
+                  for _ in range(rng.randint(1, 5))]
+        overlap = _pairwise_overlap(blocks)
+        outcomes[overlap] += 1
+        if overlap:
+            with pytest.raises(ValueError, match="partition blocks overlap"):
+                LRPartition(blocks)
+        else:
+            assert LRPartition(blocks).blocks == tuple(blocks)
+    assert min(outcomes.values()) > 500
+    # [0,1/2) next to [1/2,1] and a point in another block's gap are
+    # disjoint; a shared closed end and a point inside a component are not
+    LRPartition([_u((F(1, 2), 1)), half_open(0, F(1, 2))])
+    LRPartition([_u((0, F(1, 8)), (F(1, 2), 1)), _u((F(1, 4), F(1, 4)))])
+    for blocks in ([_u((0, F(1, 2))), _u((F(1, 2), 1))],
+                   [_u((0, F(1, 8)), (F(1, 2), 1)), _u((F(3, 4), F(3, 4)))]):
+        assert _pairwise_overlap(blocks)
+        with pytest.raises(ValueError, match="partition blocks overlap"):
+            LRPartition(blocks)
+
+
 def test_support_is_the_union_of_the_blocks():
     rng = random.Random(7741)
     for _ in range(200):
@@ -120,8 +159,3 @@ def test_cover_sum_level2_cantor_cover():
     cs = cover_sum(p, F(1, 9))
     assert cs.value == F(4, 9)
     assert cs.block_count == 4
-
-
-def test_partition_json_roundtrip():
-    p = LRPartition([half_open(0, F(1, 2)), _u((F(1, 2), 1))])
-    assert LRPartition.from_json(p.to_json()).blocks == p.blocks
