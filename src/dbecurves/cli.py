@@ -4,7 +4,12 @@ All numeric inputs accept exact "p/q" rational syntax.  Outputs are
 deterministic: JSON with sorted keys, CSV with a header row, '.' decimals
 and ',' separators.  Exit codes: 0 all checks passed, 1 verification or
 evaluation failure, 2 usage error.  `--precision` sets the square-root
-precision in bits (default 64, minimum 32).
+precision in bits (minimum 32).
+
+`certify`, `verify --dbe` and `emit --samples` take one depth `--d`, and
+`emit --length-series` a range.  A request to evaluate over 2^20 curve
+points exits 2 before any is evaluated; `certify` and `--length-series` on
+a curve with a collapsed length sum (n = 3, or one R_a) are exempt.
 """
 
 from __future__ import annotations
@@ -12,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .curves import (
@@ -23,18 +27,20 @@ from .curves import (
     sample,
 )
 from .exact import decimal_str, format_rational, parse_rational
-from .hausdorff import box_counts, certify_h1, polyline_length
+from .hausdorff import _is_collapsible, box_counts, certify_h1, polyline_length
 from .setfamily import max_family_size, near_pencil, unique_intersection
 from .singular import ConstructionError, NotEvaluableError
 from .trials import run_all
 
 SCHEMA_VERSION = 1
 
-_DEFAULT_PRECISION = 64
 _MIN_PRECISION = 32
 # each mapper term builds 2^depth leaf cells and the spec JSON doubles per
 # level; depth 8 already takes seconds, so larger depths are refused up front
 _MAX_STAIRCASE_DEPTH = 7
+# a depth-d sample holds 2^d + 1 points, and time and memory double per
+# level: certify at depth 20 took 25-45 s and 0.5-0.8 GB for n 4-6 (2 vCPUs)
+_MAX_SAMPLE_DEPTH = 20
 
 
 class UsageError(ValueError):
@@ -54,114 +60,110 @@ def parse_range(text: str) -> list[int]:
     return list(range(lo, hi + 1))
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated parameters for one CLI invocation."""
+def _check(args: argparse.Namespace) -> None:
+    """Parse `--d` and `--m` into lists in place and refuse bad parameters.
 
-    command: str
-    n: int = 3
-    a: Fraction = Fraction(1, 4)
-    M: int = 4
-    alpha: Fraction = Fraction(1, 2)
-    staircase_depth: int = 2
-    depths: tuple[int, ...] = (8,)
-    m_range: tuple[int, ...] = tuple(range(4, 11))
-    precision: int = _DEFAULT_PRECISION
-    trials: int = 500
-    seed: int = 0
-    suite: str | None = None
-    emit_kind: str | None = None
-    spec_path: str | None = None
-    out: str | None = None
+    A flag the subcommand does not have is absent from `args` and passes.
+    """
+    for flag in ("d", "m"):
+        if flag in args:
+            setattr(args, flag, parse_range(getattr(args, flag)))
+    if any(d < 0 for d in getattr(args, "d", ())):
+        raise UsageError("depths must be >= 0")
+    if any(m < 0 for m in getattr(args, "m", ())):
+        raise UsageError("box-count resolutions must be >= 0")
+    if "precision" in args and args.precision < _MIN_PRECISION:
+        raise UsageError(f"precision must be >= {_MIN_PRECISION} bits")
+    one_depth = (args.command == "certify" or getattr(args, "dbe", False)
+                 or getattr(args, "samples", False))
+    needs_curve = one_depth or args.command in ("construct", "emit")
+    if needs_curve and getattr(args, "spec_path", None) is None and args.n < 3:
+        raise UsageError("curve construction needs n >= 3")
+    if "trials" in args and args.trials < 1:
+        raise UsageError("trials must be >= 1")
+    if args.M < 1:
+        raise UsageError("M must be >= 1")
+    if not 0 <= args.staircase_depth <= _MAX_STAIRCASE_DEPTH:
+        raise UsageError(f"staircase depth must be in 0..{_MAX_STAIRCASE_DEPTH}")
+    if one_depth and len(args.d) > 1:
+        raise UsageError("--d must be one depth for certify, verify --dbe "
+                         "and emit --samples")
 
-    def __post_init__(self):
-        if any(d < 0 for d in self.depths):
-            raise UsageError("depths must be >= 0")
-        if any(m < 0 for m in self.m_range):
-            raise UsageError("box-count resolutions must be >= 0")
-        if self.precision < _MIN_PRECISION:
-            raise UsageError(f"precision must be >= {_MIN_PRECISION} bits")
-        needs_curve = self.command in ("construct", "certify", "emit")
-        if needs_curve and self.spec_path is None and self.n < 3:
-            raise UsageError("curve construction needs n >= 3")
-        if self.trials < 1:
-            raise UsageError("trials must be >= 1")
-        if self.M < 1:
-            raise UsageError("M must be >= 1")
-        if not 0 <= self.staircase_depth <= _MAX_STAIRCASE_DEPTH:
-            raise UsageError(f"staircase depth must be in 0..{_MAX_STAIRCASE_DEPTH}")
+
+def _check_sample_depth(depth: int, curve=None) -> None:
+    """Refuse 2^depth curve points past the budget, unless `curve` collapses."""
+    if depth > _MAX_SAMPLE_DEPTH and not (curve is not None and _is_collapsible(curve)):
+        raise UsageError(f"sample depth {depth} is over the budget of "
+                         f"{_MAX_SAMPLE_DEPTH} (2^depth curve points)")
 
 
 def _write(text: str, out: str | None) -> None:
+    text = text if text.endswith("\n") else text + "\n"
     if out is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            fh.write(text)
 
 
 def _json_text(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2)
 
 
-def _load_curve(cfg: RunConfig):
-    if cfg.spec_path is not None:
-        with open(cfg.spec_path, "r", encoding="utf-8") as fh:
+def _load_curve(args: argparse.Namespace):
+    path = getattr(args, "spec_path", None)
+    if path is not None:
+        with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
         try:
             # json raises RecursionError on input nested about 1000 deep
             return curve_from_json(json.loads(text))
-        except (RecursionError, KeyError, TypeError, AttributeError,
+        except (RecursionError, LookupError, TypeError, AttributeError,
                 ValueError) as exc:
-            raise ValueError(f"malformed curve spec {cfg.spec_path}: "
+            raise ValueError(f"malformed curve spec {path}: "
                              f"{type(exc).__name__}: {exc}") from exc
-    return build_extremal_curve(cfg.n, cfg.a, cfg.M, cfg.alpha, cfg.staircase_depth)
+    return build_extremal_curve(args.n, args.a, args.M, args.alpha, args.staircase_depth)
 
 
-def cmd_construct(cfg: RunConfig) -> int:
-    curve = _load_curve(cfg)
-    _write(_json_text(curve_to_json(curve)), cfg.out)
+def cmd_construct(args: argparse.Namespace) -> int:
+    _write(_json_text(curve_to_json(_load_curve(args))), args.out)
     return 0
 
 
-def cmd_certify(cfg: RunConfig) -> int:
-    curve = _load_curve(cfg)
-    depth = cfg.depths[-1]
+def cmd_certify(args: argparse.Namespace) -> int:
+    curve = _load_curve(args)
+    depth = args.d[0]
+    _check_sample_depth(depth, curve)
     try:
-        cert = certify_h1(curve, depth, cfg.precision)
+        cert = certify_h1(curve, depth, args.precision)
     except ValueError as exc:
         _write(_json_text({"schema_version": SCHEMA_VERSION, "ok": False,
-                           "error": str(exc)}), cfg.out)
+                           "error": str(exc)}), args.out)
         return 1
-    _write(_json_text(cert.to_json()), cfg.out)
+    _write(_json_text(cert.to_json()), args.out)
     return 0
 
 
-def _verify_dbe(cfg: RunConfig) -> tuple[dict, bool]:
-    curve = _load_curve(cfg)
-    depth = cfg.depths[-1]
+def _verify_dbe(args: argparse.Namespace) -> tuple[dict, bool]:
+    curve = _load_curve(args)
+    depth = args.d[0]
+    _check_sample_depth(depth)
     report = check_dbe_property(sample(curve, depth))
-    body = {
-        "suite": "dbe",
-        "n": curve.n,
-        "depth": depth,
-        "pair_count": report.pair_count,
-        "violations": [list(v) for v in report.violations],
-        "ok": report.ok,
-    }
+    body = {"suite": "dbe", "n": curve.n, "depth": depth,
+            "pair_count": report.pair_count,
+            "violations": [list(v) for v in report.violations], "ok": report.ok}
     return body, report.ok
 
-def _verify_family(cfg: RunConfig) -> tuple[dict, bool]:
-    if not 2 <= cfg.n <= 5:
+
+def _verify_family(args: argparse.Namespace) -> tuple[dict, bool]:
+    if not 2 <= args.n <= 5:
         raise UsageError("family search supports n in 2..5")
-    size = max_family_size(cfg.n)
-    ok = size == cfg.n
-    body = {"suite": "family", "n": cfg.n, "max_family_size": size,
-            "expected": cfg.n, "ok": ok}
-    if cfg.n >= 3:
-        pencil = near_pencil(cfg.n)
+    size = max_family_size(args.n)
+    ok = size == args.n
+    body = {"suite": "family", "n": args.n, "max_family_size": size,
+            "expected": args.n, "ok": ok}
+    if args.n >= 3:
+        pencil = near_pencil(args.n)
         pencil_ok = unique_intersection(pencil) and len(pencil) == size
         body["near_pencil_attains"] = pencil_ok
         ok = ok and pencil_ok
@@ -169,49 +171,46 @@ def _verify_family(cfg: RunConfig) -> tuple[dict, bool]:
     return body, ok
 
 
-def _verify_lemmas(cfg: RunConfig) -> tuple[dict, bool]:
-    counts = run_all(cfg.trials, cfg.seed)
+def _verify_lemmas(args: argparse.Namespace) -> tuple[dict, bool]:
+    counts = run_all(args.trials, args.seed)
     ok = not any(counts.values())
-    body = {"suite": "lemmas", "trials": cfg.trials, "seed": cfg.seed,
+    body = {"suite": "lemmas", "trials": args.trials, "seed": args.seed,
             "violations": counts, "ok": ok}
     return body, ok
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    runner = {"dbe": _verify_dbe, "family": _verify_family,
-              "lemmas": _verify_lemmas}[cfg.suite]
-    body, ok = runner(cfg)
+def cmd_verify(args: argparse.Namespace) -> int:
+    suite = _verify_dbe if args.dbe else _verify_family if args.family else _verify_lemmas
+    body, ok = suite(args)
     body["schema_version"] = SCHEMA_VERSION
-    _write(_json_text(body), cfg.out)
+    _write(_json_text(body), args.out)
     return 0 if ok else 1
 
 
 def _csv(header: list[str], rows: list[list[str]]) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    return "\n".join(lines) + "\n"
+    return "\n".join([",".join(header), *map(",".join, rows)]) + "\n"
 
 
-def cmd_emit(cfg: RunConfig) -> int:
-    curve = _load_curve(cfg)
-    if cfg.emit_kind == "samples":
-        depth = cfg.depths[-1]
-        pts = sample(curve, depth)
+def cmd_emit(args: argparse.Namespace) -> int:
+    curve = _load_curve(args)
+    if args.samples:
+        _check_sample_depth(args.d[0])
+        pts = sample(curve, args.d[0])
         header = [f"x{i}" for i in range(1, curve.n + 1)]
         rows = [[format_rational(c) for c in p] for p in pts]
-    elif cfg.emit_kind == "length-series":
+    elif args.length_series:
+        _check_sample_depth(max(args.d), curve)
         header = ["depth", "value", "error_radius"]
         rows = []
-        for d in cfg.depths:
-            value, radius = polyline_length(curve, d, cfg.precision)
+        for d in args.d:
+            value, radius = polyline_length(curve, d, args.precision)
             rows.append([str(d), decimal_str(value), decimal_str(radius)])
-    elif cfg.emit_kind == "boxcount":
+    else:
+        _check_sample_depth(max(args.m) + 2)
         header = ["m", "count"]
         rows = [[str(m), str(bc.count)]
-                for m, bc in zip(cfg.m_range, box_counts(curve, cfg.m_range))]
-    else:
-        raise UsageError("emit needs one of --samples, --length-series, --boxcount")
-    _write(_csv(header, rows), cfg.out)
+                for m, bc in zip(args.m, box_counts(curve, args.m))]
+    _write(_csv(header, rows), args.out)
     return 0
 
 
@@ -227,6 +226,15 @@ def _add_curve_args(sp: argparse.ArgumentParser) -> None:
                     dest="staircase_depth", help="staircase tree depth per mapper term")
 
 
+def _add_suites(sp: argparse.ArgumentParser, *suites: tuple[str, str]) -> None:
+    """One required suite flag of `suites`, then the curve flags and --spec."""
+    group = sp.add_mutually_exclusive_group(required=True)
+    for flag, help_text in suites:
+        group.add_argument(flag, action="store_true", help=help_text)
+    _add_curve_args(sp)
+    sp.add_argument("--spec", dest="spec_path", help="curve spec JSON to load")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dbecurves",
@@ -234,96 +242,52 @@ def build_parser() -> argparse.ArgumentParser:
                     "points pairwise agree in exactly one coordinate.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    out = {"help": "output path (default stdout)"}
+    precision = {"type": int, "default": 64, "help": "sqrt bits (>= 32)"}
+    sample_depth = "8"
 
     sp = sub.add_parser("construct", help="build a curve and print its JSON spec")
+    sp.set_defaults(run=cmd_construct)
     _add_curve_args(sp)
-    sp.add_argument("--out", help="output path (default stdout)")
+    sp.add_argument("--out", **out)
 
     sp = sub.add_parser("certify", help="two-sided H1 certificate as JSON")
+    sp.set_defaults(run=cmd_certify)
     _add_curve_args(sp)
     sp.add_argument("--spec", dest="spec_path", help="curve spec JSON to load")
     sp.add_argument("--d", default="10", help="polyline depth")
-    sp.add_argument("--precision", type=int, default=_DEFAULT_PRECISION,
-                    help="sqrt bits (>= 32)")
-    sp.add_argument("--out", help="output path (default stdout)")
+    sp.add_argument("--precision", **precision)
+    sp.add_argument("--out", **out)
 
     sp = sub.add_parser("verify", help="run a verification suite, JSON report")
-    group = sp.add_mutually_exclusive_group(required=True)
-    group.add_argument("--dbe", action="store_true",
-                       help="pairwise shared-coordinate check on curve samples")
-    group.add_argument("--family", action="store_true",
-                       help="exhaustive unique-intersection family search")
-    group.add_argument("--lemmas", action="store_true",
-                       help="randomized exact inequality suites")
-    _add_curve_args(sp)
-    sp.add_argument("--spec", dest="spec_path", help="curve spec JSON to load")
-    sp.add_argument("--d", default="8", help="sample depth for --dbe")
+    sp.set_defaults(run=cmd_verify)
+    _add_suites(sp, ("--dbe", "pairwise shared-coordinate check on curve samples"),
+                ("--family", "exhaustive unique-intersection family search"),
+                ("--lemmas", "randomized exact inequality suites"))
+    sp.add_argument("--d", default=sample_depth, help="sample depth for --dbe")
     sp.add_argument("--trials", type=int, default=500, help="trials for --lemmas")
     sp.add_argument("--seed", type=int, default=0, help="seed for --lemmas")
-    sp.add_argument("--out", help="output path (default stdout)")
+    sp.add_argument("--out", **out)
 
     sp = sub.add_parser("emit", help="CSV data for external plotting")
-    group = sp.add_mutually_exclusive_group(required=True)
-    group.add_argument("--samples", action="store_true",
-                       help="exact curve points, one row per sample")
-    group.add_argument("--length-series", action="store_true", dest="length_series",
-                       help="polyline length by depth")
-    group.add_argument("--boxcount", action="store_true",
-                       help="grid box counts by resolution")
-    _add_curve_args(sp)
-    sp.add_argument("--spec", dest="spec_path", help="curve spec JSON to load")
-    sp.add_argument("--d", default="8", help="depth or depth range, e.g. 8 or 1..14")
+    sp.set_defaults(run=cmd_emit)
+    _add_suites(sp, ("--samples", "exact curve points, one row per sample"),
+                ("--length-series", "polyline length by depth"),
+                ("--boxcount", "grid box counts by resolution"))
+    sp.add_argument("--d", default=sample_depth,
+                    help="depth or depth range, e.g. 8 or 1..14")
     sp.add_argument("--m", default="4..10", help="box-count resolution range")
-    sp.add_argument("--precision", type=int, default=_DEFAULT_PRECISION,
-                    help="sqrt bits (>= 32)")
-    sp.add_argument("--out", help="output path (default stdout)")
+    sp.add_argument("--precision", **precision)
+    sp.add_argument("--out", **out)
 
     return parser
 
 
-def _config_from(args: argparse.Namespace) -> RunConfig:
-    emit_kind = None
-    if args.command == "emit":
-        if args.samples:
-            emit_kind = "samples"
-        elif args.length_series:
-            emit_kind = "length-series"
-        else:
-            emit_kind = "boxcount"
-    suite = None
-    if args.command == "verify":
-        suite = "dbe" if args.dbe else ("family" if args.family else "lemmas")
-    return RunConfig(
-        command=args.command,
-        n=args.n,
-        a=args.a,
-        M=args.M,
-        alpha=args.alpha,
-        staircase_depth=args.staircase_depth,
-        depths=tuple(parse_range(getattr(args, "d", "8"))),
-        m_range=tuple(parse_range(getattr(args, "m", "4..10"))),
-        precision=getattr(args, "precision", _DEFAULT_PRECISION),
-        trials=getattr(args, "trials", 500),
-        seed=getattr(args, "seed", 0),
-        suite=suite,
-        emit_kind=emit_kind,
-        spec_path=getattr(args, "spec_path", None),
-        out=args.out,
-    )
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    dispatch = {
-        "construct": cmd_construct,
-        "certify": cmd_certify,
-        "verify": cmd_verify,
-        "emit": cmd_emit,
-    }
+    args = build_parser().parse_args(argv)
     try:
-        cfg = _config_from(args)
-        return dispatch[cfg.command](cfg)
+        _check(args)
+        return args.run(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

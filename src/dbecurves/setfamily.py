@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-SCHEMA_VERSION = 1
-
 _MAX_GROUND = 24
 
 
@@ -43,18 +41,6 @@ class SetFamily:
 
     def element_lists(self) -> list[list[int]]:
         return [elements(m) for m in self.members]
-
-    def to_json(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "n": self.n,
-            "members": self.element_lists(),
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "SetFamily":
-        members = [mask_of(els) for els in data["members"]]
-        return cls(data["n"], members)
 
 
 def elements(mask: int) -> list[int]:

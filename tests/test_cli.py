@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 
+from dbecurves import cli, hausdorff
 from dbecurves.cli import _MAX_STAIRCASE_DEPTH, main, parse_range
-from dbecurves.curves import build_extremal_curve
+from dbecurves.curves import build_extremal_curve, curve_to_json
 from dbecurves.hausdorff import box_count
 
 F = Fraction
@@ -284,6 +285,17 @@ _DEEP_COMPOSITION = (
     + _AFFINE + "}" * 600 + "]}")
 
 
+def _n4_spec(edit):
+    """The n = 4 spec (M = 1, staircase depth 1) after `edit` changed it."""
+    spec = curve_to_json(build_extremal_curve(4, M=1, staircase_depth=1))
+    edit(spec)
+    return spec
+
+
+def _tree(spec):
+    return spec["components"][1]["outer"]["terms"][0]["tree"]
+
+
 @pytest.mark.parametrize("blob", [
     {"schema_version": 1, "type": "curve", "n": 3, "alpha": "1/2"},
     {"schema_version": 1, "type": "curve", "n": 3, "alpha": "1/2",
@@ -296,8 +308,12 @@ _DEEP_COMPOSITION = (
                      "domain": [{"lo": "0/1", "hi": "1/1"}]}]},
     _DEEP_COMPOSITION,
     "[" * 2000 + "]" * 2000,
+    _n4_spec(lambda s: s["mappers"].append(s["mappers"][0])),
+    _n4_spec(lambda s: _tree(s).update(root=["0/1"])),
+    _n4_spec(lambda s: _tree(s).update(levels=[])),
 ], ids=["no-components", "affine-without-offset", "top-level-list", "outside-cube",
-        "restriction-kind", "600-nested-compositions", "json-nested-2000-deep"])
+        "restriction-kind", "600-nested-compositions", "json-nested-2000-deep",
+        "more-mappers-than-compositions", "one-entry-tree-root", "empty-tree-levels"])
 def test_malformed_spec_fails_cleanly(capsys, tmp_path, blob):
     spec = tmp_path / "spec.json"
     spec.write_text(blob if isinstance(blob, str) else json.dumps(blob))
@@ -306,3 +322,70 @@ def test_malformed_spec_fails_cleanly(capsys, tmp_path, blob):
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert str(spec) in err
+
+
+def test_verify_dbe_needs_n3_like_the_other_curve_commands(capsys):
+    code, out, err = run_cli(capsys, "verify", "--dbe", "--n", "2")
+    assert code == 2 and out == ""
+    assert err == "error: curve construction needs n >= 3\n"
+
+
+@pytest.mark.parametrize("argv", [("certify",), ("verify", "--dbe"), ("emit", "--samples")],
+                         ids=["certify", "verify-dbe", "samples"])
+def test_single_depth_commands_refuse_a_range(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--d", "4..6")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "one depth" in err
+
+
+def _refuse_sampling(monkeypatch):
+    def sample(*_):
+        raise AssertionError("a refused request sampled the curve")
+    for module in (cli, hausdorff):
+        monkeypatch.setattr(module, "sample", sample)
+
+
+# depth 21 is one past the sample budget; box counts sample at max m + 2
+@pytest.mark.parametrize("argv", [
+    ("certify", "--n", "4", "--d", "21"),
+    ("verify", "--dbe", "--d", "21"),
+    ("emit", "--samples", "--d", "21"),
+    ("emit", "--length-series", "--n", "4", "--d", "1..21"),
+    ("emit", "--boxcount", "--m", "4..19"),
+], ids=["certify", "verify-dbe", "samples", "length-series", "boxcount"])
+def test_requests_over_the_sample_budget_are_refused_unsampled(capsys, monkeypatch, argv):
+    _refuse_sampling(monkeypatch)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "budget" in err
+
+
+def test_collapsed_length_sums_are_exempt_from_the_sample_budget(capsys, monkeypatch,
+                                                                 tmp_path):
+    _refuse_sampling(monkeypatch)
+    single, double = tmp_path / "single.json", tmp_path / "double.json"
+    spec = {"schema_version": 1, "type": "curve", "n": 3, "alpha": "1/2",
+            "components": [{"kind": "riesz_nagy", "a": "1/3"}]}
+    single.write_text(json.dumps(spec))
+    spec.update(n=4, components=spec["components"] * 2)
+    double.write_text(json.dumps(spec))
+    for exempt, refused in [
+        (("certify", "--n", "3", "--d", "40"), ("certify", "--n", "4", "--d", "40")),
+        (("emit", "--length-series", "--d", "38..40"),
+         ("emit", "--length-series", "--n", "5", "--d", "38..40")),
+        (("certify", "--spec", str(single), "--d", "40"),
+         ("certify", "--spec", str(double), "--d", "40")),
+    ]:
+        code, out, _ = run_cli(capsys, *exempt)
+        assert code == 0 and out
+        assert run_cli(capsys, *refused)[0] == 2
+    blob = json.loads(run_cli(capsys, "certify", "--n", "3", "--d", "40")[1])
+    assert blob["depth"] == 40 and blob["upper"] == "2/1"
+
+
+def test_sample_budget_admits_its_own_depth(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_MAX_SAMPLE_DEPTH", 4)
+    assert run_cli(capsys, "verify", "--dbe", "--n", "4", "--d", "4")[0] == 0
+    assert run_cli(capsys, "verify", "--dbe", "--n", "4", "--d", "5")[0] == 2
+    assert run_cli(capsys, "emit", "--boxcount", "--m", "1..2")[0] == 0
+    assert run_cli(capsys, "emit", "--boxcount", "--m", "1..3")[0] == 2

@@ -113,12 +113,3 @@ def test_vector_encoding_matches_bitmask_encoding():
         fam = SetFamily(n, masks)
         vectors = [member_vector(m, n) for m in masks]
         assert unique_intersection(fam) == unique_intersection_vectors(vectors)
-
-
-def test_family_json_roundtrip():
-    fam = near_pencil(5)
-    blob = fam.to_json()
-    assert blob["members"][0] == [2, 3, 4, 5]
-    back = SetFamily.from_json(blob)
-    assert back.members == fam.members
-    assert back.n == 5
