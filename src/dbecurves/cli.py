@@ -9,7 +9,9 @@ precision in bits (minimum 32).
 `certify`, `verify --dbe` and `emit --samples` take one depth `--d`, and
 `emit --length-series` a range.  A request to evaluate over 2^20 curve
 points exits 2 before any is evaluated; `certify` and `--length-series` on
-a curve with a collapsed length sum (n = 3, or one R_a) are exempt.
+a curve with a collapsed length sum (n = 3, or one R_a) are exempt.  A
+length whose precision + depth passes 4096 bits could not be printed, so
+`certify` and `--length-series` exit 2 on such a request before any work.
 """
 
 from __future__ import annotations
@@ -39,8 +41,11 @@ _MIN_PRECISION = 32
 # level; depth 8 already takes seconds, so larger depths are refused up front
 _MAX_STAIRCASE_DEPTH = 7
 # a depth-d sample holds 2^d + 1 points, and time and memory double per
-# level: certify at depth 20 took 25-45 s and 0.5-0.8 GB for n 4-6 (2 vCPUs)
+# level: certify --n 4 at depth 20 takes 3.8 s and 0.26 GB (2 vCPUs, x86_64)
 _MAX_SAMPLE_DEPTH = 20
+# a length at precision + depth = b bits prints about b + 1 decimal digits,
+# and CPython refuses to print an integer of over 4300 digits
+_MAX_LENGTH_BITS = 4096
 
 
 class UsageError(ValueError):
@@ -88,6 +93,11 @@ def _check(args: argparse.Namespace) -> None:
     if one_depth and len(args.d) > 1:
         raise UsageError("--d must be one depth for certify, verify --dbe "
                          "and emit --samples")
+    if args.command == "certify" or getattr(args, "length_series", False):
+        bits = args.precision + max(args.d)
+        if bits > _MAX_LENGTH_BITS:
+            raise UsageError(f"precision + depth is {bits}, over the limit of "
+                             f"{_MAX_LENGTH_BITS} bits for printed lengths")
 
 
 def _check_sample_depth(depth: int, curve=None) -> None:

@@ -25,8 +25,8 @@ from .singular import (
     RieszNagy,
     RieszNagyImageGrid,
     build_full_measure_mapper,
+    _riesz_nagy_nums,
     fn_from_json,
-    riesz_nagy_level,
 )
 
 SCHEMA_VERSION = 1
@@ -117,49 +117,57 @@ def build_extremal_curve(n: int, a=Fraction(1, 4), M: int = 4,
                          q1, a, M, staircase_depth)
 
 
-def _column(f: MonotoneFn, depth: int, xs, memo: dict) -> list[Fraction]:
-    """[f(x) for x in xs] on the grid xs = k * 2^-depth, memoized by f.
+def _column(f: MonotoneFn, depth: int, memo: dict) -> tuple[int, list[int]]:
+    """f on the grid k * 2^-depth as (den, nums), memoized by f.
 
-    R_a columns fill level by level, so every R_a that compares equal (h, and
-    the h inside each Composition(mapper, h)) is computed once.  Every other
-    column comes from `MonotoneFn.column`, which staircase sums fill by runs:
-    a composition with an increasing inner function hands its inner column,
-    which is then non-decreasing, to `outer.column`, and any other
-    composition maps its outer function point by point.
+    R_a columns come from the integer level recursion, so every R_a that
+    compares equal (h, and the h inside each Composition(mapper, h)) is
+    computed once.  Every other column comes from `MonotoneFn.column`: a
+    composition hands its inner column to `outer.column`, reversed first and
+    back after when the inner function is decreasing.
     """
     col = memo.get(f)
     if col is None:
         if isinstance(f, RieszNagy):
-            col = riesz_nagy_level(f.a, depth)
+            col = _riesz_nagy_nums(f.a, depth)
         elif isinstance(f, Composition):
-            inner = _column(f.inner, depth, xs, memo)
+            den, nums = _column(f.inner, depth, memo)
             if f.inner.increasing:
-                col = f.outer.column(inner)
+                col = f.outer.column(den, nums)
             else:
-                col = [f.outer(y) for y in inner]
+                den, nums = f.outer.column(den, nums[::-1])
+                col = den, nums[::-1]
         else:
-            col = f.column(xs)
+            col = f.column(1 << depth, range((1 << depth) + 1))
         memo[f] = col
     return col
+
+
+def _columns(curve, depth: int) -> list[tuple[int, list[int]]]:
+    """The (den, nums) column of each component on the grid k * 2^-depth.
+
+    A component that cannot be evaluated raises the error that point-by-point
+    evaluation of the curve meets first.
+    """
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    memo: dict = {}
+    try:
+        return [_column(f, depth, memo) for f in curve.components]
+    except ValueError:
+        for k in range((1 << depth) + 1):
+            curve.point(Fraction(k, 1 << depth))
+        raise
 
 
 def sample(curve, depth: int) -> list[tuple[Fraction, ...]]:
     """The 2^depth + 1 exact curve points at x = k * 2^-depth, sorted by x.
 
-    Equal to [curve.point(k * 2^-depth) for k in ...], evaluated one component
-    column at a time.
+    Equal to [curve.point(k * 2^-depth) for k in ...], evaluated one integer
+    component column at a time; Fractions are formed once, at the end.
     """
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
+    columns = [[Fraction(v, den) for v in nums] for den, nums in _columns(curve, depth)]
     xs = [Fraction(k, 1 << depth) for k in range((1 << depth) + 1)]
-    memo: dict = {}
-    try:
-        columns = [_column(f, depth, xs, memo) for f in curve.components]
-    except ValueError:
-        # raise the error that point-by-point evaluation meets first
-        for x in xs:
-            curve.point(x)
-        raise
     alphas = [curve.alpha] * len(xs)
     return list(zip(xs, *columns, alphas))
 

@@ -17,7 +17,7 @@ import statistics
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .curves import sample
+from .curves import _columns, sample
 from .exact import Interval, IntervalUnion, ONE, ZERO, decimal_str, format_rational
 from .singular import (
     Affine,
@@ -25,6 +25,7 @@ from .singular import (
     NotEvaluableError,
     PiecewiseLinear,
     RieszNagy,
+    _over_lcm,
     image_measure,
 )
 
@@ -101,24 +102,6 @@ def _collapsed_riesz_length(a: Fraction, depth: int, bits: int):
                       for k, pk in enumerate(pks)), bits)
 
 
-def _chord_squares(pts):
-    """(1, S, L^2) per chord of a point list: its squared length is S / L^2.
-
-    L is the lcm of the coordinate denominators of the chord's two ends, so
-    every coordinate difference times L is an integer and S is their sum of
-    squares.  L is taken per chord, so it stays small even when different
-    columns have coprime denominators.
-    """
-    for p, q in zip(pts, pts[1:]):
-        L = math.lcm(*(c.denominator for c in p), *(c.denominator for c in q))
-        S = 0
-        for c1, c2 in zip(p, q):
-            d = (c2.numerator * (L // c2.denominator)
-                 - c1.numerator * (L // c1.denominator))
-            S += d * d
-        yield 1, S, L * L
-
-
 def _is_collapsible(curve) -> bool:
     return len(curve.components) == 1 and isinstance(curve.components[0], RieszNagy)
 
@@ -141,8 +124,26 @@ def polyline_length(curve, depth: int, precision: int = 64):
     if _is_collapsible(curve):
         lo, hi = _collapsed_riesz_length(curve.components[0].a, depth, bits)
     else:
-        lo, hi = _sqrt_sum(_chord_squares(sample(curve, depth)), bits)
+        lo, hi = _chord_sum(curve, depth, bits)
     return (lo + hi) / 2, (hi - lo) / 2
+
+
+def _chord_sum(curve, depth: int, bits: int) -> tuple[Fraction, Fraction]:
+    """`_sqrt_sum` over the 2^depth chords of the depth-d sample.
+
+    Every component column is scaled to L, the lcm of 2^depth and the column
+    denominators, so the squared length of chord k is S_k / L^2 with S_k the
+    sum of its squared integer coordinate differences.  The x column steps
+    by L / 2^depth on every chord, and the constant alpha adds nothing.
+    """
+    columns = _columns(curve, depth)
+    L = math.lcm(1 << depth, *(den for den, _ in columns))
+    sums = [(L >> depth) ** 2] * (1 << depth)
+    for den, nums in columns:
+        m = L // den
+        sums = [s + (m * (v - u)) ** 2 for s, u, v in zip(sums, nums, nums[1:])]
+    L2 = L * L
+    return _sqrt_sum(((1, s, L2) for s in sums), bits)
 
 
 def lower_method(curve) -> str:
@@ -275,10 +276,19 @@ def check_lipschitz_image(f: MonotoneFn, c, F: IntervalUnion,
         xs.add(comp.lo)
         xs.add(comp.hi)
     pts = sorted(xs)
-    vals = [f(x) for x in pts]
-    for x, y, fx, fy in zip(pts, pts[1:], vals, vals[1:]):
-        if abs(fy - fx) > c * (y - x):
-            raise LipschitzWitnessError(x, y, fx, fy, c)
+    den, nums = _over_lcm(pts)
+    try:
+        vden, vals = f.column(den, nums)
+    except ValueError:
+        for x in pts:  # raise the error that point-by-point evaluation meets first
+            f(x)
+        raise
+    # |f(y) - f(x)| > c * (y - x), times the positive den * vden * c.denominator
+    lhs, rhs = den * c.denominator, c.numerator * vden
+    for k, (u, v, fu, fv) in enumerate(zip(nums, nums[1:], vals, vals[1:])):
+        if abs(fv - fu) * lhs > (v - u) * rhs:
+            raise LipschitzWitnessError(pts[k], pts[k + 1], Fraction(fu, vden),
+                                        Fraction(fv, vden), c)
     return image_measure(f, F) <= c * F.measure()
 
 

@@ -17,6 +17,7 @@ Everything evaluates in exact rational arithmetic or raises; no floats.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,6 +48,27 @@ _HALF = Fraction(1, 2)
 # Guard against pathological ternary periods.  Unreachable for the rationals
 # this library produces: a digit 1 or the cycle shows up long before.
 _CANTOR_STEP_CAP = 2_000_000
+
+
+def _num_over(v: Fraction, den: int) -> int:
+    """The numerator of v over den, a multiple of v's denominator."""
+    return v.numerator * (den // v.denominator)
+
+
+def _over_lcm(vals) -> tuple[int, list[int]]:
+    """(den, nums) with vals[k] = nums[k] / den, den the lcm of their denominators."""
+    den = math.lcm(*{v.denominator for v in vals})
+    return den, [_num_over(v, den) for v in vals]
+
+
+def _floor_times(b: Fraction, den: int) -> int:
+    """floor(b * den): v / den <= b exactly when the integer v is at most this."""
+    return b.numerator * den // b.denominator
+
+
+def _ceil_times(b: Fraction, den: int) -> int:
+    """ceil(b * den): v / den >= b exactly when the integer v is at least this."""
+    return -(-b.numerator * den // b.denominator)
 
 
 def _is_dyadic(x: Fraction) -> bool:
@@ -140,6 +162,12 @@ def riesz_nagy_level(a, depth: int) -> list[Fraction]:
         raise ValueError("need 0 < a < 1")
     if depth < 0:
         raise ValueError("depth must be >= 0")
+    den, nums = _riesz_nagy_nums(a, depth)
+    return [Fraction(v, den) for v in nums]
+
+
+def _riesz_nagy_nums(a: Fraction, depth: int) -> tuple[int, list[int]]:
+    """(q^depth, numerators) of `riesz_nagy_level(a, depth)` for a = p/q."""
     p, q = a.numerator, a.denominator
     nums = [0, 1]
     for _ in range(depth):
@@ -147,8 +175,7 @@ def riesz_nagy_level(a, depth: int) -> list[Fraction]:
         nxt[::2] = [q * v for v in nums]
         nxt[1::2] = [q * l + p * (r - l) for l, r in zip(nums, nums[1:])]
         nums = nxt
-    den = q**depth
-    return [Fraction(v, den) for v in nums]
+    return q**depth, nums
 
 
 def riesz_nagy_inverse(a, y, max_steps: int = 4096) -> Fraction:
@@ -194,9 +221,13 @@ class MonotoneFn:
     def __call__(self, x) -> Fraction:
         raise NotImplementedError
 
-    def column(self, ys) -> list[Fraction]:
-        """[self(y) for y in ys] for a non-decreasing list ys."""
-        return [self(y) for y in ys]
+    def column(self, den: int, nums) -> tuple[int, list[int]]:
+        """self at nums[k] / den for a non-decreasing integer list nums.
+
+        The values come back in the same form: integer numerators over one
+        denominator, here the lcm of the values' denominators.
+        """
+        return _over_lcm([self(Fraction(v, den)) for v in nums])
 
     def to_json(self) -> dict:
         raise NotImplementedError
@@ -315,6 +346,32 @@ class PiecewiseLinear(MonotoneFn):
         (x1, y1), (x2, y2) = self.knots[i], self.knots[i + 1]
         return y1 + (y2 - y1) * (x - x1) / (x2 - x1)
 
+    def column(self, den: int, nums) -> tuple[int, list[int]]:
+        """Piece by piece: knot piece i takes the points from its left knot
+        up to the next knot (the last piece also its right knot), where
+        f(v / den) = (s * v + b) / L for integers s, b and one L.
+        """
+        xs = self._xs
+        below = bisect_left(nums, _ceil_times(xs[0], den))
+        inside = bisect_right(nums, _floor_times(xs[-1], den))
+        if below or inside < len(nums):
+            # the first point outside the domain raises as __call__ does
+            self(Fraction(nums[0] if below else nums[inside], den))
+        cuts = [0, *(bisect_left(nums, _ceil_times(x, den)) for x in xs[1:-1]),
+                len(nums)]
+        runs = []
+        for start, stop, (x1, y1), (x2, y2) in zip(cuts, cuts[1:], self.knots,
+                                                   self.knots[1:]):
+            if start < stop:
+                slope = (y2 - y1) / (x2 - x1)
+                runs.append((start, stop, slope / den, y1 - slope * x1))
+        L = math.lcm(*(c.denominator for *_, s, b in runs for c in (s, b)))
+        out = []
+        for start, stop, s, b in runs:
+            s, b = _num_over(s, L), _num_over(b, L)
+            out += [s * v + b for v in nums[start:stop]]
+        return L, out
+
     def to_json(self) -> dict:
         return {
             "kind": self.kind,
@@ -344,46 +401,53 @@ class WeightedSum(MonotoneFn):
         x = Fraction(x)
         return sum((w * t(x) for t, w in zip(self.terms, self.weights)), ZERO)
 
-    def column(self, ys) -> list[Fraction]:
-        """[self(y) for y in ys] for a non-decreasing list ys, by runs.
+    def column(self, den: int, nums) -> tuple[int, list[int]]:
+        """The column by runs, as integer numerators over one denominator L.
 
         Affine terms fold into one slope and offset.  A staircase term is
-        constant on each run of ys between its leaf bounds, so its weighted
-        value enters a running constant once per run; a point strictly
-        inside a leaf of any staircase is evaluated as `__call__` does.
-        Other terms add their own columns point by point.
+        constant on each run of the column between its leaf bounds, so it
+        changes a running constant once per run, and the points between two
+        changes are filled with one integer multiply-add each.  A point
+        strictly inside a leaf of any staircase is evaluated as `__call__`
+        does.  Other terms add their own columns.
         """
         slope = offset = ZERO
         changes: dict[int, Fraction] = {}  # index -> change of the run constant
         inside: set[int] = set()
-        others = []
+        others = []  # (weight / column denominator, column numerators)
         for t, w in zip(self.terms, self.weights):
             if isinstance(t, Affine):
                 slope += w * t.slope
                 offset += w * t.offset
             elif isinstance(t, IntervalStaircase):
-                prev = ZERO
-                for start, stop, v in t._runs(ys):
-                    if v is None:
+                prev = 0
+                for start, stop, i in t._runs(den, nums):
+                    if i is None:
                         inside.update(range(start, stop))
-                    elif start < stop and v != prev:
-                        changes[start] = changes.get(start, ZERO) + w * (v - prev)
-                        prev = v
+                    elif start < stop and i != prev:
+                        step = w * (i - prev) / t._scale
+                        changes[start] = changes.get(start, ZERO) + step
+                        prev = i
             else:
-                others.append((w, t.column(ys)))
+                d, col = t.column(den, nums)
+                others.append((w / d, col))
+        slope /= den
+        at = {k: self(Fraction(nums[k], den)) for k in inside}
+        L = math.lcm(*(v.denominator for v in (slope, offset, *changes.values(),
+                                               *at.values(), *(m for m, _ in others))))
+        s, const = _num_over(slope, L), _num_over(offset, L)
+        cuts = sorted({0, *changes, len(nums)})
         out = []
-        const = offset
-        for k, y in enumerate(ys):
-            if k in changes:
-                const += changes[k]
-            if k in inside:
-                out.append(self(y))
-                continue
-            v = slope * y + const
-            for w, col in others:
-                v += w * col[k]
-            out.append(v)
-        return out
+        for start, stop in zip(cuts, cuts[1:]):
+            if start in changes:
+                const += _num_over(changes[start], L)
+            out += [s * v + const for v in nums[start:stop]]
+        for m, col in others:
+            m = _num_over(m, L)
+            out = [o + m * v for o, v in zip(out, col)]
+        for k, v in at.items():
+            out[k] = _num_over(v, L)
+        return L, out
 
     def to_json(self) -> dict:
         return {
@@ -708,23 +772,25 @@ class IntervalStaircase(MonotoneFn):
         lo, hi = self._bounds[j - 1], self._bounds[j]
         return (i + eval_cantor((x - lo) / (hi - lo))) / self._scale
 
-    def _runs(self, ys):
-        """Yield (start, stop, value) covering a non-decreasing list ys.
+    def _runs(self, den: int, nums):
+        """Yield (start, stop, i) covering a non-decreasing column nums / den.
 
-        The staircase equals `value` on ys[start:stop]; value None marks the
-        points strictly inside a leaf.  Leaf i's bounds lo < hi split ys into
-        the run [hi of leaf i - 1, lo] at i/2^depth and the open run (lo, hi);
-        left of the root is 0 = the first step and right of it 1 = the last.
+        The staircase equals i/2^depth at nums[start:stop] / den; i None marks
+        the points strictly inside a leaf.  Leaf i's bounds lo < hi split the
+        column into the run [hi of leaf i - 1, lo] at step i and the open run
+        (lo, hi); left of the root is step 0 and right of it the last step.
+        The bounds are compared as the integer thresholds floor(lo * den) and
+        ceil(hi * den).
         """
-        bounds, steps = self._bounds, self._steps
+        bounds = self._bounds
         start = 0
         for i in range(self._scale):
-            lo_end = bisect_right(ys, bounds[2 * i], start)
-            hi_start = bisect_left(ys, bounds[2 * i + 1], lo_end)
-            yield start, lo_end, steps[i]
+            lo_end = bisect_right(nums, _floor_times(bounds[2 * i], den), start)
+            hi_start = bisect_left(nums, _ceil_times(bounds[2 * i + 1], den), lo_end)
+            yield start, lo_end, i
             yield lo_end, hi_start, None
             start = hi_start
-        yield start, len(ys), steps[-1]
+        yield start, len(nums), self._scale
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "tree": self.tree.to_json()}
@@ -783,10 +849,11 @@ def image_measure(f: MonotoneFn, u: IntervalUnion) -> Fraction:
     """Measure of f(u) for monotone f: summed endpoint differences.
 
     The endpoints lo_0 <= hi_0 <= lo_1 <= ... form a non-decreasing list, so
-    f reads them as one column.
+    f reads them as one column over their common denominator.
     """
-    vals = f.column([x for comp in u.components for x in (comp.lo, comp.hi)])
-    return sum((abs(hi - lo) for lo, hi in zip(vals[::2], vals[1::2])), ZERO)
+    den, nums = _over_lcm([x for comp in u.components for x in (comp.lo, comp.hi)])
+    den, vals = f.column(den, nums)
+    return Fraction(sum(abs(hi - lo) for lo, hi in zip(vals[::2], vals[1::2])), den)
 
 
 def build_full_measure_mapper(excluded: IntervalUnion, M: int,

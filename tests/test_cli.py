@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from dbecurves import cli, hausdorff
-from dbecurves.cli import _MAX_STAIRCASE_DEPTH, main, parse_range
+from dbecurves.cli import _MAX_LENGTH_BITS, _MAX_STAIRCASE_DEPTH, main, parse_range
 from dbecurves.curves import build_extremal_curve, curve_to_json
 from dbecurves.hausdorff import box_count
 
@@ -213,6 +213,48 @@ def test_construct_bytes_are_pinned(capsys, n, a, M, depth):
     assert digest == _CONSTRUCT_SHA256[n, a, M, depth]
 
 
+# sha256 of `certify` stdout, fixed when each chord was summed over the lcm
+# of its own two points' denominators
+_CERTIFY_SHA256 = {
+    ("4", "2/7", "11"): "916706142c93d5cfa3a539bb1fe9a5d3740a267c926ac1eaeadb3226484b0c07",
+    ("4", "5/8", "9"): "625e3f1558a4feb4debda19c273474ef8d451ca68eef72735ed8e31b8d855aa1",
+    ("5", "1/3", "10"): "68507224568131e8de5f63511745e9cf908d504141afceca5126b015c45262e3",
+    ("5", "7/10", "11"): "d9f1fa54d8090bc5275aebaa9a001833713ce6b418fcac3e2fefd5de0816c1d1",
+    ("6", "3/16", "9"): "f653b931b6f143bf1308fd2d7d0ef2ecad8155a5bc87a8218dfb9884eb3a7589",
+    ("6", "4/5", "10"): "d942274938331230c365cb55d30c2957eca0012a48c8585ad9e44da24576eac9",
+    ("cantor", "11"): "007799ebee30ec37d896b26e86ad0d80ea266ede5aa71fe01bf3863f235b3ead",
+    ("piecewise-linear", "11"):
+        "30c98370fdf302cadbce489f142ee7014dfb85c67e33069989bfba1f4ba8dbb1",
+    ("weighted-sum", "11"):
+        "59e255b03030bb3cbcd3142c19a4f71750adec826564f6074e0f32597a8843fa",
+}
+
+# n = 3 specs at alpha = 1/3; the knot denominators 3, 5, 7 and 11 are coprime
+_GENERIC_COMPONENTS = {
+    "cantor": {"kind": "cantor"},
+    "piecewise-linear": {"kind": "piecewise_linear", "knots": [
+        ["0/1", "0/1"], ["1/3", "1/5"], ["5/7", "3/11"], ["1/1", "1/1"]]},
+    "weighted-sum": {"kind": "weighted_sum", "weights": ["1/2", "1/3"], "terms": [
+        {"kind": "cantor"}, {"kind": "riesz_nagy", "a": "2/7"}]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CERTIFY_SHA256))
+def test_certify_bytes_are_pinned(capsys, tmp_path, case):
+    *curve, depth = case
+    if len(curve) == 1:
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "schema_version": 1, "type": "curve", "n": 3, "alpha": "1/3",
+            "components": [_GENERIC_COMPONENTS[curve[0]]]}))
+        args = ("--spec", str(spec))
+    else:
+        args = ("--n", curve[0], "--a", curve[1])
+    code, out, _ = run_cli(capsys, "certify", *args, "--d", depth)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _CERTIFY_SHA256[case]
+
+
 @pytest.mark.parametrize("a", ["1/16", "15/16"])
 def test_construct_at_skewed_weights(capsys, a):
     code, out, _ = run_cli(capsys, "construct", "--n", "6", "--a", a)
@@ -343,6 +385,7 @@ def _refuse_sampling(monkeypatch):
         raise AssertionError("a refused request sampled the curve")
     for module in (cli, hausdorff):
         monkeypatch.setattr(module, "sample", sample)
+    monkeypatch.setattr(hausdorff, "_columns", sample)  # the chord sum's columns
 
 
 # depth 21 is one past the sample budget; box counts sample at max m + 2
@@ -389,3 +432,27 @@ def test_sample_budget_admits_its_own_depth(capsys, monkeypatch):
     assert run_cli(capsys, "verify", "--dbe", "--n", "4", "--d", "5")[0] == 2
     assert run_cli(capsys, "emit", "--boxcount", "--m", "1..2")[0] == 0
     assert run_cli(capsys, "emit", "--boxcount", "--m", "1..3")[0] == 2
+
+
+@pytest.mark.parametrize("argv, module, depths", [
+    (("certify", "--n", "3"), hausdorff, ("96", "97")),
+    (("emit", "--length-series", "--n", "3"), cli, ("1..96", "1..97")),
+], ids=["certify", "length-series"])
+def test_lengths_past_the_printable_bits_are_refused_up_front(capsys, monkeypatch,
+                                                              argv, module, depths):
+    def polyline_length(*_):
+        raise RuntimeError("polyline_length reached")
+    monkeypatch.setattr(module, "polyline_length", polyline_length)
+    precision = ("--precision", str(_MAX_LENGTH_BITS - 96))
+    with pytest.raises(RuntimeError, match="reached"):
+        main([*argv, *precision, "--d", depths[0]])
+    code, out, err = run_cli(capsys, *argv, *precision, "--d", depths[1])
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and str(_MAX_LENGTH_BITS) in err
+
+
+def test_lengths_at_the_printable_bits_print(capsys):
+    code, out, _ = run_cli(capsys, "certify", "--n", "3", "--d", "0",
+                           "--precision", str(_MAX_LENGTH_BITS))
+    assert code == 0
+    assert len(json.loads(out)["lower"].split(".")[1]) == _MAX_LENGTH_BITS + 1

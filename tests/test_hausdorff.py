@@ -213,6 +213,16 @@ def test_integer_chord_sum_equals_fraction_loop_on_generic_specs():
                     _fraction_chord_sum(spec, d, precision)
 
 
+def test_integer_chord_sum_equals_fraction_loop_with_in_leaf_points():
+    # both samples hold points strictly inside a mapper staircase leaf, whose
+    # values are not on the run denominators (test_curves checks the count)
+    for n, d in ((5, 10), (4, 8)):
+        c = build_extremal_curve(n, a=F(3, 8), M=3)
+        for precision in (1, 64):
+            assert polyline_length(c, d, precision) == \
+                _fraction_chord_sum(c, d, precision)
+
+
 def test_polyline_chord_sum_matches_naive_oracle():
     c = build_extremal_curve(4, a=F(3, 8), M=3)
     for d in (3, 6):
@@ -339,17 +349,22 @@ def test_lipschitz_false_declaration_raises_with_witness():
     assert abs(fy - fx) > abs(y - x)
 
 
-def _all_pairs_witness(f, c, dom, depth):
+def _all_pairs_witness(f, c, dom, depth, pairs=itertools.combinations):
     """First (x, y, f(x), f(y)) over all sample pairs with |f(y) - f(x)| > c (y - x)."""
     xs = {e for comp in dom.components for e in (comp.lo, comp.hi)}
     xs |= {F(k, 1 << depth) for k in range((1 << depth) + 1)
            if dom.contains(F(k, 1 << depth))}
     pts = sorted(xs)
     vals = [f(x) for x in pts]
-    for i, j in itertools.combinations(range(len(pts)), 2):
+    for i, j in pairs(range(len(pts)), 2):
         if abs(vals[j] - vals[i]) > c * (pts[j] - pts[i]):
             return pts[i], pts[j], vals[i], vals[j]
     return None
+
+
+def _consecutive(items, _):
+    items = list(items)
+    return zip(items, items[1:])
 
 
 def test_lipschitz_consecutive_probe_matches_all_pairs():
@@ -374,6 +389,7 @@ def test_lipschitz_consecutive_probe_matches_all_pairs():
                 ok = check_lipschitz_image(f, c, dom, sample_depth=depth)
             except LipschitzWitnessError as err:
                 assert want is not None
+                assert err.witness == _all_pairs_witness(f, c, dom, depth, _consecutive)
                 x, y, fx, fy = err.witness
                 assert x < y and (fx, fy) == (f(x), f(y))
                 assert abs(fy - fx) > c * (y - x)

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -235,6 +236,102 @@ def test_fn_json_roundtrip():
         assert back.to_json() == fn.to_json()
         x = F(3, 8)
         assert back(x) == fn(x)
+
+
+# -- the integer column protocol ----------------------------------------------
+
+
+def _thresholds(bounds, den):
+    """Numerators at and one away from floor(b * den) and ceil(b * den)."""
+    out = set()
+    for b in bounds:
+        floor = b.numerator * den // b.denominator
+        ceil = -(-b.numerator * den // b.denominator)
+        out.update((floor - 1, floor, ceil, ceil + 1))
+    return out
+
+
+def _column_points(f, den, rng):
+    """A sorted column over den: leaf bounds and knots of f exactly and one
+    numerator off, points strictly inside its leaves, and random points."""
+    bounds, leaves = [], []
+    for t in getattr(f, "terms", (f,)):
+        if isinstance(t, IntervalStaircase):
+            bounds += [t.support.lo, t.support.hi]
+            for c in t.tree.leaves():
+                bounds += [c.iv.lo, c.iv.hi]
+                leaves += [c.iv.lo + c.iv.diam / 3, (c.iv.lo + c.iv.hi) / 2]
+        elif isinstance(t, PiecewiseLinear):
+            bounds += [x for x, _ in t.knots]
+    nums = _thresholds(bounds, den) | _thresholds(leaves, den)
+    nums |= {0, den, *(rng.randint(0, den) for _ in range(40))}
+    return sorted(v for v in nums if 0 <= v <= den)
+
+
+def _assert_column_is_pointwise(f, den, nums):
+    want = [f(F(v, den)) for v in nums]
+    for g in (f, fn_from_json(json.loads(json.dumps(f.to_json())))):
+        d, got = g.column(den, nums)
+        assert type(d) is int and d > 0 and all(type(v) is int for v in got)
+        assert [F(v, d) for v in got] == want
+
+
+def _column_cases():
+    """(f, dens) for every component kind; R_a reads only dyadic columns."""
+    c = build_extremal_curve(4, a=F(3, 8), M=3)
+    mapper = c.mappers[0].f
+    stair = mapper.terms[0]
+    pl = PiecewiseLinear(((F(0), F(0)), (F(1, 3), F(1, 5)), (F(5, 7), F(3, 11)),
+                          (F(1), F(1))))
+    # one denominator puts every leaf bound on an integer, the others do not
+    exact = math.lcm(*(b.denominator for cell in stair.tree.leaves()
+                       for b in (cell.iv.lo, cell.iv.hi)))
+    dens = (exact, 1 << 9, 3 ** 8 * 7)
+    return [
+        (Cantor(), dens),
+        (RieszNagy(F(2, 7)), (1 << 10,)),
+        (Affine(F(3, 5), F(1, 7)), dens),
+        (Affine(-1, 1), dens),
+        (pl, (105, 1 << 9, 3 ** 8 * 7)),
+        (stair, dens),
+        (mapper, dens),
+        # non-affine, non-staircase terms beside a staircase and the identity
+        (WeightedSum((stair, Cantor(), pl, identity_fn()),
+                     (F(1, 4), F(1, 8), F(1, 3), F(1, 16))), dens),
+        (WeightedSum((mapper, RieszNagy(F(3, 8))), (F(1, 2), F(1, 2))), (1 << 9,)),
+        (Composition(mapper, RieszNagy(F(3, 8))), (1 << 9,)),
+        (Composition(mapper, Affine(-1, 1)), dens),  # decreasing inner
+        (Composition(Affine(-1, 1), Affine(F(-1, 2), F(1, 2))), dens),
+    ]
+
+
+def test_integer_columns_equal_pointwise_evaluation():
+    rng = random.Random(5)
+    for f, dens in _column_cases():
+        for den in dens:
+            _assert_column_is_pointwise(f, den, _column_points(f, den, rng))
+            _assert_column_is_pointwise(f, den, [])
+
+
+def test_integer_columns_reach_inside_leaves_and_both_sides_of_bounds():
+    c = build_extremal_curve(4, a=F(3, 8), M=3)
+    stair = c.mappers[0].f.terms[0]
+    for den in (1 << 9, 3 ** 8 * 7):
+        nums = _column_points(stair, den, random.Random(5))
+        runs = list(stair._runs(den, nums))
+        assert sum(stop - start for start, stop, i in runs if i is None) > 0
+        assert len({i for start, stop, i in runs if start < stop}) > 3
+
+
+def test_integer_column_outside_the_domain_raises_the_pointwise_error():
+    pl = PiecewiseLinear(((F(1, 4), F(0)), (F(1, 2), F(1, 3)), (F(3, 4), F(1))))
+    for nums in ([0, 4, 8], [2, 3, 4, 6, 7], [3, 4, 6, 7]):
+        with pytest.raises(NotEvaluableError) as got:
+            pl.column(8, nums)
+        bad = next(v for v in nums if not 2 <= v <= 6)
+        with pytest.raises(NotEvaluableError) as want:
+            pl(F(bad, 8))
+        assert str(got.value) == str(want.value)
 
 
 # -- grids ------------------------------------------------------------------
