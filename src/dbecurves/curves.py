@@ -109,9 +109,8 @@ def build_extremal_curve(n: int, a=Fraction(1, 4), M: int = 4,
         )
         for mr in mappers
     ]
-    q1 = IntervalUnion.closed(0, 1)
-    for w in w_domains:
-        q1 = q1.subtract(w)
+    q1 = IntervalUnion.closed(0, 1).subtract(
+        IntervalUnion(c for w in w_domains for c in w.components))
     components = (h, *(Composition(mr.f, h) for mr in mappers))
     return ExtremalCurve(n, components, alpha, tuple(mappers), tuple(w_domains),
                          q1, a, M, staircase_depth)

@@ -12,6 +12,7 @@ into ordinary comparisons.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -116,8 +117,10 @@ class Interval:
     hi_closed: bool = True
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "lo", Fraction(self.lo))
-        object.__setattr__(self, "hi", Fraction(self.hi))
+        if type(self.lo) is not Fraction:
+            object.__setattr__(self, "lo", Fraction(self.lo))
+        if type(self.hi) is not Fraction:
+            object.__setattr__(self, "hi", Fraction(self.hi))
         if self.lo > self.hi:
             raise ValueError(f"interval endpoints out of order: {self}")
 
@@ -213,6 +216,13 @@ class IntervalUnion:
         raise AttributeError("IntervalUnion is immutable")
 
     @classmethod
+    def _canonical(cls, components: tuple[Interval, ...]) -> "IntervalUnion":
+        """Wrap components already in canonical form, skipping the sort."""
+        u = cls.__new__(cls)
+        object.__setattr__(u, "components", components)
+        return u
+
+    @classmethod
     def empty(cls) -> "IntervalUnion":
         return cls(())
 
@@ -256,7 +266,33 @@ class IntervalUnion:
         return any(iv.contains(x) for iv in self.components)
 
     def union(self, other: "IntervalUnion") -> "IntervalUnion":
-        return IntervalUnion(self.components + other.components)
+        """self or other, in one merge of the two canonical lists.
+
+        Each component of the shorter list finds, by bisection in the longer
+        one, the run of components it meets or touches; the components
+        between runs are copied unchanged.  A merged piece may reach the
+        next component of the shorter list, which then extends it.
+        """
+        a, b = self.components, other.components
+        if len(a) < len(b):
+            a, b = b, a
+        out: list[Interval] = []
+        i = 0
+        for iv in b:
+            start, end = _start_cut(iv), _end_cut(iv)
+            lo = bisect_left(a, _pred(start), i, key=_end_cut)  # a[i:lo] end before iv
+            hi = bisect_right(a, _succ(end), lo, key=_start_cut)  # a[lo:hi] reach it
+            out += a[i:lo]
+            if lo < hi:
+                start = min(start, _start_cut(a[lo]))
+                end = max(end, _end_cut(a[hi - 1]))
+            if out and not _gap_between(_end_cut(out[-1]), start):
+                last = out.pop()
+                start, end = _start_cut(last), max(end, _end_cut(last))
+            out.append(Interval._from_cuts(start, end))
+            i = hi
+        out += a[i:]
+        return IntervalUnion._canonical(tuple(out))
 
     def intersect(self, other: "IntervalUnion") -> "IntervalUnion":
         out = []
@@ -278,7 +314,8 @@ class IntervalUnion:
         Both component lists are canonical, so each piece of self meets a
         contiguous run of other's components; a component of other may reach
         across several pieces, so the pointer only skips the ones that end
-        before the current piece starts.
+        before the current piece starts.  The pieces come out canonical:
+        between two of them lies a gap of self or a component of other.
         """
         out: list[Interval] = []
         b = other.components
@@ -298,7 +335,7 @@ class IntervalUnion:
                 k += 1
             if start is not None:
                 out.append(Interval._from_cuts(start, end))
-        return IntervalUnion(out)
+        return IntervalUnion._canonical(tuple(out))
 
     def intersects(self, other: "IntervalUnion") -> bool:
         return not self.intersect(other).is_empty

@@ -23,7 +23,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import (
+    _ABOVE,
     _AT,
+    _BELOW,
     Interval,
     IntervalUnion,
     ONE,
@@ -627,29 +629,59 @@ class NestedIntervalTree:
 _RETRY_GENERATIONS = 64
 
 
-def _admissible_cells(ratio, start: StairCell, g: int, avoid_cuts):
-    """Yield, left to right, the generation-g cells under `start` that meet
-    no component of a set given as (start, end) cuts, whose last component
-    lies right of every cell.
+def _cut_over(c, den: int):
+    """The cut c = (v, side) as an integer cut over den.
 
-    A left-first descent: a cell [lo, hi] splits at lo + ratio*(hi - lo).
-    Nodes arrive in non-decreasing lo, so one pointer walks the components;
-    a node inside one is skipped with its subtree.
+    It orders against every (t, _AT) as c orders against (t/den, _AT).  An
+    end off the 1/den lattice lies strictly between two lattice points, so
+    it becomes the cut just above the lower one.
+    """
+    v, side = c
+    t, r = divmod(v.numerator * den, v.denominator)
+    return (t, side) if r == 0 else (t, _ABOVE)
+
+
+def _meeting(u: IntervalUnion, iv: Interval) -> tuple[Interval, ...]:
+    """The components of u that meet the closed interval iv, by bisection."""
+    comps = u.components
+    return comps[bisect_left(comps, (iv.lo, _AT), key=_end_cut):
+                 bisect_right(comps, (iv.hi, _AT), key=_start_cut)]
+
+
+def _admissible_cells(p: int, q: int, node, g: int, cuts):
+    """Yield, left to right, the generation-g cells (k, lo, hi) under
+    node = (k, g', lo, hi) that meet no component of cuts.
+
+    Every end is an integer numerator over one denominator D, a multiple of
+    q^(g - g'), so a cell [lo, hi] splits exactly at lo + p*(hi - lo)//q for
+    the split ratio p/q.  cuts lists the components as (start, end) integer
+    cut pairs over D: the first starts left of every cell, the rest are
+    sorted by start, and the last ends right of every cell.  Components may
+    overlap or touch.
+
+    A left-first descent: nodes arrive in non-decreasing lo, so one pointer
+    walks the components, stopping at the first that does not end left of
+    the node.  Every component before it ends left of the node and every
+    later one starts no earlier, so a cell left of it meets none of them (no
+    cell lies left of the first).  A node inside the pointer's component is
+    skipped with its subtree; a node inside a later, overlapping one is only
+    pruned less, as none of its cells passes the test.
     """
     j = 0
-    stack = [(start.k, start.g, start.iv.lo, start.iv.hi)]
+    stack = [node]
     while stack:
         k, gk, lo, hi = stack.pop()
-        while avoid_cuts[j][1] < (lo, _AT):
+        at_lo = (lo, _AT)
+        while cuts[j][1] < at_lo:
             j += 1  # the component ends left of this node and of all later ones
-        comp_start, comp_end = avoid_cuts[j]
-        if comp_start <= (lo, _AT) and (hi, _AT) <= comp_end:
+        comp_start, comp_end = cuts[j]
+        if comp_start <= at_lo and (hi, _AT) <= comp_end:
             continue
         if gk < g:
-            mid = lo + ratio * (hi - lo)
+            mid = lo + p * (hi - lo) // q
             stack += ((2 * k + 1, gk + 1, mid, hi), (2 * k, gk + 1, lo, mid))
         elif (hi, _AT) < comp_start:
-            yield StairCell(k, g, Interval(lo, hi))
+            yield k, lo, hi
 
 
 def _find_children(grid, parent: StairCell, width_bound: Fraction,
@@ -664,6 +696,14 @@ def _find_children(grid, parent: StairCell, width_bound: Fraction,
     same cells, with the same exact ends, as a left-to-right scan of the
     generation.  If a generation has no admissible pair the search retries
     one generation finer, up to a cap.
+
+    The search runs on integers: the width loop compares numerators, and
+    each generation converts the cut list once to integer cuts over the
+    descent's denominator.  The cut list is the outside of the parent, as
+    one piece ending just left of it and one starting just right of it,
+    around the excluded components that meet the parent, in start order and
+    not merged with the outside pieces.  Only the two returned cells become
+    Fractions.
     """
     bounds = parent.iv
     if parent.k < 0:
@@ -671,26 +711,31 @@ def _find_children(grid, parent: StairCell, width_bound: Fraction,
         w, target, least = ONE, min(width_bound, bounds.diam / 8), 0
     else:
         start, w, target, least = parent, bounds.diam, width_bound, 2
-    shrink = max(grid.ratio, ONE - grid.ratio)  # max child/parent width ratio
+    p, q = grid.ratio.numerator, grid.ratio.denominator
+    shrink = max(p, q - p)  # max child/parent width ratio, over q
+    # w * (shrink/q)^extra > target, cross-multiplied
+    over, under = w.numerator * target.denominator, target.numerator * w.denominator
     extra = 0
-    while w > target:
-        w *= shrink
+    while over > under:
+        over *= shrink
+        under *= q
         extra += 1
     g0 = start.g + max(extra, least)
-    comps = excluded.components
-    near = comps[bisect_left(comps, (bounds.lo, _AT), key=_end_cut):
-                 bisect_right(comps, (bounds.hi, _AT), key=_start_cut)]
-    # cells must also avoid the outside of the bounds; its right piece ends
-    # past 1, after every cell
-    avoid = IntervalUnion((*near, Interval(bounds.lo - 1, bounds.lo, True, False),
-                           Interval(bounds.hi, bounds.hi + 1, False)))
-    cuts = [(_start_cut(c), _end_cut(c)) for c in avoid.components]
+    cuts = [((bounds.lo - 1, _AT), (bounds.lo, _BELOW)),
+            *((_start_cut(c), _end_cut(c)) for c in _meeting(excluded, bounds)),
+            ((bounds.hi, _ABOVE), (bounds.hi + 1, _AT))]
+    start_lo, start_hi = start.iv.lo, start.iv.hi
+    den0 = math.lcm(start_lo.denominator, start_hi.denominator)
     for g in range(g0, g0 + _RETRY_GENERATIONS + 1):
-        cells = _admissible_cells(grid.ratio, start, g, cuts)
+        den = den0 * q ** (g - start.g)
+        node = (start.k, start.g, _num_over(start_lo, den), _num_over(start_hi, den))
+        cells = _admissible_cells(
+            p, q, node, g, [(_cut_over(a, den), _cut_over(b, den)) for a, b in cuts])
         first = next(cells, None)
         for cell in cells:
-            if cell.k >= first.k + 2:  # leave at least a one-cell gap
-                return first, cell
+            if cell[0] >= first[0] + 2:  # leave at least a one-cell gap
+                return [StairCell(k, g, Interval(Fraction(lo, den), Fraction(hi, den)))
+                        for k, lo, hi in (first, cell)]
         # no pair at this generation; try finer cells
     raise ConstructionError(
         f"no admissible pair of subintervals in [{bounds.lo},{bounds.hi}] "
@@ -700,12 +745,18 @@ def _find_children(grid, parent: StairCell, width_bound: Fraction,
 
 def build_staircase_tree(I: Interval, excluded: IntervalUnion, depth: int,
                          grid=None, leaf_cap=None) -> NestedIntervalTree:
-    """Grow the nested-cell tree behind build_interval_staircase."""
+    """Grow the nested-cell tree behind build_interval_staircase.
+
+    Raises ConstructionError up front when the part of excluded inside I has
+    all of I's length: the components that meet I, in order, leave no gap of
+    positive length between I's ends.
+    """
     if grid is None:
         grid = DyadicGrid()
     if not (I.lo_closed and I.hi_closed and ZERO <= I.lo < I.hi <= ONE):
         raise ValueError("I must be a nondegenerate closed interval in [0, 1]")
-    if excluded.measure() >= I.diam:
+    ends = [I.lo, *(x for c in _meeting(excluded, I) for x in (c.lo, c.hi)), I.hi]
+    if all(right <= left for left, right in zip(ends[::2], ends[1::2])):
         raise ConstructionError("excluded set leaves no room inside I")
     root = StairCell(-1, 0, I)
     levels: list[list[StairCell]] = [[root]]
@@ -806,7 +857,8 @@ def build_interval_staircase(I: Interval, excluded: IntervalUnion, depth: int,
     """
     tree = build_staircase_tree(I, excluded, depth, grid=grid, leaf_cap=leaf_cap)
     f = IntervalStaircase(tree)
-    return tree.level_union(tree.depth), f
+    # f has checked that the closed leaf cells are separated, left to right
+    return IntervalUnion._canonical(tuple(c.iv for c in tree.leaves())), f
 
 
 # -- truncated full-measure mappers -------------------------------------------

@@ -201,6 +201,16 @@ _CONSTRUCT_SHA256 = {
         "1db664c75a29fb0fc014f88436196e604f18ebb01458cc9e27e24875aa6a25e8",
     ("6", "2/7", "8", "2"):
         "c08b3e0d982368a8effea6f4d31ec85082cb847300363092dcc035a25aa83176",
+    # M >= 9, staircase depth 3 and weights far from 1/2, fixed before the
+    # cell descent ran on integers
+    ("5", "13/16", "10", "3"):
+        "e93a4b1a581173642200a774a3cc7b95b6f42e6fdd19318c91b2a8322bd91ade",
+    ("6", "3/10", "7", "3"):
+        "1054df712ffdb71535994949d57d52ec65e232460667fe7dbf2f74b8682e4d3b",
+    ("6", "1/16", "4", "2"):
+        "21e2539790bfa6c3b0ad1cbf80f309932ba6f637bfca49e5b92655efb0cf1ce3",
+    ("4", "15/16", "9", "3"):
+        "8d52c5d3cb43bb7fb9ca2e8401356c1304b67dffb621cbe5b6fe1ad047c791c1",
 }
 
 

@@ -52,6 +52,14 @@ def test_union_is_pointwise_or(a, b):
 
 @_settings
 @given(_union, _union)
+def test_union_merge_matches_normalizing_all_components(a, b):
+    assert (a | b).components == IntervalUnion(a.components + b.components).components
+    assert (a | IntervalUnion.empty()).components == a.components
+    assert (IntervalUnion.empty() | a).components == a.components
+
+
+@_settings
+@given(_union, _union)
 def test_intersect_is_pointwise_and(a, b):
     got = a & b
     assert _is_canonical(got)

@@ -10,7 +10,7 @@ import pytest
 
 from dbecurves import oracle
 from dbecurves.curves import build_extremal_curve, curve_from_json, curve_to_json
-from dbecurves.exact import Interval, IntervalUnion
+from dbecurves.exact import _ABOVE, _AT, _BELOW, Interval, IntervalUnion
 from dbecurves.singular import (
     Affine,
     Cantor,
@@ -25,6 +25,7 @@ from dbecurves.singular import (
     RieszNagyImageGrid,
     StairCell,
     WeightedSum,
+    _cut_over,
     _find_children,
     build_full_measure_mapper,
     build_interval_staircase,
@@ -446,6 +447,32 @@ def test_find_children_matches_brute_force_scan(grid):
             root = Interval(lo, lo + F(rng.randint(45, 56), 97))
             cases.append((StairCell(-1, 0, root), F(1, 4),
                           _random_excluded(rng, grid, 0, 0, 7)))
+    # components straddling the parent's ends overlap the outside pieces of
+    # the cut list.  The search starts three generations down, at the points
+    # p[0..8]; an end a third or two fifths of the way between two of them
+    # lies off the lattice of every grid here.
+    for k, g in ((1, 1), (2, 2), (5, 3)):
+        p = [grid.point(8 * k + i, g + 3) for i in range(9)]
+        lo, hi = p[0], p[8]
+        parent = StairCell(k, g, Interval(lo, hi))
+        bound = (hi - lo) * shrink ** 3
+        for closed in (False, True):
+            for t in (F(0), F(1, 3), F(2, 5)):
+                left_end = p[1] + (p[2] - p[1]) * t
+                right_start = p[7] - (p[7] - p[6]) * t
+                straddle = IntervalUnion((
+                    Interval(lo - 1, left_end, True, closed),
+                    Interval(right_start, hi + 1, closed, True)))
+                cases.append((parent, bound, straddle))
+            inner = Interval(p[2] + (p[3] - p[2]) / 3, p[4] + (p[5] - p[4]) * F(2, 5),
+                             closed, closed)
+            cases.append((parent, bound, IntervalUnion((inner,))))
+    if shrink <= F(3, 4):
+        root = StairCell(-1, 0, Interval(F(1, 5), F(4, 5)))
+        for closed in (False, True):
+            straddle = IntervalUnion((Interval(F(1, 10), F(1, 3), True, closed),
+                                      Interval(F(2, 3), F(9, 10), closed, True)))
+            cases.append((root, F(1, 4), straddle))
     compared = 0
     for parent, bound, excluded in cases:
         first, want = _scan_children(grid, parent, bound, excluded)
@@ -460,6 +487,28 @@ def test_find_children_matches_brute_force_scan(grid):
             assert got == want, (parent, excluded)
             compared += 1
     assert compared >= 0.75 * len(cases)
+
+
+def _cmp(x, y):
+    return (x > y) - (x < y)
+
+
+@pytest.mark.parametrize("grid", _DESCENT_GRIDS,
+                         ids=lambda g: str(getattr(g, "a", "dyadic")))
+def test_integer_cut_orders_like_the_fraction_cut(grid):
+    q = grid.ratio.denominator
+    for den in (q, q ** 3, 3 * q ** 2):
+        for t in (-2, 0, 1, den - 1, den, den + 3):
+            on = F(t, den)
+            off = [on + F(1, 3 * den), on + F(2, 3 * den), on + F(1, 2 * den),
+                   on - F(1, 5 * den)]
+            for v in (on, *off):
+                for side in (_BELOW, _AT, _ABOVE):
+                    cut = _cut_over((v, side), den)
+                    floor = math.floor(v * den)
+                    for x in (floor - 1, floor, floor + 1):
+                        assert (_cmp(cut, (x, _AT))
+                                == _cmp((v, side), (F(x, den), _AT))), (v, side, x)
 
 
 # -- staircase trees --------------------------------------------------------
@@ -492,6 +541,26 @@ def test_staircase_tree_avoids_excluded():
     for level in range(1, 4):
         for cell in tree.levels[level]:
             assert not IntervalUnion((cell.iv,)).intersects(excluded)
+
+
+def test_staircase_tree_room_counts_only_the_excluded_part_inside_the_root():
+    tree = build_staircase_tree(Interval.closed(0, F(1, 4)),
+                                IntervalUnion.closed(F(1, 2), 1), 2)
+    tree.validate()
+    assert len(tree.leaves()) == 4
+    # only 1/16 of the root's length 1/4 lies under the straddling component
+    tree = build_staircase_tree(Interval.closed(F(1, 4), F(1, 2)),
+                                IntervalUnion.closed(0, F(5, 16)), 2)
+    tree.validate()
+    assert len(tree.leaves()) == 4
+    covers = [IntervalUnion.closed(0, F(3, 4)),
+              IntervalUnion((Interval(0, F(3, 8), True, False),
+                             Interval(F(3, 8), 1, False))),
+              IntervalUnion((Interval.closed(0, F(1, 8)),
+                             Interval.closed(F(1, 4), F(1, 2))))]
+    for excluded in covers:
+        with pytest.raises(ConstructionError, match="no room"):
+            build_staircase_tree(Interval.closed(F(1, 4), F(1, 2)), excluded, 2)
 
 
 def test_staircase_tree_respects_leaf_cap():
