@@ -22,6 +22,7 @@ import sys
 from fractions import Fraction
 
 from .curves import (
+    _MAX_STAIRCASE_DEPTH,
     build_extremal_curve,
     check_dbe_property,
     curve_from_json,
@@ -37,9 +38,6 @@ from .trials import run_all
 SCHEMA_VERSION = 1
 
 _MIN_PRECISION = 32
-# each mapper term builds 2^depth leaf cells and the spec JSON doubles per
-# level; depth 8 already takes seconds, so larger depths are refused up front
-_MAX_STAIRCASE_DEPTH = 7
 # a depth-d sample holds 2^d + 1 points, and time and memory double per
 # level: certify --n 4 at depth 20 takes 3.8 s and 0.26 GB (2 vCPUs, x86_64)
 _MAX_SAMPLE_DEPTH = 20
@@ -129,9 +127,10 @@ def _load_curve(args: argparse.Namespace):
             # json raises RecursionError on input nested about 1000 deep
             return curve_from_json(json.loads(text))
         except (RecursionError, LookupError, TypeError, AttributeError,
-                ValueError) as exc:
-            raise ValueError(f"malformed curve spec {path}: "
-                             f"{type(exc).__name__}: {exc}") from exc
+                ValueError, ConstructionError) as exc:
+            fault = (f"missing key {exc}" if isinstance(exc, KeyError)
+                     else f"{type(exc).__name__}: {exc}")
+            raise ValueError(f"malformed curve spec {path}: {fault}") from exc
     return build_extremal_curve(args.n, args.a, args.M, args.alpha, args.staircase_depth)
 
 

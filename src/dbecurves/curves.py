@@ -35,6 +35,9 @@ SCHEMA_VERSION = 1
 # recurse once per level, so the limit keeps them far below Python's
 # recursion limit; constructed specs nest about 10 deep.
 MAX_NESTING = 64
+# Each mapper term builds 2^depth leaf cells and the spec JSON doubles per
+# level; depth 8 already takes seconds, so larger depths are refused up front.
+_MAX_STAIRCASE_DEPTH = 7
 
 
 @dataclass(frozen=True)
@@ -62,7 +65,7 @@ class CurveSpec:
 
 @dataclass(frozen=True)
 class ExtremalCurve(CurveSpec):
-    """A measure-extremal curve plus the objects its certification uses."""
+    """The curve of `build_extremal_curve`; its parameters fix every other field."""
 
     mappers: tuple[MapperResult, ...]
     w_domains: tuple[IntervalUnion, ...]
@@ -284,19 +287,25 @@ def _nesting(obj) -> int:
 
 
 def curve_from_json(obj: dict):
-    """Rebuild a curve from `curve_to_json` output.
+    """Read a curve from `curve_to_json` output.
 
     A spec nesting deeper than MAX_NESTING is rejected before anything is
-    built.  Keys the loader does not read are ignored; that includes the
-    `"piece_domains"` partition older specs may carry, which never changed
-    the upper bound of a curve whose pieces cover [0,1].  The JSON keeps only
-    each mapper's N_trunc, so the mappers of a loaded extremal curve have
-    `stair_unions == ()`.
+    built.  An extremal spec is rebuilt from n, a, M, alpha and
+    staircase_depth, after a size check that bounds the work by the spec's
+    length (n - 3 mappers of M * 2^staircase_depth N_trunc components), and
+    each key of the rebuilt curve's JSON must equal the spec's.  Keys the
+    loader does not read are ignored; that includes the `"piece_domains"`
+    partition older specs may carry, which never changed the upper bound of
+    a curve whose pieces cover [0,1].
     """
     if _nesting(obj) > MAX_NESTING:
         raise ValueError(f"spec nests deeper than {MAX_NESTING} levels")
     if obj.get("schema_version") != SCHEMA_VERSION:
         raise ValueError("unsupported schema_version")
+    if obj["type"] == "extremal_curve":
+        return _extremal_from_json(obj)
+    if obj["type"] != "curve":
+        raise ValueError(f"unknown curve type {obj['type']!r}")
     components = tuple(fn_from_json(f) for f in obj["components"])
     # Every component kind is monotone, so its values at 0 and 1 bound it.
     for i, f in enumerate(components, 2):
@@ -305,29 +314,23 @@ def curve_from_json(obj: dict):
             if not ZERO <= y <= ONE:
                 raise ValueError(f"coordinate {i} leaves the unit cube: "
                                  f"{format_rational(y)} at x = {x}")
-    alpha = parse_rational(obj["alpha"])
-    if obj["type"] == "curve":
-        return CurveSpec(obj["n"], components, alpha)
-    if obj["type"] != "extremal_curve":
-        raise ValueError(f"unknown curve type {obj['type']!r}")
-    mappers = tuple(
-        MapperResult(
-            f=components[idx + 1].outer,
-            n_trunc=IntervalUnion.from_json(m["n_trunc"]),
-            level=m["level"],
-            image_lower_bound=parse_rational(m["image_lower_bound"]),
-            stair_unions=(),
-        )
-        for idx, m in enumerate(obj["mappers"])
-    )
-    return ExtremalCurve(
-        obj["n"],
-        components,
-        alpha,
-        mappers,
-        tuple(IntervalUnion.from_json(w) for w in obj["w_domains"]),
-        IntervalUnion.from_json(obj["q1"]),
-        parse_rational(obj["a"]),
-        obj["M"],
-        obj["staircase_depth"],
-    )
+    return CurveSpec(obj["n"], components, parse_rational(obj["alpha"]))
+
+
+def _extremal_from_json(obj: dict) -> ExtremalCurve:
+    """The curve the spec's parameters build, if the spec is that curve's JSON."""
+    n, M, depth = obj["n"], obj["M"], obj["staircase_depth"]
+    if type(depth) is not int or not 0 <= depth <= _MAX_STAIRCASE_DEPTH:
+        raise ValueError("key 'staircase_depth' is not an integer in "
+                         f"0..{_MAX_STAIRCASE_DEPTH}")
+    if len(obj["mappers"]) != max(n - 3, 0):
+        raise ValueError(f"key 'mappers' does not fit key 'n' = {n}")
+    if any(len(m["n_trunc"]) != M << depth for m in obj["mappers"]):
+        raise ValueError(f"key 'mappers' does not fit key 'M' = {M} "
+                         f"at staircase_depth {depth}")
+    curve = build_extremal_curve(n, parse_rational(obj["a"]), M,
+                                 parse_rational(obj["alpha"]), depth)
+    for key, value in curve_to_json(curve).items():
+        if obj[key] != value:
+            raise ValueError(f"key {key!r} differs from the curve its parameters build")
+    return curve

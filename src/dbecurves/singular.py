@@ -575,9 +575,6 @@ class NestedIntervalTree:
     def leaves(self) -> list[StairCell]:
         return self.levels[-1]
 
-    def level_union(self, n: int) -> IntervalUnion:
-        return IntervalUnion(c.iv for c in self.levels[n])
-
     def validate(self) -> None:
         """Recheck the nesting, separation, width and avoidance conditions."""
         if len(self.levels[0]) != 1:

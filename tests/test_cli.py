@@ -348,32 +348,59 @@ def _tree(spec):
     return spec["components"][1]["outer"]["terms"][0]["tree"]
 
 
-@pytest.mark.parametrize("blob", [
-    {"schema_version": 1, "type": "curve", "n": 3, "alpha": "1/2"},
-    {"schema_version": 1, "type": "curve", "n": 3, "alpha": "1/2",
-     "components": [{"kind": "affine", "slope": "1/2"}]},
-    [{"schema_version": 1}],
-    {"schema_version": 1, "type": "curve", "n": 3, "alpha": "1/2",
-     "components": [{"kind": "affine", "slope": "3/1", "offset": "0/1"}]},
-    {"schema_version": 1, "type": "curve", "n": 3, "alpha": "1/2",
-     "components": [{"kind": "restriction", "fn": {"kind": "cantor"},
-                     "domain": [{"lo": "0/1", "hi": "1/1"}]}]},
-    _DEEP_COMPOSITION,
-    "[" * 2000 + "]" * 2000,
-    _n4_spec(lambda s: s["mappers"].append(s["mappers"][0])),
-    _n4_spec(lambda s: _tree(s).update(root=["0/1"])),
-    _n4_spec(lambda s: _tree(s).update(levels=[])),
+@pytest.mark.parametrize("blob, fault", [
+    ({"schema_version": 1, "type": "curve", "n": 3, "alpha": "1/2"},
+     "missing key 'components'"),
+    ({"schema_version": 1, "type": "curve", "n": 3, "alpha": "1/2",
+      "components": [{"kind": "affine", "slope": "1/2"}]}, "missing key 'offset'"),
+    ([{"schema_version": 1}], "AttributeError"),
+    ({"schema_version": 1, "type": "curve", "n": 3, "alpha": "1/2",
+      "components": [{"kind": "affine", "slope": "3/1", "offset": "0/1"}]},
+     "leaves the unit cube"),
+    ({"schema_version": 1, "type": "curve", "n": 3, "alpha": "1/2",
+      "components": [{"kind": "restriction", "fn": {"kind": "cantor"},
+                      "domain": [{"lo": "0/1", "hi": "1/1"}]}]},
+     "unknown function kind 'restriction'"),
+    (_DEEP_COMPOSITION, "nests deeper"),
+    ("[" * 2000 + "]" * 2000, "RecursionError"),
+    (_n4_spec(lambda s: s["mappers"].append(s["mappers"][0])), "key 'mappers'"),
+    (_n4_spec(lambda s: _tree(s).update(root=["0/1"])), "key 'components'"),
+    (_n4_spec(lambda s: _tree(s).update(levels=[])), "key 'components'"),
+    (_n4_spec(lambda s: s.update(mappers=[])), "key 'mappers'"),
+    (_n4_spec(lambda s: s.update(w_domains=[], q1=[])), "key 'w_domains'"),
+    (_n4_spec(lambda s: s["q1"].pop()), "key 'q1'"),
+    # refused by the size check before anything is built
+    (_n4_spec(lambda s: s.update(n=10**9)), "key 'n'"),
+    (_n4_spec(lambda s: s.update(M=10**9)), "key 'M'"),
+    (_n4_spec(lambda s: s.update(staircase_depth=10**12)), "key 'staircase_depth'"),
 ], ids=["no-components", "affine-without-offset", "top-level-list", "outside-cube",
         "restriction-kind", "600-nested-compositions", "json-nested-2000-deep",
-        "more-mappers-than-compositions", "one-entry-tree-root", "empty-tree-levels"])
-def test_malformed_spec_fails_cleanly(capsys, tmp_path, blob):
+        "more-mappers-than-compositions", "one-entry-tree-root", "empty-tree-levels",
+        "no-mappers", "no-w-domains-or-q1", "wrong-q1", "huge-n", "huge-M",
+        "huge-staircase-depth"])
+def test_malformed_spec_fails_cleanly(capsys, tmp_path, blob, fault):
     spec = tmp_path / "spec.json"
     spec.write_text(blob if isinstance(blob, str) else json.dumps(blob))
     code, out, err = run_cli(capsys, "certify", "--spec", str(spec))
     assert code == 1
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("error: ")
-    assert str(spec) in err
+    assert f"malformed curve spec {spec}: " in err
+    assert fault in err
+
+
+@pytest.mark.parametrize("a", ["1/4", "2/7"])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_constructed_specs_load_and_certify_like_their_parameters(capsys, tmp_path, n, a):
+    spec = tmp_path / "spec.json"
+    for M in range(1, 5):
+        for depth in (1, 2):
+            params = ("--n", str(n), "--a", a, "--M", str(M),
+                      "--staircase-depth", str(depth))
+            assert run_cli(capsys, "construct", *params, "--out", str(spec))[0] == 0
+            want = run_cli(capsys, "certify", *params, "--d", "6")
+            assert want[0] == 0
+            assert run_cli(capsys, "certify", "--spec", str(spec), "--d", "6") == want
 
 
 def test_verify_dbe_needs_n3_like_the_other_curve_commands(capsys):

@@ -134,9 +134,10 @@ def test_sample_matches_pointwise_on_extremal_curves(n, a, depth):
     c = build_extremal_curve(n, a=a, M=3)
     want = _pointwise(c, depth)
     assert sample(c, depth) == want
-    back = curve_from_json(curve_to_json(c))
+    # loaded as a generic spec, h and the h inside each composition are
+    # separate objects, so equal R_a columns must be memoized by value
+    back = curve_from_json({**curve_to_json(c), "type": "curve"})
     if n >= 4:
-        # the loaded h and the h inside each composition are separate objects
         assert back.components[0] is not back.components[-1].inner
     assert sample(back, depth) == want
 

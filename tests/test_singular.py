@@ -523,7 +523,7 @@ def test_staircase_tree_structure_and_bounds():
         width_bound = F(1, (level + 1) * (1 << level))
         for cell in tree.levels[level]:
             assert cell.iv.diam <= width_bound
-    n = tree.level_union(3)
+    n = IntervalUnion(c.iv for c in tree.levels[3])
     assert n.measure() <= F(1, 4)
 
 
