@@ -14,8 +14,8 @@ from dbecurves import (
     eval_cantor,
     eval_riesz_nagy,
     image_measure,
-    riesz_nagy_inverse,
 )
+from dbecurves.oracle import riesz_nagy_inverse
 
 F = Fraction
 

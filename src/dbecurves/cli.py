@@ -23,6 +23,7 @@ from fractions import Fraction
 
 from .curves import (
     _MAX_STAIRCASE_DEPTH,
+    _STAIRCASE_DEPTHS,
     build_extremal_curve,
     check_dbe_property,
     curve_from_json,
@@ -86,8 +87,8 @@ def _check(args: argparse.Namespace) -> None:
         raise UsageError("trials must be >= 1")
     if args.M < 1:
         raise UsageError("M must be >= 1")
-    if not 0 <= args.staircase_depth <= _MAX_STAIRCASE_DEPTH:
-        raise UsageError(f"staircase depth must be in 0..{_MAX_STAIRCASE_DEPTH}")
+    if args.staircase_depth not in _STAIRCASE_DEPTHS:
+        raise UsageError(f"staircase depth must be in 1..{_MAX_STAIRCASE_DEPTH}")
     if one_depth and len(args.d) > 1:
         raise UsageError("--d must be one depth for certify, verify --dbe "
                          "and emit --samples")

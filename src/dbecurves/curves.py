@@ -38,6 +38,15 @@ MAX_NESTING = 64
 # Each mapper term builds 2^depth leaf cells and the spec JSON doubles per
 # level; depth 8 already takes seconds, so larger depths are refused up front.
 _MAX_STAIRCASE_DEPTH = 7
+# A depth-0 staircase's only leaf is its whole root interval, which leaves no
+# room for the next mapper term or mapper.
+_STAIRCASE_DEPTHS = range(1, _MAX_STAIRCASE_DEPTH + 1)
+
+
+def _check_staircase_depth(depth, name: str) -> None:
+    """Refuse a staircase depth that is not an integer in _STAIRCASE_DEPTHS."""
+    if type(depth) is not int or depth not in _STAIRCASE_DEPTHS:
+        raise ValueError(f"{name} is not an integer in 1..{_MAX_STAIRCASE_DEPTH}")
 
 
 @dataclass(frozen=True)
@@ -84,10 +93,13 @@ def build_extremal_curve(n: int, a=Fraction(1, 4), M: int = 4,
     previous mappers' N sets; the mappers' staircase cells come from the
     R_a image grid, so every W_j = h^{-1}(N_j) is read off their addresses.
     """
+    if type(n) is not int or n < 3:
+        raise ValueError("extremal construction needs an integer n >= 3")
+    if type(M) is not int or M < 1:
+        raise ValueError(f"M is not an integer >= 1: {M!r}")
+    _check_staircase_depth(staircase_depth, "staircase_depth")
     a = Fraction(a)
     alpha = Fraction(alpha)
-    if n < 3:
-        raise ValueError("extremal construction needs n >= 3")
     if not (ZERO < a < ONE) or a == Fraction(1, 2):
         raise ValueError("need 0 < a < 1 with a != 1/2")
     h = RieszNagy(a)
@@ -101,12 +113,10 @@ def build_extremal_curve(n: int, a=Fraction(1, 4), M: int = 4,
         mr = build_full_measure_mapper(avoid, M, staircase_depth, grid=grid)
         mappers.append(mr)
         avoid = avoid.union(mr.n_trunc)
-    # W_j = h^{-1}(N_j): leaf (k, g) is the image of [k/2^g, (k+1)/2^g]; a
-    # depth-0 leaf is its root, which can only be the first interval [0, 1]
+    # W_j = h^{-1}(N_j): leaf (k, g) is the image of [k/2^g, (k+1)/2^g]
     w_domains = [
         IntervalUnion(
             Interval(Fraction(c.k, 1 << c.g), Fraction(c.k + 1, 1 << c.g))
-            if c.k >= 0 else c.iv
             for t in mr.f.terms if isinstance(t, IntervalStaircase)
             for c in t.tree.leaves()
         )
@@ -320,9 +330,10 @@ def curve_from_json(obj: dict):
 def _extremal_from_json(obj: dict) -> ExtremalCurve:
     """The curve the spec's parameters build, if the spec is that curve's JSON."""
     n, M, depth = obj["n"], obj["M"], obj["staircase_depth"]
-    if type(depth) is not int or not 0 <= depth <= _MAX_STAIRCASE_DEPTH:
-        raise ValueError("key 'staircase_depth' is not an integer in "
-                         f"0..{_MAX_STAIRCASE_DEPTH}")
+    _check_staircase_depth(depth, "key 'staircase_depth'")
+    for key in ("n", "M"):
+        if type(obj[key]) is not int:
+            raise ValueError(f"key {key!r} is not an integer")
     if len(obj["mappers"]) != max(n - 3, 0):
         raise ValueError(f"key 'mappers' does not fit key 'n' = {n}")
     if any(len(m["n_trunc"]) != M << depth for m in obj["mappers"]):

@@ -129,14 +129,6 @@ class Interval:
         return cls(Fraction(lo), Fraction(hi))
 
     @classmethod
-    def open(cls, lo, hi) -> "Interval":
-        return cls(Fraction(lo), Fraction(hi), False, False)
-
-    @classmethod
-    def point(cls, x) -> "Interval":
-        return cls(Fraction(x), Fraction(x))
-
-    @classmethod
     def _from_cuts(cls, start: Cut, end: Cut) -> "Interval":
         return cls(start[0], end[0], start[1] == _AT, end[1] == _AT)
 
@@ -171,15 +163,6 @@ class Interval:
             "lo_closed": self.lo_closed,
             "hi_closed": self.hi_closed,
         }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Interval":
-        return cls(
-            parse_rational(obj["lo"]),
-            parse_rational(obj["hi"]),
-            bool(obj.get("lo_closed", True)),
-            bool(obj.get("hi_closed", True)),
-        )
 
 
 def _normalize(intervals: Iterable[Interval]) -> tuple[Interval, ...]:
@@ -229,10 +212,6 @@ class IntervalUnion:
     @classmethod
     def closed(cls, lo, hi) -> "IntervalUnion":
         return cls((Interval.closed(lo, hi),))
-
-    @classmethod
-    def point(cls, x) -> "IntervalUnion":
-        return cls((Interval.point(x),))
 
     @property
     def is_empty(self) -> bool:
@@ -295,6 +274,12 @@ class IntervalUnion:
         return IntervalUnion._canonical(tuple(out))
 
     def intersect(self, other: "IntervalUnion") -> "IntervalUnion":
+        """self and other, in one two-pointer pass over both lists.
+
+        Each piece is a component of self met with a component of other, so
+        a gap of self or of other lies between two pieces: they come out
+        canonical.
+        """
         out = []
         a, b = self.components, other.components
         i = j = 0
@@ -306,7 +291,7 @@ class IntervalUnion:
                 i += 1
             else:
                 j += 1
-        return IntervalUnion(out)
+        return IntervalUnion._canonical(tuple(out))
 
     def subtract(self, other: "IntervalUnion") -> "IntervalUnion":
         """self minus other, in one left-to-right pass over both lists.
@@ -369,8 +354,3 @@ class IntervalUnion:
 
     def to_json(self) -> list:
         return [iv.to_json() for iv in self.components]
-
-    @classmethod
-    def from_json(cls, obj: list) -> "IntervalUnion":
-        return cls(Interval.from_json(o) for o in obj)
-

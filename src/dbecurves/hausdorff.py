@@ -199,7 +199,6 @@ def certify_h1(curve, depth: int, precision: int = 64) -> H1Certificate:
 class BoxCount:
     delta: Fraction
     count: int
-    slope_estimate: float | None = None
 
 
 def box_count(curve_or_points, m: int) -> BoxCount:
@@ -238,9 +237,7 @@ def box_count_slope(curve_or_points, ms):
     raw = box_counts(curve_or_points, ms)
     xs = [m * math.log(2.0) for m in ms]
     ys = [math.log(bc.count) for bc in raw]
-    slope = statistics.linear_regression(xs, ys).slope
-    series = [BoxCount(bc.delta, bc.count, slope) for bc in raw]
-    return slope, series
+    return statistics.linear_regression(xs, ys).slope, raw
 
 
 # -- inequality checkers ----------------------------------------------------------

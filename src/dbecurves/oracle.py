@@ -3,9 +3,10 @@
 Nothing here shares code with the modules it checks: Cantor values come from
 an affine self-similarity walk instead of ternary digit cycling, Riesz-Nagy
 values from the closed digit-product formula instead of the halving
-recursion, and square roots from decimal arithmetic instead of integer-sqrt
-enclosures.  All outputs are exact Fractions (decimal results are converted
-exactly), with accuracy driven by the decimal context precision.
+recursion, R_a^{-1} by running that recursion backwards, and square roots
+from decimal arithmetic instead of integer-sqrt enclosures.  All outputs
+are exact Fractions (decimal results are converted exactly), with accuracy
+driven by the decimal context precision.
 
 These routines favor clarity over speed; they exist to generate and defend
 expected values, not to be fast.
@@ -19,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import IntervalUnion, ONE, ZERO
+from .singular import NotEvaluableError
 
 _THIRD = Fraction(1, 3)
 _TWO_THIRDS = Fraction(2, 3)
@@ -85,6 +87,36 @@ def riesz_value(a, x) -> Fraction:
         else:
             zeros += 1
     return total
+
+
+def riesz_nagy_inverse(a, y, max_steps: int = 4096) -> Fraction:
+    """Exact R_a^{-1}(y) for y in the R_a image of the dyadic rationals.
+
+    Runs the recursion backwards, emitting one binary digit of x per step;
+    y off the dyadic image never reaches 0 and raises NotEvaluableError
+    after max_steps.
+    """
+    a = Fraction(a)
+    y = Fraction(y)
+    if not (ZERO < a < ONE):
+        raise ValueError("need 0 < a < 1")
+    if not (ZERO <= y <= ONE):
+        raise NotEvaluableError("riesz_nagy_inverse needs y in [0,1]")
+    if y == ZERO or y == ONE:
+        return y
+    x_num = 0
+    steps = 0
+    while y != ZERO:
+        if steps >= max_steps:
+            raise NotEvaluableError(f"{y} is not an R_a value of a dyadic rational")
+        x_num <<= 1
+        if y < a:
+            y = y / a
+        else:
+            y = (y - a) / (ONE - a)
+            x_num |= 1
+        steps += 1
+    return Fraction(x_num, 1 << steps)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Left-right ordered partitions and delta-fine cover sums.
+"""Left-right ordered partitions and their common refinements.
 
 A partition here is a finite family of pairwise-disjoint nonempty interval
 unions.  It is "left-right ordered" when any two blocks are separated:
@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import Interval, IntervalUnion, ZERO, _end_cut, _start_cut
+from .exact import IntervalUnion, ZERO, _end_cut, _start_cut
 
 
 class DomainMismatchError(ValueError):
@@ -83,44 +83,3 @@ def refine(p: LRPartition, q: LRPartition) -> LRPartition:
             f"refinement diameter sum {diam_sum(result)} exceeds {bound}"
         )
     return result
-
-
-def greedy_partition(u: IntervalUnion, delta) -> LRPartition:
-    """Chop each component of u left to right into pieces of diameter <= delta."""
-    delta = Fraction(delta)
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    blocks = []
-    for comp in u.components:
-        lo = comp.lo
-        lo_closed = comp.lo_closed
-        while comp.hi - lo > delta:
-            blocks.append(
-                IntervalUnion((Interval(lo, lo + delta, lo_closed, False),))
-            )
-            lo = lo + delta
-            lo_closed = True
-        blocks.append(
-            IntervalUnion((Interval(lo, comp.hi, lo_closed, comp.hi_closed),))
-        )
-    return LRPartition(blocks)
-
-
-@dataclass(frozen=True)
-class CoverSum:
-    """A delta-fine cover's total diameter: an upper bound for H^1_delta."""
-
-    value: Fraction
-    delta: Fraction
-    block_count: int
-
-
-def cover_sum(p: LRPartition, delta=None) -> CoverSum:
-    """Wrap a partition as a cover sum, checking every block fits under delta."""
-    diams = [b.diam for b in p.blocks]
-    if delta is None:
-        delta = max(diams)
-    delta = Fraction(delta)
-    if any(d > delta for d in diams):
-        raise ValueError("block diameter exceeds delta")
-    return CoverSum(sum(diams, ZERO), delta, len(p.blocks))

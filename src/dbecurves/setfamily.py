@@ -55,15 +55,6 @@ def elements(mask: int) -> list[int]:
     return out
 
 
-def mask_of(els) -> int:
-    mask = 0
-    for e in els:
-        if e < 1:
-            raise ValueError("elements are 1-indexed")
-        mask |= 1 << (e - 1)
-    return mask
-
-
 def unique_intersection(f: SetFamily) -> bool:
     """True iff every pair of distinct members meets in exactly one element."""
     if len(f.members) < 2:

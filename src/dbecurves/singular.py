@@ -180,36 +180,6 @@ def _riesz_nagy_nums(a: Fraction, depth: int) -> tuple[int, list[int]]:
     return q**depth, nums
 
 
-def riesz_nagy_inverse(a, y, max_steps: int = 4096) -> Fraction:
-    """Exact R_a^{-1}(y) for y in the R_a image of the dyadic rationals.
-
-    Runs the recursion backwards, emitting one binary digit of x per step;
-    y off the dyadic image never reaches 0 and raises NotEvaluableError
-    after max_steps.
-    """
-    a = Fraction(a)
-    y = Fraction(y)
-    if not (ZERO < a < ONE):
-        raise ValueError("need 0 < a < 1")
-    if not (ZERO <= y <= ONE):
-        raise NotEvaluableError("riesz_nagy_inverse needs y in [0,1]")
-    if y == ZERO or y == ONE:
-        return y
-    x_num = 0
-    steps = 0
-    while y != ZERO:
-        if steps >= max_steps:
-            raise NotEvaluableError(f"{y} is not an R_a value of a dyadic rational")
-        x_num <<= 1
-        if y < a:
-            y = y / a
-        else:
-            y = (y - a) / (ONE - a)
-            x_num |= 1
-        steps += 1
-    return Fraction(x_num, 1 << steps)
-
-
 # -- monotone function descriptors -------------------------------------------
 
 
@@ -328,10 +298,6 @@ class PiecewiseLinear(MonotoneFn):
         self.knots = knots
         self._xs = xs
         self.strictly_monotone = all(y1 < y2 for y1, y2 in zip(ys, ys[1:]))
-
-    @property
-    def domain(self) -> Interval:
-        return Interval(self._xs[0], self._xs[-1])
 
     def pieces(self):
         """Yield (Interval, slope) per linear piece."""
@@ -802,10 +768,6 @@ class IntervalStaircase(MonotoneFn):
         self._bounds = bounds[1:-1]
         self._scale = len(leaves)
         self._steps = [Fraction(i, self._scale) for i in range(self._scale + 1)]
-
-    @property
-    def support(self) -> Interval:
-        return self.tree.root
 
     def __call__(self, x) -> Fraction:
         x = Fraction(x)

@@ -174,7 +174,9 @@ def test_emit_boxcount_coarsened_sample_matches_per_m_count(capsys):
     ("--staircase-depth", "-1"),
     ("--M", "0"),
     ("--staircase-depth", str(_MAX_STAIRCASE_DEPTH + 1)),
-], ids=["negative-staircase-depth", "M-zero", "staircase-depth-over-budget"])
+    ("--staircase-depth", "0"),
+], ids=["negative-staircase-depth", "M-zero", "staircase-depth-over-budget",
+        "zero-staircase-depth"])
 def test_curve_parameter_out_of_range_is_a_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, "construct", "--n", "4", *argv)
     assert code == 2
@@ -373,11 +375,19 @@ def _tree(spec):
     (_n4_spec(lambda s: s.update(n=10**9)), "key 'n'"),
     (_n4_spec(lambda s: s.update(M=10**9)), "key 'M'"),
     (_n4_spec(lambda s: s.update(staircase_depth=10**12)), "key 'staircase_depth'"),
+    (_n4_spec(lambda s: s.update(staircase_depth=0)), "key 'staircase_depth'"),
+    (_n4_spec(lambda s: s.update(M=2.5)), "key 'M'"),
+    (_n4_spec(lambda s: s.update(n="4")), "key 'n'"),
+    # n = 3 builds no mapper, so only the parameter checks see M
+    ({**curve_to_json(build_extremal_curve(3)), "M": -5}, "M is not an integer >= 1"),
+    ({**curve_to_json(build_extremal_curve(3)), "M": 0}, "M is not an integer >= 1"),
+    ({**curve_to_json(build_extremal_curve(3)), "M": 2.5}, "key 'M' is not an integer"),
 ], ids=["no-components", "affine-without-offset", "top-level-list", "outside-cube",
         "restriction-kind", "600-nested-compositions", "json-nested-2000-deep",
         "more-mappers-than-compositions", "one-entry-tree-root", "empty-tree-levels",
         "no-mappers", "no-w-domains-or-q1", "wrong-q1", "huge-n", "huge-M",
-        "huge-staircase-depth"])
+        "huge-staircase-depth", "zero-staircase-depth", "fractional-M", "string-n",
+        "n3-negative-M", "n3-zero-M", "n3-fractional-M"])
 def test_malformed_spec_fails_cleanly(capsys, tmp_path, blob, fault):
     spec = tmp_path / "spec.json"
     spec.write_text(blob if isinstance(blob, str) else json.dumps(blob))

@@ -53,6 +53,10 @@ def test_build_extremal_curve_n3():
         build_extremal_curve(2)
     with pytest.raises(ValueError):
         build_extremal_curve(3, a=F(1, 2))
+    # n = 3 builds no mapper, and M and staircase_depth are checked all the same
+    for bad in ({"M": 0}, {"M": 5 / 2}, {"staircase_depth": 0}):
+        with pytest.raises(ValueError):
+            build_extremal_curve(3, **bad)
 
 
 def test_build_extremal_curve_n4_structure():

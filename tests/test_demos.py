@@ -1,5 +1,7 @@
-"""The demo scripts run to completion, and the public name list is sound."""
+"""The demo scripts run to completion, the public name list is sound, and
+every module uses what it imports."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -30,3 +32,21 @@ def test_public_names_resolve_sorted_and_unique():
     assert names == sorted(names)
     assert len(set(names)) == len(names)
     assert [n for n in names if not hasattr(dbecurves, n)] == []
+
+
+# the package's __init__.py re-exports the names it imports
+MODULES = sorted(p for p in (ROOT / "src" / "dbecurves").glob("*.py")
+                 if p.name != "__init__.py")
+
+
+@pytest.mark.parametrize("module", MODULES, ids=[p.stem for p in MODULES])
+def test_modules_use_every_name_they_import(module):
+    tree = ast.parse(module.read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name).partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - used) == []

@@ -74,10 +74,3 @@ def test_subtract_is_pointwise_and_not(a, b):
     assert _is_canonical(got)
     for x in _probes(a, b):
         assert got.contains(x) == (a.contains(x) and not b.contains(x))
-
-
-@_settings
-@given(_union)
-def test_json_round_trip(u):
-    assert IntervalUnion.from_json(u.to_json()) == u
-    assert [Interval.from_json(c.to_json()) for c in u] == list(u.components)

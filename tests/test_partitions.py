@@ -1,4 +1,4 @@
-"""Ordered partitions, common refinements, and delta-fine cover sums."""
+"""Ordered partitions and their common refinements."""
 
 import random
 from fractions import Fraction
@@ -7,12 +7,9 @@ import pytest
 
 from dbecurves.exact import Interval, IntervalUnion
 from dbecurves.partitions import (
-    CoverSum,
     DomainMismatchError,
     LRPartition,
-    cover_sum,
     diam_sum,
-    greedy_partition,
     refine,
 )
 from dbecurves.trials import random_partition, random_union
@@ -120,42 +117,3 @@ def test_refinement_never_exceeds_either_input():
     fine = refine(wide, p)
     assert diam_sum(fine) <= min(diam_sum(wide), diam_sum(p))
     assert fine.support() == p.support()
-
-
-def test_greedy_partition_blocks_are_delta_fine():
-    u = _u((0, 1))
-    p = greedy_partition(u, F(1, 4))
-    assert len(p) == 4
-    assert all(b.diam <= F(1, 4) for b in p.blocks)
-    assert p.support() == u
-    # non-divisible delta leaves a short last block
-    p2 = greedy_partition(u, F(3, 8))
-    assert [b.diam for b in p2.blocks] == [F(3, 8), F(3, 8), F(1, 4)]
-    with pytest.raises(ValueError):
-        greedy_partition(u, 0)
-
-
-def test_greedy_partition_multi_component():
-    u = _u((0, F(1, 9)), (F(2, 9), F(1, 3)))
-    p = greedy_partition(u, F(1, 9))
-    assert p.support() == u
-    assert all(b.diam <= F(1, 9) for b in p.blocks)
-
-
-def test_cover_sum():
-    p = greedy_partition(_u((0, 1)), F(1, 4))
-    cs = cover_sum(p, F(1, 4))
-    assert isinstance(cs, CoverSum)
-    assert cs.value == 1
-    assert cs.delta == F(1, 4)
-    assert cs.block_count == 4
-    with pytest.raises(ValueError):
-        cover_sum(p, F(1, 8))  # blocks are too wide for this delta
-
-
-def test_cover_sum_level2_cantor_cover():
-    cover = _u((0, F(1, 9)), (F(2, 9), F(1, 3)), (F(2, 3), F(7, 9)), (F(8, 9), 1))
-    p = LRPartition([IntervalUnion((c,)) for c in cover.components])
-    cs = cover_sum(p, F(1, 9))
-    assert cs.value == F(4, 9)
-    assert cs.block_count == 4

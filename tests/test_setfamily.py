@@ -7,11 +7,18 @@ import pytest
 from dbecurves.setfamily import (
     SetFamily,
     elements,
-    mask_of,
     max_family_size,
     near_pencil,
     unique_intersection,
 )
+
+
+def mask_of(els) -> int:
+    """The bitmask of 1-indexed elements."""
+    mask = 0
+    for e in els:
+        mask |= 1 << (e - 1)
+    return mask
 
 
 def family_of(n, *sets):

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from dbecurves import oracle
+from dbecurves.oracle import riesz_nagy_inverse
 from dbecurves.curves import build_extremal_curve, curve_from_json, curve_to_json
 from dbecurves.exact import _ABOVE, _AT, _BELOW, Interval, IntervalUnion
 from dbecurves.singular import (
@@ -36,7 +37,6 @@ from dbecurves.singular import (
     fn_from_json,
     identity_fn,
     image_measure,
-    riesz_nagy_inverse,
     riesz_nagy_level,
 )
 
@@ -216,7 +216,7 @@ def test_image_measure_of_piecewise_linear_on_open_ends():
                          (F(1), F(1))))
     u = IntervalUnion((Interval(F(0), F(1, 8), hi_closed=False),
                        Interval(F(1, 4), F(1, 2), lo_closed=False, hi_closed=False),
-                       Interval.point(F(5, 8)),
+                       Interval(F(5, 8), F(5, 8)),
                        Interval(F(3, 4), F(1), lo_closed=False)))
     assert image_measure(f, u) == _pointwise_image_measure(f, u)
     assert image_measure(f, u) == F(1, 4) + F(1, 16) + F(3, 8)
@@ -258,7 +258,7 @@ def _column_points(f, den, rng):
     bounds, leaves = [], []
     for t in getattr(f, "terms", (f,)):
         if isinstance(t, IntervalStaircase):
-            bounds += [t.support.lo, t.support.hi]
+            bounds += [t.tree.root.lo, t.tree.root.hi]
             for c in t.tree.leaves():
                 bounds += [c.iv.lo, c.iv.hi]
                 leaves += [c.iv.lo + c.iv.diam / 3, (c.iv.lo + c.iv.hi) / 2]
