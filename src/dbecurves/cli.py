@@ -8,10 +8,12 @@ precision in bits (minimum 32).
 
 `certify`, `verify --dbe` and `emit --samples` take one depth `--d`, and
 `emit --length-series` a range.  A request to evaluate over 2^20 curve
-points exits 2 before any is evaluated; `certify` and `--length-series` on
-a curve with a collapsed length sum (n = 3, or one R_a) are exempt.  A
-length whose precision + depth passes 4096 bits could not be printed, so
-`certify` and `--length-series` exit 2 on such a request before any work.
+points, or over 4 * 2^20 component column entries ((n - 2) * 2^depth, so
+n >= 7 is refused at depth 20), exits 2 before any is evaluated; `certify`
+and `--length-series` on a curve with a collapsed length sum (n = 3, or one
+R_a) are exempt.  A length whose precision + depth passes 4096 bits could
+not be printed, so `certify` and `--length-series` exit 2 on such a request
+before any work.  `verify --lemmas` runs at most 100000 trials.
 """
 
 from __future__ import annotations
@@ -42,6 +44,12 @@ _MIN_PRECISION = 32
 # a depth-d sample holds 2^d + 1 points, and time and memory double per
 # level: certify --n 4 at depth 20 takes 3.8 s and 0.26 GB (2 vCPUs, x86_64)
 _MAX_SAMPLE_DEPTH = 20
+# and n - 2 component columns of 2^d + 1 integers each; n = 6 at depth 20 is
+# the largest request this admits
+_MAX_COLUMN_ENTRIES = 4 << 20
+# a lemmas trial runs each of the four suites once, about 2 ms (2 vCPUs,
+# x86_64), so the largest batch takes a few minutes
+_MAX_TRIALS = 100_000
 # a length at precision + depth = b bits prints about b + 1 decimal digits,
 # and CPython refuses to print an integer of over 4300 digits
 _MAX_LENGTH_BITS = 4096
@@ -85,6 +93,8 @@ def _check(args: argparse.Namespace) -> None:
         raise UsageError("curve construction needs n >= 3")
     if "trials" in args and args.trials < 1:
         raise UsageError("trials must be >= 1")
+    if "trials" in args and args.trials > _MAX_TRIALS:
+        raise UsageError(f"trials {args.trials} is over the budget of {_MAX_TRIALS}")
     if args.M < 1:
         raise UsageError("M must be >= 1")
     if args.staircase_depth not in _STAIRCASE_DEPTHS:
@@ -99,11 +109,19 @@ def _check(args: argparse.Namespace) -> None:
                              f"{_MAX_LENGTH_BITS} bits for printed lengths")
 
 
-def _check_sample_depth(depth: int, curve=None) -> None:
-    """Refuse 2^depth curve points past the budget, unless `curve` collapses."""
-    if depth > _MAX_SAMPLE_DEPTH and not (curve is not None and _is_collapsible(curve)):
+def _check_sample_depth(depth: int, curve, exempt_collapsed: bool = False) -> None:
+    """Refuse 2^depth curve points or (n - 2) * 2^depth column entries past
+    their budgets, unless `exempt_collapsed` and the curve's length collapses."""
+    if exempt_collapsed and _is_collapsible(curve):
+        return
+    if depth > _MAX_SAMPLE_DEPTH:
         raise UsageError(f"sample depth {depth} is over the budget of "
                          f"{_MAX_SAMPLE_DEPTH} (2^depth curve points)")
+    entries = len(curve.components) << depth
+    if entries > _MAX_COLUMN_ENTRIES:
+        raise UsageError(f"{len(curve.components)} columns at sample depth {depth} "
+                         f"are {entries} entries, over the budget of "
+                         f"{_MAX_COLUMN_ENTRIES}")
 
 
 def _write(text: str, out: str | None) -> None:
@@ -143,7 +161,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
 def cmd_certify(args: argparse.Namespace) -> int:
     curve = _load_curve(args)
     depth = args.d[0]
-    _check_sample_depth(depth, curve)
+    _check_sample_depth(depth, curve, exempt_collapsed=True)
     try:
         cert = certify_h1(curve, depth, args.precision)
     except ValueError as exc:
@@ -157,7 +175,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
 def _verify_dbe(args: argparse.Namespace) -> tuple[dict, bool]:
     curve = _load_curve(args)
     depth = args.d[0]
-    _check_sample_depth(depth)
+    _check_sample_depth(depth, curve)
     report = check_dbe_property(sample(curve, depth))
     body = {"suite": "dbe", "n": curve.n, "depth": depth,
             "pair_count": report.pair_count,
@@ -204,19 +222,19 @@ def _csv(header: list[str], rows: list[list[str]]) -> str:
 def cmd_emit(args: argparse.Namespace) -> int:
     curve = _load_curve(args)
     if args.samples:
-        _check_sample_depth(args.d[0])
+        _check_sample_depth(args.d[0], curve)
         pts = sample(curve, args.d[0])
         header = [f"x{i}" for i in range(1, curve.n + 1)]
         rows = [[format_rational(c) for c in p] for p in pts]
     elif args.length_series:
-        _check_sample_depth(max(args.d), curve)
+        _check_sample_depth(max(args.d), curve, exempt_collapsed=True)
         header = ["depth", "value", "error_radius"]
         rows = []
         for d in args.d:
             value, radius = polyline_length(curve, d, args.precision)
             rows.append([str(d), decimal_str(value), decimal_str(radius)])
     else:
-        _check_sample_depth(max(args.m) + 2)
+        _check_sample_depth(max(args.m) + 2, curve)
         header = ["m", "count"]
         rows = [[str(m), str(bc.count)]
                 for m, bc in zip(args.m, box_counts(curve, args.m))]
@@ -275,7 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
                 ("--family", "exhaustive unique-intersection family search"),
                 ("--lemmas", "randomized exact inequality suites"))
     sp.add_argument("--d", default=sample_depth, help="sample depth for --dbe")
-    sp.add_argument("--trials", type=int, default=500, help="trials for --lemmas")
+    sp.add_argument("--trials", type=int, default=500,
+                    help=f"trials for --lemmas (at most {_MAX_TRIALS})")
     sp.add_argument("--seed", type=int, default=0, help="seed for --lemmas")
     sp.add_argument("--out", **out)
 

@@ -25,7 +25,6 @@ from .singular import (
     RieszNagy,
     RieszNagyImageGrid,
     build_full_measure_mapper,
-    _riesz_nagy_nums,
     fn_from_json,
 )
 
@@ -132,17 +131,15 @@ def build_extremal_curve(n: int, a=Fraction(1, 4), M: int = 4,
 def _column(f: MonotoneFn, depth: int, memo: dict) -> tuple[int, list[int]]:
     """f on the grid k * 2^-depth as (den, nums), memoized by f.
 
-    R_a columns come from the integer level recursion, so every R_a that
-    compares equal (h, and the h inside each Composition(mapper, h)) is
-    computed once.  Every other column comes from `MonotoneFn.column`: a
-    composition hands its inner column to `outer.column`, reversed first and
-    back after when the inner function is decreasing.
+    Every R_a that compares equal (h, and the h inside each
+    Composition(mapper, h)) is computed once.  Columns come from
+    `MonotoneFn.column`: a composition hands its inner column to
+    `outer.column`, reversed first and back after when the inner function is
+    decreasing.
     """
     col = memo.get(f)
     if col is None:
-        if isinstance(f, RieszNagy):
-            col = _riesz_nagy_nums(f.a, depth)
-        elif isinstance(f, Composition):
+        if isinstance(f, Composition):
             den, nums = _column(f.inner, depth, memo)
             if f.inner.increasing:
                 col = f.outer.column(den, nums)

@@ -25,6 +25,7 @@ from .singular import (
     NotEvaluableError,
     PiecewiseLinear,
     RieszNagy,
+    _num_over,
     _over_lcm,
     image_measure,
 )
@@ -292,37 +293,85 @@ def check_lipschitz_image(f: MonotoneFn, c, F: IntervalUnion,
 _BISECT_CAP = 200
 
 
-def _delta_cuts(f: MonotoneFn, comp: Interval, delta: Fraction) -> list[Fraction]:
-    """Endpoints of a chop of comp on which f moves by at most delta per piece."""
-    cuts = [comp.lo]
-    stack = [(comp.lo, comp.hi, 0)]
-    out = []
-    while stack:
-        u, v, d = stack.pop()
-        if abs(f(v) - f(u)) <= delta:
-            out.append((u, v))
-            continue
+def _level_cuts(f: MonotoneFn, spans, den: int, delta: Fraction):
+    """Chop each [a/den, b/den] of `spans` until f moves by at most delta per piece.
+
+    Piece j of level d is [x_j, x_(j+1)] with x_j = (a*2^d + j*(b - a)) / (den*2^d),
+    and it splits at its midpoint x_(2j+1) of level d + 1 when
+    |f(x_(j+1)) - f(x_j)| > delta.  Whether a piece splits depends only on
+    the piece, so the leaves are those of a depth-first bisection.  The span
+    ends are read as one column and so are the midpoints of all the pieces
+    that split at one level; every point is evaluated once.  Returns
+    (level, vden, cuts): per span its cut points as indices j at the last
+    level, left to right, with f there as numerators over vden.
+    """
+    dn, dd = delta.numerator, delta.denominator
+    ends = sorted({x for span in spans for x in span})
+    vden, vals = f.column(den, ends)
+    at = dict(zip(ends, vals))
+    # pieces still to test, as (span, j, f(x_j), f(x_(j+1))) over vden
+    frontier = [(s, 0, at[a], at[b]) for s, (a, b) in enumerate(spans)]
+    levels = []  # (vden, [(span, j + 1, f(x_(j+1)))] of the leaves) per level
+    d = 0
+    while True:
+        lim = dn * vden
+        split, leaves = [], []
+        for piece in frontier:
+            s, j, u, v = piece
+            if abs(v - u) * dd > lim:
+                split.append(piece)
+            else:
+                leaves.append((s, j + 1, v))
+        levels.append((vden, leaves))
+        if not split:
+            break
         if d >= _BISECT_CAP:
             raise NotEvaluableError("could not refine below delta")
-        mid = (u + v) / 2
-        stack.append(((mid, v, d + 1)))
-        stack.append(((u, mid, d + 1)))
-    out.sort()
-    for u, v in out:
-        cuts.append(v)
-    return cuts
+        d += 1
+        mden, mids = f.column(den << d, [(spans[s][0] << d) + (2 * j + 1) *
+                                         (spans[s][1] - spans[s][0])
+                                         for s, j, _, _ in split])
+        new = math.lcm(vden, mden)
+        ku, km = new // vden, new // mden
+        vden = new
+        frontier = []
+        for (s, j, u, v), m in zip(split, mids):
+            u, m, v = u * ku, m * km, v * ku
+            frontier += ((s, 2 * j, u, m), (s, 2 * j + 1, m, v))
+    cuts = [[(0, at[a] * (vden // levels[0][0]))] for a, _ in spans]
+    for level, (lden, leaves) in enumerate(levels):
+        shift, k = d - level, vden // lden
+        for s, j, v in leaves:
+            cuts[s].append((j << shift, v * k))
+    for c in cuts:
+        c.sort()
+    return d, vden, cuts
 
 
-def _memoized(f):
-    """f evaluated once per distinct point, for the life of one check."""
-    memo: dict[Fraction, Fraction] = {}
+def _fill(f: MonotoneFn, vals, other, spans, den: int, level: int, vden: int) -> int:
+    """Add f at the points of `other` that `vals` lacks, in one column.
 
-    def at(x):
-        v = memo.get(x)
-        if v is None:
-            v = memo[x] = f(x)
-        return v
-    return at
+    vals and other hold per span {index at `level`: numerator}; the values
+    of vals are over vden and come back over the returned denominator.
+    """
+    missing = [(s, j) for s, (mine, theirs) in enumerate(zip(vals, other))
+               for j in theirs if j not in mine]
+    if not missing:
+        return vden
+    missing.sort()
+    mden, got = f.column(den << level, [(spans[s][0] << level) + j *
+                                        (spans[s][1] - spans[s][0])
+                                        for s, j in missing])
+    new = math.lcm(vden, mden)
+    if new != vden:
+        k = new // vden
+        for mine in vals:
+            for j in mine:
+                mine[j] *= k
+    k = new // mden
+    for (s, j), v in zip(missing, got):
+        vals[s][j] = v * k
+    return new
 
 
 def check_sum_image_bound(f1: MonotoneFn, f2: MonotoneFn, D: IntervalUnion,
@@ -332,26 +381,40 @@ def check_sum_image_bound(f1: MonotoneFn, f2: MonotoneFn, D: IntervalUnion,
     Chops D until each piece moves f1 (resp. f2) by at most delta; the common
     refinement then covers (f1+f2)(D) with blocks of diameter at most 2*delta.
     Checks that the refined 2-delta cover sum never exceeds the sum of the
-    two delta cover sums.
+    two delta cover sums.  Each component [a/den, b/den] is chopped by
+    `_level_cuts`, so all sums are integers over one denominator per
+    function, and each function is evaluated once per point.
     """
     delta = Fraction(delta)
     if delta <= 0:
         raise ValueError("delta must be positive")
-    f1, f2 = _memoized(f1), _memoized(f2)
-    s1 = s2 = refined = ZERO
-    for comp in D.components:
-        cuts1 = _delta_cuts(f1, comp, delta)
-        cuts2 = _delta_cuts(f2, comp, delta)
-        s1 += sum((f1(v) - f1(u) for u, v in zip(cuts1, cuts1[1:])), ZERO)
-        s2 += sum((f2(v) - f2(u) for u, v in zip(cuts2, cuts2[1:])), ZERO)
-        merged = sorted(set(cuts1) | set(cuts2))
+    den = math.lcm(*(x.denominator for c in D.components for x in (c.lo, c.hi)))
+    spans = [(_num_over(c.lo, den), _num_over(c.hi, den)) for c in D.components]
+    (k1, den1, cuts1), (k2, den2, cuts2) = (_level_cuts(f, spans, den, delta)
+                                            for f in (f1, f2))
+    level = max(k1, k2)
+    # per span, f at its cuts keyed by their indices at the common level, in
+    # cut order
+    vals1 = [{j << (level - k1): v for j, v in c} for c in cuts1]
+    vals2 = [{j << (level - k2): v for j, v in c} for c in cuts2]
+    cuts1, cuts2 = [list(c) for c in vals1], [list(c) for c in vals2]
+    den1 = _fill(f1, vals1, vals2, spans, den, level, den1)
+    den2 = _fill(f2, vals2, vals1, spans, den, level, den2)
+    s1 = s2 = r1 = r2 = 0
+    lim1, lim2 = delta.numerator * den1, delta.numerator * den2
+    for c1, c2, w1, w2 in zip(cuts1, cuts2, vals1, vals2):
+        s1 += sum(w1[v] - w1[u] for u, v in zip(c1, c1[1:]))
+        s2 += sum(w2[v] - w2[u] for u, v in zip(c2, c2[1:]))
+        merged = sorted(w1)
         for u, v in zip(merged, merged[1:]):
-            d1 = f1(v) - f1(u)
-            d2 = f2(v) - f2(u)
-            if d1 > delta or d2 > delta:
+            d1 = w1[v] - w1[u]
+            d2 = w2[v] - w2[u]
+            if d1 * delta.denominator > lim1 or d2 * delta.denominator > lim2:
                 raise AssertionError("refinement failed to be delta-fine")
-            refined += d1 + d2
-    return refined <= s1 + s2
+            r1 += d1
+            r2 += d2
+    return Fraction(r1, den1) + Fraction(r2, den2) <= (Fraction(s1, den1)
+                                                       + Fraction(s2, den2))
 
 
 def _affine_pieces(f) -> list[tuple[Interval, Fraction]]:

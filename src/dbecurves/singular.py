@@ -168,6 +168,12 @@ def riesz_nagy_level(a, depth: int) -> list[Fraction]:
     return [Fraction(v, den) for v in nums]
 
 
+# A column over 2^d reads all 2^d + 1 level-d values when it holds at least
+# 2^d / _DENSE_LEVEL points; a sparser one is evaluated point by point.  One
+# point costs about as much as 130-600 level values at depths 5-10.
+_DENSE_LEVEL = 64
+
+
 def _riesz_nagy_nums(a: Fraction, depth: int) -> tuple[int, list[int]]:
     """(q^depth, numerators) of `riesz_nagy_level(a, depth)` for a = p/q."""
     p, q = a.numerator, a.denominator
@@ -240,6 +246,16 @@ class RieszNagy(MonotoneFn):
     def __call__(self, x) -> Fraction:
         return eval_riesz_nagy(self.a, x)
 
+    def column(self, den: int, nums) -> tuple[int, list[int]]:
+        """A dense column over den = 2^d inside [0, 1] reads the level-d
+        values of the integer recursion; any other goes point by point."""
+        d = den.bit_length() - 1
+        if (den == 1 << d and den <= _DENSE_LEVEL * len(nums)
+                and 0 <= nums[0] and nums[-1] <= den):
+            qd, level = _riesz_nagy_nums(self.a, d)
+            return qd, [level[v] for v in nums]
+        return super().column(den, nums)
+
     def to_json(self) -> dict:
         return {"kind": self.kind, "a": format_rational(self.a)}
 
@@ -290,14 +306,28 @@ class PiecewiseLinear(MonotoneFn):
         if len(knots) < 2:
             raise ValueError("need at least two knots")
         xs = [k[0] for k in knots]
-        ys = [k[1] for k in knots]
-        if any(x1 >= x2 for x1, x2 in zip(xs, xs[1:])):
+        # knot i is (xn[i] / X, yn[i] / Y) for integers xn[i], yn[i]
+        X, xn = _over_lcm(xs)
+        Y, yn = _over_lcm([k[1] for k in knots])
+        if any(x1 >= x2 for x1, x2 in zip(xn, xn[1:])):
             raise ValueError("knot x-values must be strictly increasing")
-        if any(y1 > y2 for y1, y2 in zip(ys, ys[1:])):
+        if any(y1 > y2 for y1, y2 in zip(yn, yn[1:])):
             raise ValueError("knot y-values must be non-decreasing")
         self.knots = knots
         self._xs = xs
-        self.strictly_monotone = all(y1 < y2 for y1, y2 in zip(ys, ys[1:]))
+        self.strictly_monotone = all(y1 < y2 for y1, y2 in zip(yn, yn[1:]))
+        # Piece i is f(v / den) = (s_i * v + b_i * den) / (self._den * den).
+        # Over Y * P, P the lcm of the knot gaps g = x2 - x1 and m = P / g,
+        # s_i = m * (y2 - y1) * X and b_i = m * (y1 * g - (y2 - y1) * x1).
+        P = math.lcm(*(x2 - x1 for x1, x2 in zip(xn, xn[1:])))
+        lines = []
+        for x1, x2, y1, y2 in zip(xn, xn[1:], yn, yn[1:]):
+            m, dy = P // (x2 - x1), y2 - y1
+            lines.append((m * dy * X, m * (y1 * (x2 - x1) - dy * x1)))
+        g = math.gcd(Y * P, *(c for line in lines for c in line))
+        self._den = Y * P // g
+        self._lines = [(s // g, b // g) for s, b in lines]
+        self._X, self._xn = X, xn
 
     def pieces(self):
         """Yield (Interval, slope) per linear piece."""
@@ -315,30 +345,22 @@ class PiecewiseLinear(MonotoneFn):
         return y1 + (y2 - y1) * (x - x1) / (x2 - x1)
 
     def column(self, den: int, nums) -> tuple[int, list[int]]:
-        """Piece by piece: knot piece i takes the points from its left knot
-        up to the next knot (the last piece also its right knot), where
-        f(v / den) = (s * v + b) / L for integers s, b and one L.
+        """Piece by piece over self._den * den: knot piece i takes the points
+        from its left knot up to the next knot (the last piece also its right
+        knot), one integer multiply-add each.
         """
-        xs = self._xs
-        below = bisect_left(nums, _ceil_times(xs[0], den))
-        inside = bisect_right(nums, _floor_times(xs[-1], den))
+        X, xn = self._X, self._xn
+        below = bisect_left(nums, -(-xn[0] * den // X))
+        inside = bisect_right(nums, xn[-1] * den // X)
         if below or inside < len(nums):
             # the first point outside the domain raises as __call__ does
             self(Fraction(nums[0] if below else nums[inside], den))
-        cuts = [0, *(bisect_left(nums, _ceil_times(x, den)) for x in xs[1:-1]),
-                len(nums)]
-        runs = []
-        for start, stop, (x1, y1), (x2, y2) in zip(cuts, cuts[1:], self.knots,
-                                                   self.knots[1:]):
-            if start < stop:
-                slope = (y2 - y1) / (x2 - x1)
-                runs.append((start, stop, slope / den, y1 - slope * x1))
-        L = math.lcm(*(c.denominator for *_, s, b in runs for c in (s, b)))
+        cuts = [0, *(bisect_left(nums, -(-x * den // X)) for x in xn[1:-1]), len(nums)]
         out = []
-        for start, stop, s, b in runs:
-            s, b = _num_over(s, L), _num_over(b, L)
+        for start, stop, (s, b) in zip(cuts, cuts[1:], self._lines):
+            b *= den
             out += [s * v + b for v in nums[start:stop]]
-        return L, out
+        return self._den * den, out
 
     def to_json(self) -> dict:
         return {
@@ -880,6 +902,9 @@ def build_full_measure_mapper(excluded: IntervalUnion, M: int,
     """
     if M < 1:
         raise ValueError("M must be >= 1")
+    # a depth-0 tree's only leaf is its whole root, leaving later terms no room
+    if type(staircase_depth) is not int or staircase_depth < 1:
+        raise ValueError(f"staircase depth is not an integer >= 1: {staircase_depth!r}")
     avoid = excluded
     stairs = []
     unions: list[IntervalUnion] = []

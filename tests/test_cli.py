@@ -473,6 +473,41 @@ def test_collapsed_length_sums_are_exempt_from_the_sample_budget(capsys, monkeyp
     assert blob["depth"] == 40 and blob["upper"] == "2/1"
 
 
+# n = 7 has five component columns, 5 * 2^20 entries at depth 20
+@pytest.mark.parametrize("argv", [
+    ("certify", "--n", "7", "--d", "20"),
+    ("verify", "--dbe", "--n", "7", "--d", "20"),
+    ("emit", "--samples", "--n", "7", "--d", "20"),
+    ("emit", "--length-series", "--n", "7", "--d", "1..20"),
+    ("emit", "--boxcount", "--n", "7", "--m", "4..18"),
+], ids=["certify", "verify-dbe", "samples", "length-series", "boxcount"])
+def test_requests_over_the_column_budget_are_refused_unsampled(capsys, monkeypatch,
+                                                               argv):
+    _refuse_sampling(monkeypatch)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and str(cli._MAX_COLUMN_ENTRIES) in err
+
+
+def test_column_budget_admits_n6_at_the_deepest_sample():
+    assert cli._MAX_COLUMN_ENTRIES == 4 << cli._MAX_SAMPLE_DEPTH
+    for n, depth in ((6, 20), (7, 19)):
+        cli._check_sample_depth(depth, build_extremal_curve(n))
+    with pytest.raises(cli.UsageError):
+        cli._check_sample_depth(20, build_extremal_curve(7))
+
+
+def test_lemmas_trials_over_the_budget_are_refused_before_any_trial(capsys,
+                                                                     monkeypatch):
+    def run_all(*_):
+        raise AssertionError("a refused request ran a trial")
+    monkeypatch.setattr(cli, "run_all", run_all)
+    code, out, err = run_cli(capsys, "verify", "--lemmas", "--trials",
+                             str(cli._MAX_TRIALS + 1))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and str(cli._MAX_TRIALS) in err
+
+
 def test_sample_budget_admits_its_own_depth(capsys, monkeypatch):
     monkeypatch.setattr(cli, "_MAX_SAMPLE_DEPTH", 4)
     assert run_cli(capsys, "verify", "--dbe", "--n", "4", "--d", "4")[0] == 0

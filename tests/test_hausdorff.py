@@ -17,10 +17,11 @@ from dbecurves.curves import (
 )
 from dbecurves.exact import Interval, IntervalUnion
 from dbecurves.hausdorff import (
+    _BISECT_CAP,
     BoxCount,
     _collapsed_riesz_length,
-    _delta_cuts,
     _grid_points,
+    _level_cuts,
     H1Certificate,
     LipschitzWitnessError,
     box_count,
@@ -39,6 +40,7 @@ from dbecurves.singular import (
     Cantor,
     Composition,
     MonotoneFn,
+    NotEvaluableError,
     PiecewiseLinear,
     RieszNagy,
     WeightedSum,
@@ -457,6 +459,28 @@ class _Recorder(MonotoneFn):
         return self.f(x)
 
 
+def _delta_cuts(f, comp, delta):
+    """Reference: depth-first bisection of comp until f moves by at most
+    delta per piece; the cut list is the left end and each piece's right end."""
+    cuts = [comp.lo]
+    stack = [(comp.lo, comp.hi, 0)]
+    out = []
+    while stack:
+        u, v, d = stack.pop()
+        if abs(f(v) - f(u)) <= delta:
+            out.append((u, v))
+            continue
+        if d >= _BISECT_CAP:
+            raise NotEvaluableError("could not refine below delta")
+        mid = (u + v) / 2
+        stack.append(((mid, v, d + 1)))
+        stack.append(((u, mid, d + 1)))
+    out.sort()
+    for u, v in out:
+        cuts.append(v)
+    return cuts
+
+
 def _sum_image_bound_reference(f1, f2, D, delta):
     """Reference: every sum and the refinement evaluate f1 and f2 afresh."""
     s1 = s2 = refined = F(0)
@@ -489,6 +513,71 @@ def test_sum_image_bound_evaluates_each_point_once():
             assert len(got.calls) == len(set(got.calls))
             assert set(got.calls) == set(ref.calls)
             assert len(ref.calls) > len(got.calls)
+
+
+def _level_cut_points(f, D, delta):
+    """`_level_cuts` of every component of D, as points; f at each is checked."""
+    den = math.lcm(*(x.denominator for c in D.components for x in (c.lo, c.hi)))
+    spans = [(c.lo.numerator * den // c.lo.denominator,
+              c.hi.numerator * den // c.hi.denominator) for c in D.components]
+    level, vden, cuts = _level_cuts(f, spans, den, delta)
+    out = []
+    for (a, b), cut in zip(spans, cuts):
+        xs = [F((a << level) + j * (b - a), den << level) for j, _ in cut]
+        assert [F(v, vden) for _, v in cut] == [f(x) for x in xs]
+        out.append(xs)
+    return out
+
+
+def _cantor_cover(level):
+    return IntervalUnion(
+        Interval(F(k, 3 ** level), F(k + 1, 3 ** level)) for k in range(3 ** level)
+        if all(k // 3 ** i % 3 != 1 for i in range(level)))
+
+
+def test_level_order_cuts_equal_depth_first_bisection():
+    rng = random.Random(1717)
+    cases = [(identity_fn(), IntervalUnion.closed(0, 1), F(1, 8)),
+             (Cantor(), IntervalUnion.closed(0, 1), F(1, 8)),
+             (Cantor(), _cantor_cover(3), F(1, 16)),
+             # a point component, open ends, and two components sharing an end
+             (Cantor(), IntervalUnion((Interval(F(1, 5), F(1, 5)),
+                                       Interval(F(1, 3), F(4, 5), lo_closed=False,
+                                                hi_closed=False))), F(1, 8)),
+             (identity_fn(), IntervalUnion((Interval(F(0), F(1, 2), hi_closed=False),
+                                            Interval(F(1, 2), F(1), lo_closed=False))),
+              F(1, 8))]
+    for _ in range(60):
+        dom, delta = trials.random_union(rng), F(1, 1 << rng.randint(2, 7))
+        for _ in range(2):
+            cases.append((trials.random_piecewise_linear(rng, strict=True), dom, delta))
+    for f, dom, delta in cases:
+        want = [_delta_cuts(f, comp, delta) for comp in dom.components]
+        assert _level_cut_points(f, dom, delta) == want
+    for f1, f2 in zip(cases[::2], cases[1::2]):
+        for dom, delta in ((f1[1], f1[2]), (f2[1], f2[2])):
+            assert (check_sum_image_bound(f1[0], f2[0], dom, delta)
+                    == _sum_image_bound_reference(f1[0], f2[0], dom, delta))
+
+
+class _Jump(MonotoneFn):
+    """x below 1/3 and x + 1 from 1/3 on: no dyadic piece straddling 1/3 is
+    delta-fine for delta < 1, so bisection reaches its cap."""
+
+    strictly_monotone = True
+
+    def __call__(self, x):
+        x = F(x)
+        return x + (x >= F(1, 3))
+
+
+def test_sum_image_bound_raises_at_the_bisection_cap():
+    F01 = IntervalUnion.closed(0, 1)
+    with pytest.raises(NotEvaluableError, match="could not refine below delta"):
+        _delta_cuts(_Jump(), F01.components[0], F(1, 4))
+    for f1, f2 in ((identity_fn(), _Jump()), (_Jump(), identity_fn())):
+        with pytest.raises(NotEvaluableError, match="could not refine below delta"):
+            check_sum_image_bound(f1, f2, F01, F(1, 4))
 
 
 def test_sum_image_bound_identity_pair():

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from dbecurves import oracle
+from dbecurves import oracle, singular, trials
 from dbecurves.oracle import riesz_nagy_inverse
 from dbecurves.curves import build_extremal_curve, curve_from_json, curve_to_json
 from dbecurves.exact import _ABOVE, _AT, _BELOW, Interval, IntervalUnion
@@ -333,6 +333,56 @@ def test_integer_column_outside_the_domain_raises_the_pointwise_error():
         with pytest.raises(NotEvaluableError) as want:
             pl(F(bad, 8))
         assert str(got.value) == str(want.value)
+
+
+def _random_column(rng, den, size, must=()):
+    """A random non-decreasing column over den with 0, den and `must`, and
+    some numerators repeated."""
+    nums = [0, den, *must, *(rng.randint(0, den) for _ in range(size))]
+    nums += rng.sample(nums, len(nums) // 4)
+    return sorted(nums)
+
+
+@pytest.mark.parametrize("den, size", [(1 << 8, 200), (1 << 12, 5), (3 ** 5 * 7, 60)],
+                         ids=["dyadic-dense", "dyadic-sparse", "non-dyadic"])
+def test_piecewise_linear_and_riesz_columns_equal_pointwise_evaluation(den, size):
+    rng = random.Random(den)
+    for _ in range(20):
+        pl = trials.random_piecewise_linear(rng, strict=rng.random() < 0.5,
+                                            allow_flat=True)
+        knots = [x.numerator * den // x.denominator for x, _ in pl.knots
+                 if den % x.denominator == 0]
+        _assert_column_is_pointwise(pl, den, _random_column(rng, den, size, knots))
+    dyadic = den & (den - 1) == 0
+    for a in (F(1, 4), F(2, 7), F(3, 4)):
+        # off dyadic denominators only 0 and 1 are dyadic points
+        nums = _random_column(rng, den, size) if dyadic else [0, 0, den]
+        _assert_column_is_pointwise(RieszNagy(a), den, nums)
+
+
+def test_riesz_column_reads_dense_dyadic_columns_off_one_level(monkeypatch):
+    def eval_riesz_nagy(*_):
+        raise AssertionError("a dense dyadic column went point by point")
+    want = [RieszNagy(F(2, 7))(F(v, 64)) for v in (0, 5, 5, 63, 64)]
+    monkeypatch.setattr(singular, "eval_riesz_nagy", eval_riesz_nagy)
+    den, got = RieszNagy(F(2, 7)).column(64, [0, 5, 5, 63, 64])
+    assert [F(v, den) for v in got] == want
+    with pytest.raises(AssertionError, match="point by point"):
+        RieszNagy(F(2, 7)).column(1 << 12, [0, 1])
+
+
+@pytest.mark.parametrize("den, nums", [
+    (8, [-1, 0, 5]), (8, [0, 3, 9]), (1 << 12, [7, (1 << 12) + 1]),
+    (6, [0, 3, 4, 6]), (6, [0, 3, 7]),
+], ids=["dense-below", "dense-above", "sparse-above", "non-dyadic", "non-dyadic-above"])
+def test_riesz_column_outside_the_domain_raises_the_pointwise_error(den, nums):
+    f = RieszNagy(F(1, 3))
+    with pytest.raises(NotEvaluableError) as got:
+        f.column(den, nums)
+    with pytest.raises(NotEvaluableError) as want:
+        for v in nums:
+            f(F(v, den))
+    assert str(got.value) == str(want.value)
 
 
 # -- grids ------------------------------------------------------------------
@@ -773,3 +823,10 @@ def test_full_measure_mapper_on_image_grid():
     for comp in mr.n_trunc.components:
         riesz_nagy_inverse(a, comp.lo)
         riesz_nagy_inverse(a, comp.hi)
+
+
+@pytest.mark.parametrize("depth", [0, -1])
+def test_full_measure_mapper_refuses_staircase_depth_below_one(depth):
+    # a depth-0 staircase used to surface as a ConstructionError of term 1
+    with pytest.raises(ValueError, match="staircase depth is not an integer >= 1"):
+        build_full_measure_mapper(IntervalUnion.empty(), 2, depth)
