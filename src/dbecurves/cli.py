@@ -13,7 +13,8 @@ n >= 7 is refused at depth 20), exits 2 before any is evaluated; `certify`
 and `--length-series` on a curve with a collapsed length sum (n = 3, or one
 R_a) are exempt.  A length whose precision + depth passes 4096 bits could
 not be printed, so `certify` and `--length-series` exit 2 on such a request
-before any work.  `verify --lemmas` runs at most 100000 trials.
+before any work.  `verify --lemmas` runs at most 100000 trials, and an
+extremal curve has n <= 100.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import sys
 from fractions import Fraction
 
 from .curves import (
+    _MAX_N,
     _MAX_STAIRCASE_DEPTH,
     _STAIRCASE_DEPTHS,
     build_extremal_curve,
@@ -89,8 +91,11 @@ def _check(args: argparse.Namespace) -> None:
     one_depth = (args.command == "certify" or getattr(args, "dbe", False)
                  or getattr(args, "samples", False))
     needs_curve = one_depth or args.command in ("construct", "emit")
-    if needs_curve and getattr(args, "spec_path", None) is None and args.n < 3:
-        raise UsageError("curve construction needs n >= 3")
+    if needs_curve and getattr(args, "spec_path", None) is None:
+        if args.n < 3:
+            raise UsageError("curve construction needs n >= 3")
+        if args.n > _MAX_N:
+            raise UsageError(f"n {args.n} is over the budget of {_MAX_N}")
     if "trials" in args and args.trials < 1:
         raise UsageError("trials must be >= 1")
     if "trials" in args and args.trials > _MAX_TRIALS:
@@ -162,13 +167,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
     curve = _load_curve(args)
     depth = args.d[0]
     _check_sample_depth(depth, curve, exempt_collapsed=True)
-    try:
-        cert = certify_h1(curve, depth, args.precision)
-    except ValueError as exc:
-        _write(_json_text({"schema_version": SCHEMA_VERSION, "ok": False,
-                           "error": str(exc)}), args.out)
-        return 1
-    _write(_json_text(cert.to_json()), args.out)
+    _write(_json_text(certify_h1(curve, depth, args.precision).to_json()), args.out)
     return 0
 
 

@@ -26,7 +26,6 @@ from .singular import (
     PiecewiseLinear,
     RieszNagy,
     _num_over,
-    _over_lcm,
     image_measure,
 )
 
@@ -244,16 +243,23 @@ def box_count_slope(curve_or_points, ms):
 # -- inequality checkers ----------------------------------------------------------
 
 
-def _grid_points(F: IntervalUnion, depth: int) -> list[Fraction]:
-    """The points k/2^depth of [0, 1] that lie in F, left to right."""
-    scale = 1 << depth
-    out = []
+def _sample_nums(F: IntervalUnion, depth: int) -> tuple[int, list[int]]:
+    """(den, nums): F's component ends, open or closed, and the points
+    k/2^depth of [0, 1] inside them, left to right and distinct, as integer
+    numerators over den = lcm(2^depth, the end denominators)."""
+    den = math.lcm(1 << depth, *(x.denominator for c in F.components
+                                 for x in (c.lo, c.hi)))
+    step = den >> depth
+    nums: list[int] = []
     for comp in F.components:
-        lo, hi = comp.lo * scale, comp.hi * scale
-        k_lo = math.ceil(lo) + (not comp.lo_closed and lo.denominator == 1)
-        k_hi = math.floor(hi) - (not comp.hi_closed and hi.denominator == 1)
-        out += (Fraction(k, scale) for k in range(max(k_lo, 0), min(k_hi, scale) + 1))
-    return out
+        lo, hi = _num_over(comp.lo, den), _num_over(comp.hi, den)
+        if not nums or nums[-1] != lo:  # the last end equals lo when they touch
+            nums.append(lo)
+        k_lo, k_hi = max(lo // step + 1, 0), min(-(-hi // step) - 1, 1 << depth)
+        nums += range(k_lo * step, (k_hi + 1) * step, step)
+        if hi != lo:
+            nums.append(hi)
+    return den, nums
 
 
 def check_lipschitz_image(f: MonotoneFn, c, F: IntervalUnion,
@@ -261,32 +267,28 @@ def check_lipschitz_image(f: MonotoneFn, c, F: IntervalUnion,
     """Exact check that measure(f(F)) <= c * measure(F).
 
     The caller declares f to be c-Lipschitz on F; the declaration is probed
-    first on the consecutive pairs of a sorted dyadic sample, and a
-    falsifying pair raises LipschitzWitnessError with the witness.  By the
-    triangle inequality every sample pair satisfies the bound exactly when
-    every consecutive pair does, so the verdict is that of an all-pairs
-    probe; the witness is the leftmost violating consecutive pair, which
-    need not be the pair an all-pairs scan would report.
+    first on the consecutive pairs of a sorted sample, F's component ends
+    and the points k/2^sample_depth inside F, and a falsifying pair raises
+    LipschitzWitnessError with the witness.  By the triangle inequality
+    every sample pair satisfies the bound exactly when every consecutive
+    pair does, so the verdict is that of an all-pairs probe; the witness is
+    the leftmost violating consecutive pair, which need not be the pair an
+    all-pairs scan would report.
     """
     c = Fraction(c)
-    xs = set(_grid_points(F, sample_depth))
-    for comp in F.components:
-        xs.add(comp.lo)
-        xs.add(comp.hi)
-    pts = sorted(xs)
-    den, nums = _over_lcm(pts)
+    den, nums = _sample_nums(F, sample_depth)
     try:
         vden, vals = f.column(den, nums)
     except ValueError:
-        for x in pts:  # raise the error that point-by-point evaluation meets first
-            f(x)
+        for v in nums:  # raise the error that point-by-point evaluation meets first
+            f(Fraction(v, den))
         raise
     # |f(y) - f(x)| > c * (y - x), times the positive den * vden * c.denominator
     lhs, rhs = den * c.denominator, c.numerator * vden
-    for k, (u, v, fu, fv) in enumerate(zip(nums, nums[1:], vals, vals[1:])):
+    for u, v, fu, fv in zip(nums, nums[1:], vals, vals[1:]):
         if abs(fv - fu) * lhs > (v - u) * rhs:
-            raise LipschitzWitnessError(pts[k], pts[k + 1], Fraction(fu, vden),
-                                        Fraction(fv, vden), c)
+            raise LipschitzWitnessError(Fraction(u, den), Fraction(v, den),
+                                        Fraction(fu, vden), Fraction(fv, vden), c)
     return image_measure(f, F) <= c * F.measure()
 
 
@@ -417,14 +419,6 @@ def check_sum_image_bound(f1: MonotoneFn, f2: MonotoneFn, D: IntervalUnion,
                                                        + Fraction(s2, den2))
 
 
-def _affine_pieces(f) -> list[tuple[Interval, Fraction]]:
-    if isinstance(f, PiecewiseLinear):
-        return list(f.pieces())
-    if isinstance(f, Affine):
-        return [(Interval(ZERO, ONE), f.slope)]
-    raise TypeError("derivative bound needs a piecewise-affine function")
-
-
 def check_derivative_bound(f: MonotoneFn, E: IntervalUnion) -> bool:
     """Exact check that measure(f(E)) <= integral of |f'| over E.
 
@@ -432,12 +426,16 @@ def check_derivative_bound(f: MonotoneFn, E: IntervalUnion) -> bool:
     the finite sum of |slope| * measure(E intersect piece); equality holds
     when every piece has nonzero slope.
     """
-    pieces = _affine_pieces(f)
-    domain = IntervalUnion(iv for iv, _ in pieces)
-    if not E.subset_of(domain):
+    if isinstance(f, PiecewiseLinear):
+        pieces = list(f.pieces())
+    elif isinstance(f, Affine):
+        pieces = [(Interval(ZERO, ONE), f.slope)]
+    else:
+        raise TypeError("derivative bound needs a piecewise-affine function")
+    comps = E.components
+    x0, xk = pieces[0][0].lo, pieces[-1][0].hi
+    if comps and not (x0 <= comps[0].lo and comps[-1].hi <= xk):
         raise NotEvaluableError("E escapes the function's piece domain")
-    total = ZERO
-    for iv, slope in pieces:
-        total += abs(slope) * E.intersect(IntervalUnion((iv,))).measure()
+    total = sum((abs(slope) * max(ZERO, min(c.hi, iv.hi) - max(c.lo, iv.lo))
+                 for iv, slope in pieces for c in comps), ZERO)
     return image_measure(f, E) <= total
-

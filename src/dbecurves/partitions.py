@@ -63,10 +63,15 @@ def diam_sum(p: LRPartition) -> Fraction:
 def refine(p: LRPartition, q: LRPartition) -> LRPartition:
     """All nonempty pairwise intersections of blocks, ordered left to right.
 
-    Requires p and q to partition the same set.  The refinement's diameter
-    sum can never exceed either input's; that inequality is checked exactly
-    here and a failure raises RefinementBoundError.
+    Requires p and q to be left-right ordered partitions of the same set,
+    and raises ValueError for interleaved blocks.  The refinement's diameter
+    sum can then never exceed either input's; that inequality is checked
+    exactly here and a failure raises RefinementBoundError.
     """
+    for part in (p, q):
+        blocks = sorted(part.blocks, key=lambda b: b.inf)
+        if any(left.sup > right.inf for left, right in zip(blocks, blocks[1:])):
+            raise ValueError("refine needs left-right ordered partitions")
     if p.support() != q.support():
         raise DomainMismatchError("partitions cover different sets")
     blocks = []

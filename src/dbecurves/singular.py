@@ -151,23 +151,6 @@ def eval_riesz_nagy(a, x) -> Fraction:
     return off
 
 
-def riesz_nagy_level(a, depth: int) -> list[Fraction]:
-    """The 2^depth + 1 values R_a(k/2^depth), k = 0..2^depth, level by level.
-
-    Each level keeps R_a as integer numerators over q^j for a = p/q: the
-    midpoint of a cell with end numerators l, r is q*l + p*(r - l) (the
-    self-similarity R((2k+1)/2^j) = L + a*(R - L)), and the old values are
-    rescaled by q.  Fractions are formed once, at the end.
-    """
-    a = Fraction(a)
-    if not (ZERO < a < ONE):
-        raise ValueError("need 0 < a < 1")
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    den, nums = _riesz_nagy_nums(a, depth)
-    return [Fraction(v, den) for v in nums]
-
-
 # A column over 2^d reads all 2^d + 1 level-d values when it holds at least
 # 2^d / _DENSE_LEVEL points; a sparser one is evaluated point by point.  One
 # point costs about as much as 130-600 level values at depths 5-10.
@@ -175,7 +158,13 @@ _DENSE_LEVEL = 64
 
 
 def _riesz_nagy_nums(a: Fraction, depth: int) -> tuple[int, list[int]]:
-    """(q^depth, numerators) of `riesz_nagy_level(a, depth)` for a = p/q."""
+    """(q^depth, nums): R_a(k/2^depth) = nums[k] / q^depth for a = p/q.
+
+    Level by level, the values are integer numerators over q^j: the
+    midpoint of a cell with end numerators l, r is q*l + p*(r - l) (the
+    self-similarity R((2k+1)/2^j) = L + a*(R - L)), and the old values are
+    rescaled by q.
+    """
     p, q = a.numerator, a.denominator
     nums = [0, 1]
     for _ in range(depth):
@@ -305,16 +294,14 @@ class PiecewiseLinear(MonotoneFn):
         knots = tuple((Fraction(x), Fraction(y)) for x, y in knots)
         if len(knots) < 2:
             raise ValueError("need at least two knots")
-        xs = [k[0] for k in knots]
         # knot i is (xn[i] / X, yn[i] / Y) for integers xn[i], yn[i]
-        X, xn = _over_lcm(xs)
+        X, xn = _over_lcm([k[0] for k in knots])
         Y, yn = _over_lcm([k[1] for k in knots])
         if any(x1 >= x2 for x1, x2 in zip(xn, xn[1:])):
             raise ValueError("knot x-values must be strictly increasing")
         if any(y1 > y2 for y1, y2 in zip(yn, yn[1:])):
             raise ValueError("knot y-values must be non-decreasing")
         self.knots = knots
-        self._xs = xs
         self.strictly_monotone = all(y1 < y2 for y1, y2 in zip(yn, yn[1:]))
         # Piece i is f(v / den) = (s_i * v + b_i * den) / (self._den * den).
         # Over Y * P, P the lcm of the knot gaps g = x2 - x1 and m = P / g,
@@ -336,25 +323,21 @@ class PiecewiseLinear(MonotoneFn):
 
     def __call__(self, x) -> Fraction:
         x = Fraction(x)
-        if not (self._xs[0] <= x <= self._xs[-1]):
-            raise NotEvaluableError(f"{x} outside piecewise-linear domain")
-        i = bisect_right(self._xs, x) - 1
-        if i == len(self._xs) - 1:
-            return self.knots[-1][1]
-        (x1, y1), (x2, y2) = self.knots[i], self.knots[i + 1]
-        return y1 + (y2 - y1) * (x - x1) / (x2 - x1)
+        den, (v,) = self.column(x.denominator, [x.numerator])
+        return Fraction(v, den)
 
     def column(self, den: int, nums) -> tuple[int, list[int]]:
         """Piece by piece over self._den * den: knot piece i takes the points
         from its left knot up to the next knot (the last piece also its right
-        knot), one integer multiply-add each.
+        knot), one integer multiply-add each.  The first point outside the
+        knots raises NotEvaluableError.
         """
         X, xn = self._X, self._xn
         below = bisect_left(nums, -(-xn[0] * den // X))
         inside = bisect_right(nums, xn[-1] * den // X)
         if below or inside < len(nums):
-            # the first point outside the domain raises as __call__ does
-            self(Fraction(nums[0] if below else nums[inside], den))
+            x = Fraction(nums[0] if below else nums[inside], den)
+            raise NotEvaluableError(f"{x} outside piecewise-linear domain")
         cuts = [0, *(bisect_left(nums, -(-x * den // X)) for x in xn[1:-1]), len(nums)]
         out = []
         for start, stop, (s, b) in zip(cuts, cuts[1:], self._lines):
@@ -484,12 +467,6 @@ class DyadicGrid:
     def to_json(self) -> dict:
         return {"kind": "dyadic"}
 
-    def __eq__(self, other):
-        return isinstance(other, DyadicGrid)
-
-    def __hash__(self):
-        return hash("dyadic")
-
 
 class RieszNagyImageGrid:
     """Cells [R_a(k*2^-g), R_a((k+1)*2^-g)]: the R_a image of the dyadic grid.
@@ -513,12 +490,6 @@ class RieszNagyImageGrid:
 
     def to_json(self) -> dict:
         return {"kind": "riesz_nagy_image", "a": format_rational(self.a)}
-
-    def __eq__(self, other):
-        return isinstance(other, RieszNagyImageGrid) and self.a == other.a
-
-    def __hash__(self):
-        return hash(("riesz_nagy_image", self.a))
 
 
 def grid_from_json(obj: dict):
@@ -547,14 +518,13 @@ class NestedIntervalTree:
     Level n holds 2^n cells, left to right.  Each pair of children lies
     inside its parent with a gap between them, cells at level n have width
     at most 1/((n+1)*2^n), and every cell at level >= 1 avoids the excluded
-    set declared at construction (the root itself is allowed to meet it).
+    set given to `build_staircase_tree` (the root itself may meet it).
     """
 
-    def __init__(self, root: Interval, levels, grid, excluded: IntervalUnion):
+    def __init__(self, root: Interval, levels, grid):
         self.root = root
         self.levels = [list(lv) for lv in levels]
         self.grid = grid
-        self.excluded = excluded
 
     @property
     def depth(self) -> int:
@@ -562,28 +532,6 @@ class NestedIntervalTree:
 
     def leaves(self) -> list[StairCell]:
         return self.levels[-1]
-
-    def validate(self) -> None:
-        """Recheck the nesting, separation, width and avoidance conditions."""
-        if len(self.levels[0]) != 1:
-            raise AssertionError("level 0 must hold exactly the root")
-        for n, level in enumerate(self.levels):
-            if n == 0:
-                continue
-            if len(level) != 2 * len(self.levels[n - 1]):
-                raise AssertionError(f"level {n} has wrong cell count")
-            bound = Fraction(1, (n + 1) * (1 << n))
-            for idx, cell in enumerate(level):
-                parent = self.levels[n - 1][idx // 2]
-                if not (parent.iv.lo <= cell.iv.lo and cell.iv.hi <= parent.iv.hi):
-                    raise AssertionError(f"cell {n}:{idx} escapes its parent")
-                if cell.iv.diam > bound:
-                    raise AssertionError(f"cell {n}:{idx} too wide")
-                if IntervalUnion((cell.iv,)).intersects(self.excluded):
-                    raise AssertionError(f"cell {n}:{idx} meets the excluded set")
-            for left, right in zip(level, level[1:]):
-                if not left.iv.hi < right.iv.lo:
-                    raise AssertionError(f"level {n} cells not separated")
 
     def to_json(self) -> dict:
         return {
@@ -608,7 +556,7 @@ class NestedIntervalTree:
                     for (lo, hi), (k, g) in zip(eps, adrs)
                 ]
             )
-        return cls(root, levels, grid, IntervalUnion.empty())
+        return cls(root, levels, grid)
 
 
 _RETRY_GENERATIONS = 64
@@ -753,7 +701,7 @@ def build_staircase_tree(I: Interval, excluded: IntervalUnion, depth: int,
         for cell in levels[-1]:
             nxt.extend(_find_children(grid, cell, bound, excluded))
         levels.append(nxt)
-    return NestedIntervalTree(I, levels, grid, excluded)
+    return NestedIntervalTree(I, levels, grid)
 
 
 class IntervalStaircase(MonotoneFn):
@@ -789,7 +737,6 @@ class IntervalStaircase(MonotoneFn):
                                  "separated, and inside the root, left to right")
         self._bounds = bounds[1:-1]
         self._scale = len(leaves)
-        self._steps = [Fraction(i, self._scale) for i in range(self._scale + 1)]
 
     def __call__(self, x) -> Fraction:
         x = Fraction(x)
@@ -800,7 +747,7 @@ class IntervalStaircase(MonotoneFn):
         j = bisect_right(self._bounds, x)
         i = j // 2
         if j % 2 == 0:  # left of leaf 0, or in the gap after leaf i - 1
-            return self._steps[i]
+            return Fraction(i, self._scale)
         lo, hi = self._bounds[j - 1], self._bounds[j]
         return (i + eval_cantor((x - lo) / (hi - lo))) / self._scale
 

@@ -19,7 +19,7 @@ from .hausdorff import (
     check_sum_image_bound,
 )
 from .partitions import LRPartition, RefinementBoundError, refine
-from .singular import PiecewiseLinear, RieszNagy, riesz_nagy_level
+from .singular import PiecewiseLinear, RieszNagy
 
 _RIESZ_WEIGHTS = (Fraction(1, 4), Fraction(1, 3), Fraction(3, 4), Fraction(2, 5))
 
@@ -131,9 +131,9 @@ def run_sum_bound_trials(trials: int = 500, seed: int = 0) -> int:
 
 
 def _max_cell_slope(f: RieszNagy, depth: int) -> Fraction:
-    scale = 1 << depth
-    vals = riesz_nagy_level(f.a, depth)
-    return max(scale * (cur - prev) for prev, cur in zip(vals, vals[1:]))
+    """The largest slope of R_a over a cell [k/2^depth, (k+1)/2^depth]."""
+    den, level = f.column(1 << depth, range((1 << depth) + 1))
+    return Fraction(max(r - l for l, r in zip(level, level[1:])) << depth, den)
 
 
 def run_lipschitz_trials(trials: int = 500, seed: int = 0) -> int:

@@ -62,6 +62,44 @@ def test_construct_rejects_n2(capsys):
     assert "n >= 3" in err
 
 
+@pytest.mark.parametrize("argv", [("construct",), ("certify",), ("verify", "--dbe"),
+                                  ("emit", "--boxcount")],
+                         ids=["construct", "certify", "verify-dbe", "boxcount"])
+def test_n_over_the_budget_is_refused_before_any_build(capsys, monkeypatch, argv):
+    def build(*_):
+        raise AssertionError("a refused request built a curve")
+    monkeypatch.setattr(cli, "build_extremal_curve", build)
+    code, out, err = run_cli(capsys, *argv, "--n", str(10**9))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and f"budget of {cli._MAX_N}" in err
+    parse = cli.build_parser().parse_args
+    cli._check(parse(["construct", "--n", str(cli._MAX_N)]))
+    with pytest.raises(cli.UsageError):
+        cli._check(parse(["construct", "--n", str(cli._MAX_N + 1)]))
+
+
+@pytest.mark.parametrize("argv", [("certify", "--d", "5..3"), ("emit", "--samples", "--d", "-1"),
+                                  ("verify", "--lemmas", "--trials", "0")],
+                         ids=["empty-depth-range", "negative-depth", "zero-trials"])
+def test_bad_depth_or_trial_count_is_a_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+def test_certify_reports_an_evaluation_failure_like_the_other_commands(capsys, tmp_path):
+    # R_a after a piecewise-linear map with slope 2/3 meets non-dyadic points
+    spec = tmp_path / "spec.json"
+    pl = {"kind": "piecewise_linear", "knots": [["0", "0"], ["1/2", "1/3"], ["1", "1"]]}
+    spec.write_text(json.dumps({
+        "schema_version": 1, "type": "curve", "n": 3, "alpha": "1/2",
+        "components": [{"kind": "composition", "outer": {"kind": "riesz_nagy", "a": "1/4"},
+                        "inner": pl}]}))
+    want = "error: R_a is exactly evaluable only at dyadic x, got 1/96\n"
+    for argv in (("certify",), ("verify", "--dbe"), ("emit", "--samples")):
+        assert run_cli(capsys, *argv, "--spec", str(spec), "--d", "6") == (1, "", want)
+
+
 def test_certify_n3(capsys):
     code, out, _ = run_cli(capsys, "certify", "--n", "3", "--d", "14")
     assert code == 0
@@ -378,6 +416,13 @@ def _tree(spec):
     (_n4_spec(lambda s: s.update(staircase_depth=0)), "key 'staircase_depth'"),
     (_n4_spec(lambda s: s.update(M=2.5)), "key 'M'"),
     (_n4_spec(lambda s: s.update(n="4")), "key 'n'"),
+    # the size check admits 98 copies of a mapper; the n budget refuses them
+    (_n4_spec(lambda s: s.update(n=101, mappers=s["mappers"] * 98)),
+     "needs an integer n in 3..100"),
+    ({"schema_version": 1, "type": "curve", "n": 3, "alpha": "1/2",
+      "components": [{"kind": "interval_staircase",
+                      "tree": {**_tree(_n4_spec(lambda s: None)), "grid": {"kind": "nope"}}}]},
+     "unknown grid kind 'nope'"),
     # n = 3 builds no mapper, so only the parameter checks see M
     ({**curve_to_json(build_extremal_curve(3)), "M": -5}, "M is not an integer >= 1"),
     ({**curve_to_json(build_extremal_curve(3)), "M": 0}, "M is not an integer >= 1"),
@@ -387,6 +432,7 @@ def _tree(spec):
         "more-mappers-than-compositions", "one-entry-tree-root", "empty-tree-levels",
         "no-mappers", "no-w-domains-or-q1", "wrong-q1", "huge-n", "huge-M",
         "huge-staircase-depth", "zero-staircase-depth", "fractional-M", "string-n",
+        "n-over-budget", "unknown-grid-kind",
         "n3-negative-M", "n3-zero-M", "n3-fractional-M"])
 def test_malformed_spec_fails_cleanly(capsys, tmp_path, blob, fault):
     spec = tmp_path / "spec.json"

@@ -17,6 +17,7 @@ from dbecurves.curves import (
     sample,
 )
 from dbecurves.exact import IntervalUnion
+from test_singular import validate_tree
 from dbecurves.singular import (
     Affine,
     Cantor,
@@ -93,10 +94,15 @@ def test_extremal_curve_at_skewed_weights(n, a):
     # generations below each staircase root
     c = build_extremal_curve(n, a=a)
     h = c.components[0]
+    avoid = IntervalUnion.empty()  # the earlier mappers' N sets
     for mr, w in zip(c.mappers, c.w_domains):
-        for t in mr.f.terms:
-            if isinstance(t, IntervalStaircase):
-                t.tree.validate()
+        # staircase m avoided the earlier mappers' N sets and this mapper's N_0..N_(m-1)
+        excluded = avoid
+        stairs = [t for t in mr.f.terms if isinstance(t, IntervalStaircase)]
+        for t, n_m in zip(stairs, mr.stair_unions, strict=True):
+            validate_tree(t.tree, excluded)
+            excluded = excluded.union(n_m)
+        avoid = avoid.union(mr.n_trunc)
         assert IntervalUnion(
             type(comp)(h(comp.lo), h(comp.hi), comp.lo_closed, comp.hi_closed)
             for comp in w.components) == mr.n_trunc

@@ -50,3 +50,23 @@ def test_modules_use_every_name_they_import(module):
             imported.update(a.asname or a.name for a in node.names)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == []
+
+
+def test_private_definitions_are_used_in_the_package():
+    # a module-level _name defined in src/dbecurves is referenced there outside
+    # its own definition; helpers only tests use live in tests/
+    trees = [ast.parse(p.read_text(encoding="utf-8"))
+             for p in (ROOT / "src" / "dbecurves").glob("*.py")]
+    refs = [(node, node.id if isinstance(node, ast.Name) else node.attr)
+            for tree in trees for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))]
+    unused = []
+    for tree in trees:
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.startswith("__")):
+                inside = {id(n) for n in ast.walk(node)}
+                if not any(name == node.name and id(ref) not in inside
+                           for ref, name in refs):
+                    unused.append(node.name)
+    assert sorted(unused) == []

@@ -20,8 +20,8 @@ from dbecurves.hausdorff import (
     _BISECT_CAP,
     BoxCount,
     _collapsed_riesz_length,
-    _grid_points,
     _level_cuts,
+    _sample_nums,
     H1Certificate,
     LipschitzWitnessError,
     box_count,
@@ -411,6 +411,9 @@ def _open_grid_domains():
                          Interval(F(1, 8), F(1, 8)),
                          Interval(F(3, 16), F(5, 16), False, False),
                          Interval(F(1), F(2), lo_closed=False)))
+    # components touching at an open end share it
+    yield IntervalUnion((Interval(F(1, 8), F(1, 4), hi_closed=False),
+                         Interval(F(1, 4), F(5, 8), lo_closed=False)))
     rng = random.Random(6610)
     for _ in range(200):
         parts = []
@@ -424,10 +427,25 @@ def _open_grid_domains():
 
 def test_lipschitz_grid_listing_matches_contains_scan():
     for dom in _open_grid_domains():
+        ends = {x for comp in dom.components for x in (comp.lo, comp.hi)}
         for depth in (0, 3, 5):
             scale = 1 << depth
-            want = [F(k, scale) for k in range(scale + 1) if dom.contains(F(k, scale))]
-            assert _grid_points(dom, depth) == want
+            grid = {F(k, scale) for k in range(scale + 1) if dom.contains(F(k, scale))}
+            den, nums = _sample_nums(dom, depth)
+            assert den == math.lcm(scale, *(x.denominator for x in ends))
+            assert [F(v, den) for v in nums] == sorted(ends | grid)
+
+
+def test_lipschitz_column_error_is_the_pointwise_one():
+    # the piecewise-linear column fails first, at 3/4, but point by point
+    # the R_a term fails earlier, at the non-dyadic end 1/3
+    pl = PiecewiseLinear(((F(0), F(0)), (F(1, 2), F(1))))
+    f = WeightedSum((pl, RieszNagy(F(1, 4))), (F(1, 2), F(1, 2)))
+    dom = IntervalUnion.closed(0, F(1, 3)) | IntervalUnion.closed(F(3, 4), 1)
+    with pytest.raises(NotEvaluableError, match="dyadic x, got 1/3"):
+        check_lipschitz_image(f, F(2), dom, sample_depth=3)
+    with pytest.raises(NotEvaluableError, match="3/4 outside"):
+        f.column(12, [0, 4, 9, 12])
 
 
 def test_lipschitz_false_constant_raises_on_open_and_outside_domains():
@@ -629,3 +647,21 @@ def test_derivative_bound_domain_check():
     pl = PiecewiseLinear(((F(0), F(0)), (F(1, 2), F(1))))
     with pytest.raises(Exception):
         check_derivative_bound(pl, IntervalUnion.closed(0, 1))
+
+
+def test_derivative_bound_domain_is_the_closed_knot_span():
+    pl = PiecewiseLinear(((F(1, 4), F(0)), (F(1, 2), F(1, 2)), (F(3, 4), F(1))))
+    # strict slopes make the bound an equality, so an integral too small fails
+    for e in (IntervalUnion.closed(F(1, 4), F(3, 4)), IntervalUnion.empty(),
+              IntervalUnion((Interval(F(1, 4), F(3, 8), False, False),
+                             Interval(F(7, 16), F(5, 8), True, False)))):
+        assert check_derivative_bound(pl, e)
+    for e in (IntervalUnion.closed(F(1, 8), F(1, 2)),
+              IntervalUnion.closed(F(1, 2), F(7, 8)),
+              IntervalUnion.closed(0, F(1, 8)) | IntervalUnion.closed(F(1, 2), F(5, 8))):
+        with pytest.raises(NotEvaluableError):
+            check_derivative_bound(pl, e)
+    # an affine map evaluates anywhere, so only the check refuses E beyond [0, 1]
+    for e in (IntervalUnion.closed(F(-1, 2), F(1, 2)), IntervalUnion.closed(F(1, 2), F(3, 2))):
+        with pytest.raises(NotEvaluableError):
+            check_derivative_bound(identity_fn(), e)

@@ -117,3 +117,14 @@ def test_refinement_never_exceeds_either_input():
     fine = refine(wide, p)
     assert diam_sum(fine) <= min(diam_sum(wide), diam_sum(p))
     assert fine.support() == p.support()
+
+
+def test_refine_refuses_interleaved_blocks():
+    p = LRPartition([_u((0, 1), (2, 3), (4, 5), (6, 7))])
+    q = LRPartition([_u((0, 1), (4, 5)), _u((2, 3), (6, 7))])
+    for args in ((p, q), (q, p)):
+        with pytest.raises(ValueError, match="left-right ordered"):
+            refine(*args)
+    # blocks that touch at one end are still ordered
+    touching = LRPartition([_u((F(1, 2), 1)), half_open(0, F(1, 2))])
+    assert len(refine(touching, touching)) == 2

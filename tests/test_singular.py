@@ -37,7 +37,6 @@ from dbecurves.singular import (
     fn_from_json,
     identity_fn,
     image_measure,
-    riesz_nagy_level,
 )
 
 F = Fraction
@@ -102,21 +101,25 @@ def test_riesz_nagy_matches_digit_product_oracle():
 @pytest.mark.parametrize("a", [F(1, 4), F(3, 8), F(1, 3), F(2, 7), F(5, 9),
                                F(1, 1000), F(999, 1000), F(1, 1024), F(1023, 1024)])
 def test_riesz_nagy_level_matches_oracle_and_halving_walk(a):
-    top = riesz_nagy_level(a, 10)
+    # a dense dyadic column reads one level of the integer recursion
+    f = RieszNagy(a)
+    den, top = f.column(1024, range(1025))
     for k, v in enumerate(top):
         x = F(k, 1024)
-        assert v == eval_riesz_nagy(a, x) == oracle.riesz_value(a, x), (a, x)
+        assert F(v, den) == eval_riesz_nagy(a, x) == oracle.riesz_value(a, x), (a, x)
     # every coarser level is the finest one at the shared points k/2^d
     for d in range(10):
-        assert riesz_nagy_level(a, d) == top[::1 << (10 - d)], (a, d)
+        dd, level = f.column(1 << d, range((1 << d) + 1))
+        assert [F(v, dd) for v in level] == [F(v, den) for v in top[::1 << (10 - d)]]
 
 
 def test_riesz_nagy_level_rejects_bad_input():
     for a in (F(0), F(1), F(3, 2)):
         with pytest.raises(ValueError):
-            riesz_nagy_level(a, 3)
-    with pytest.raises(ValueError):
-        riesz_nagy_level(F(1, 3), -1)
+            RieszNagy(a)
+    # a column over a denominator that is no power of two reads no level
+    with pytest.raises(NotEvaluableError):
+        RieszNagy(F(1, 3)).column(3, range(4))
 
 
 def test_riesz_nagy_needs_dyadic_input():
@@ -564,9 +567,26 @@ def test_integer_cut_orders_like_the_fraction_cut(grid):
 # -- staircase trees --------------------------------------------------------
 
 
+def validate_tree(tree, excluded):
+    """Recheck a staircase tree's nesting, separation, widths and avoidance
+    of the set `excluded` it was built to avoid."""
+    assert len(tree.levels[0]) == 1, "level 0 must hold exactly the root"
+    for n in range(1, len(tree.levels)):
+        level, parents = tree.levels[n], tree.levels[n - 1]
+        assert len(level) == 2 * len(parents), f"level {n} has wrong cell count"
+        bound = F(1, (n + 1) * (1 << n))
+        for idx, cell in enumerate(level):
+            parent = parents[idx // 2].iv
+            assert parent.lo <= cell.iv.lo and cell.iv.hi <= parent.hi, (n, idx)
+            assert cell.iv.diam <= bound, (n, idx)
+            assert not IntervalUnion((cell.iv,)).intersects(excluded), (n, idx)
+        for left, right in zip(level, level[1:]):
+            assert left.iv.hi < right.iv.lo, f"level {n} cells not separated"
+
+
 def test_staircase_tree_structure_and_bounds():
     tree = build_staircase_tree(Interval.closed(0, 1), IntervalUnion.empty(), 3)
-    tree.validate()
+    validate_tree(tree, IntervalUnion.empty())
     assert tree.depth == 3
     assert len(tree.leaves()) == 8
     for level in range(1, 4):
@@ -587,7 +607,7 @@ def test_staircase_tree_needs_a_closed_root_in_the_unit_interval(root):
 def test_staircase_tree_avoids_excluded():
     excluded = IntervalUnion.closed(F(1, 3), F(2, 3))
     tree = build_staircase_tree(Interval.closed(0, 1), excluded, 3)
-    tree.validate()
+    validate_tree(tree, excluded)
     for level in range(1, 4):
         for cell in tree.levels[level]:
             assert not IntervalUnion((cell.iv,)).intersects(excluded)
@@ -596,12 +616,12 @@ def test_staircase_tree_avoids_excluded():
 def test_staircase_tree_room_counts_only_the_excluded_part_inside_the_root():
     tree = build_staircase_tree(Interval.closed(0, F(1, 4)),
                                 IntervalUnion.closed(F(1, 2), 1), 2)
-    tree.validate()
+    validate_tree(tree, IntervalUnion.closed(F(1, 2), 1))
     assert len(tree.leaves()) == 4
     # only 1/16 of the root's length 1/4 lies under the straddling component
     tree = build_staircase_tree(Interval.closed(F(1, 4), F(1, 2)),
                                 IntervalUnion.closed(0, F(5, 16)), 2)
-    tree.validate()
+    validate_tree(tree, IntervalUnion.closed(0, F(5, 16)))
     assert len(tree.leaves()) == 4
     covers = [IntervalUnion.closed(0, F(3, 4)),
               IntervalUnion((Interval(0, F(3, 8), True, False),
@@ -625,7 +645,7 @@ def test_staircase_tree_on_image_grid():
     a = F(1, 4)
     tree = build_staircase_tree(Interval.closed(0, 1), IntervalUnion.empty(), 2,
                                 grid=RieszNagyImageGrid(a))
-    tree.validate()
+    validate_tree(tree, IntervalUnion.empty())
     # leaf endpoints are exact R_a images of dyadics, so the inverse is exact
     for cell in tree.leaves():
         x_lo = riesz_nagy_inverse(a, cell.iv.lo)
@@ -639,7 +659,7 @@ def test_staircase_tree_json_roundtrip():
     back = type(tree).from_json(tree.to_json())
     assert back.root == tree.root
     assert back.levels == tree.levels
-    back.validate()
+    validate_tree(back, IntervalUnion.empty())
 
 
 # -- interval staircases ----------------------------------------------------
