@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -28,11 +29,11 @@ from .curves import (
     _MAX_N,
     _MAX_STAIRCASE_DEPTH,
     _STAIRCASE_DEPTHS,
+    _columns,
     build_extremal_curve,
     check_dbe_property,
     curve_from_json,
     curve_to_json,
-    sample,
 )
 from .exact import decimal_str, format_rational, parse_rational
 from .hausdorff import _is_collapsible, box_counts, certify_h1, polyline_length
@@ -175,7 +176,11 @@ def _verify_dbe(args: argparse.Namespace) -> tuple[dict, bool]:
     curve = _load_curve(args)
     depth = args.d[0]
     _check_sample_depth(depth, curve)
-    report = check_dbe_property(sample(curve, depth))
+    # rows (k, numerators..., 0): each column has one denominator and alpha
+    # is constant, so equal integers are equal coordinates
+    size = (1 << depth) + 1
+    report = check_dbe_property(zip(range(size), *(nums for _, nums in _columns(curve, depth)),
+                                    [0] * size))
     body = {"suite": "dbe", "n": curve.n, "depth": depth,
             "pair_count": report.pair_count,
             "violations": [list(v) for v in report.violations], "ok": report.ok}
@@ -214,17 +219,28 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _csv(header: list[str], rows: list[list[str]]) -> str:
+def _rational_strs(den: int, nums) -> list[str]:
+    """format_rational(v / den) for each integer v of nums."""
+    out = []
+    for v in nums:
+        g = math.gcd(v, den)
+        out.append(f"{v // g}/{den // g}")
+    return out
+
+
+def _csv(header: list[str], rows) -> str:
     return "\n".join([",".join(header), *map(",".join, rows)]) + "\n"
 
 
 def cmd_emit(args: argparse.Namespace) -> int:
     curve = _load_curve(args)
     if args.samples:
-        _check_sample_depth(args.d[0], curve)
-        pts = sample(curve, args.d[0])
+        depth = args.d[0]
+        _check_sample_depth(depth, curve)
         header = [f"x{i}" for i in range(1, curve.n + 1)]
-        rows = [[format_rational(c) for c in p] for p in pts]
+        xs = _rational_strs(1 << depth, range((1 << depth) + 1))
+        rows = zip(xs, *(_rational_strs(den, nums) for den, nums in _columns(curve, depth)),
+                   [format_rational(curve.alpha)] * len(xs))
     elif args.length_series:
         _check_sample_depth(max(args.d), curve, exempt_collapsed=True)
         header = ["depth", "value", "error_radius"]

@@ -175,8 +175,9 @@ def _columns(curve, depth: int) -> list[tuple[int, list[int]]]:
 def sample(curve, depth: int) -> list[tuple[Fraction, ...]]:
     """The 2^depth + 1 exact curve points at x = k * 2^-depth, sorted by x.
 
-    Equal to [curve.point(k * 2^-depth) for k in ...], evaluated one integer
-    component column at a time; Fractions are formed once, at the end.
+    Equal to [curve.point(k * 2^-depth) for k in ...]: the Fraction view of
+    `_columns` for library callers.  The command line reads the integer
+    columns themselves.
     """
     columns = [[Fraction(v, den) for v in nums] for den, nums in _columns(curve, depth)]
     xs = [Fraction(k, 1 << depth) for k in range((1 << depth) + 1)]
@@ -196,15 +197,18 @@ class DbeReport:
 def check_dbe_property(points) -> DbeReport:
     """Check every pair of points agrees in exactly one coordinate.
 
-    Counts equal-value classes instead of comparing pairs.  The class sizes
-    of each coordinate give `shared`, the match count summed over all pairs.
+    Coordinates are compared as given, so any numbers that compare equal
+    match: Fractions, or the integer rows `verify --dbe` builds from one
+    denominator per column.  Counts equal-value classes instead of comparing
+    pairs.  The class sizes of each coordinate give `shared`, the match
+    count summed over all pairs.
     A pair agreeing in two or more coordinates shares a value pair in two
     repeated coordinates, so grouping by value pairs lists every such pair;
     they are the violations exactly when `shared` minus their excess matches
     equals the pair count, i.e. when no pair agrees nowhere.  Otherwise the
     pairwise loop gives the report.
     """
-    pts = [tuple(Fraction(c) for c in p) for p in points]
+    pts = list(map(tuple, points))
     if len(pts) < 2:
         raise ValueError("need at least two points")
     if len(set(pts)) != len(pts):

@@ -322,12 +322,6 @@ class IntervalUnion:
                 out.append(Interval._from_cuts(start, end))
         return IntervalUnion._canonical(tuple(out))
 
-    def intersects(self, other: "IntervalUnion") -> bool:
-        return not self.intersect(other).is_empty
-
-    def subset_of(self, other: "IntervalUnion") -> bool:
-        return self.subtract(other).is_empty
-
     __or__ = union
     __and__ = intersect
     __sub__ = subtract

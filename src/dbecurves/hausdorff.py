@@ -17,7 +17,7 @@ import statistics
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .curves import _columns, sample
+from .curves import _columns
 from .exact import Interval, IntervalUnion, ONE, ZERO, decimal_str, format_rational
 from .singular import (
     Affine,
@@ -202,31 +202,42 @@ class BoxCount:
 
 
 def box_count(curve_or_points, m: int) -> BoxCount:
-    """Count 2^-m grid boxes hit by a curve sample (or an explicit point list)."""
-    pts = curve_or_points
-    if not isinstance(pts, (list, tuple)):
-        pts = sample(pts, m + 2)
+    """Count 2^-m grid boxes hit by a curve sample (or an explicit point list).
+
+    A point's box has index min(floor(c * 2^m), 2^m - 1) in each coordinate
+    c, an int or a Fraction.  A curve is sampled at depth m + 2.
+    """
+    if not isinstance(curve_or_points, (list, tuple)):
+        return box_counts(curve_or_points, [m])[0]
     scale = 1 << m
     top = scale - 1
-    cells = set()
-    for p in pts:
-        cells.add(tuple(min(c.numerator * scale // c.denominator, top)
-                        for c in map(Fraction, p)))
+    cells = {tuple(min(c.numerator * scale // c.denominator, top) for c in p)
+             for p in curve_or_points}
     return BoxCount(Fraction(1, scale), len(cells))
 
 
 def box_counts(curve_or_points, ms) -> list[BoxCount]:
-    """[box_count(curve_or_points, m) for m in ms], sampling once.
+    """[box_count(curve_or_points, m) for m in ms], evaluating a curve once.
 
-    A curve is sampled at the finest depth needed; the depth-t sample is every
-    2^(top - t)-th point of the depth-top sample.
+    A curve is read as its integer columns at the finest depth needed, top =
+    max(ms) + 2; the depth-t sample is every 2^(top - t)-th column entry, and
+    a box index is min(v * 2^m // den, 2^m - 1) for an entry v over den.  The
+    x = k/2^(m+2) of sample point k lies in box k >> 2, and the constant
+    alpha lies in one box, so it does not change the count.
     """
     if isinstance(curve_or_points, (list, tuple)):
         return [box_count(curve_or_points, m) for m in ms]
-    depths = [m + 2 for m in ms]
-    top = max(depths)
-    pts = sample(curve_or_points, top)
-    return [box_count(pts[::1 << (top - t)], m) for m, t in zip(ms, depths)]
+    ms = list(ms)
+    top = max(ms) + 2
+    columns = _columns(curve_or_points, top)
+    out = []
+    for m in ms:
+        step, last = 1 << (top - m - 2), (1 << m) - 1
+        xs = [min(k >> 2, last) for k in range((4 << m) + 1)]
+        cells = [[min((v << m) // den, last) for v in nums[::step]]
+                 for den, nums in columns]
+        out.append(BoxCount(Fraction(1, 1 << m), len(set(zip(xs, *cells)))))
+    return out
 
 
 def box_count_slope(curve_or_points, ms):

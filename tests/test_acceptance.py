@@ -35,6 +35,7 @@ from dbecurves.trials import (
     run_refinement_trials,
     run_sum_bound_trials,
 )
+from test_exact import intersects
 
 F = Fraction
 
@@ -115,7 +116,7 @@ def test_criterion_04_mapper_truncations_exact(capsys):
             stairs = mr.stair_unions
             for i in range(len(stairs)):
                 for j in range(i + 1, len(stairs)):
-                    assert not stairs[i].intersects(stairs[j]), (M, i, j)
+                    assert not intersects(stairs[i], stairs[j]), (M, i, j)
             assert mr.f.strictly_monotone, M
             got = image_measure(mr.f, mr.n_trunc)
             assert got >= 1 - F(1, 1 << M), (M, got)

@@ -2,14 +2,26 @@
 
 import hashlib
 import json
+import math
 from fractions import Fraction
 
 import pytest
 
-from dbecurves import cli, hausdorff
+import dbecurves
+from dbecurves import cli, curves, hausdorff, oracle
 from dbecurves.cli import _MAX_LENGTH_BITS, _MAX_STAIRCASE_DEPTH, main, parse_range
-from dbecurves.curves import build_extremal_curve, curve_to_json
-from dbecurves.hausdorff import box_count
+from dbecurves.curves import (
+    CurveSpec,
+    ExtremalCurve,
+    _pairwise_dbe,
+    build_extremal_curve,
+    curve_to_json,
+    sample,
+)
+from dbecurves.exact import format_rational
+from dbecurves.hausdorff import box_count, box_counts
+from dbecurves.singular import Affine, Cantor, Composition
+from test_curves import flat_piece_curve
 
 F = Fraction
 
@@ -96,7 +108,9 @@ def test_certify_reports_an_evaluation_failure_like_the_other_commands(capsys, t
         "components": [{"kind": "composition", "outer": {"kind": "riesz_nagy", "a": "1/4"},
                         "inner": pl}]}))
     want = "error: R_a is exactly evaluable only at dyadic x, got 1/96\n"
-    for argv in (("certify",), ("verify", "--dbe"), ("emit", "--samples")):
+    # box counts at m up to 4 read the columns at depth 6 too
+    for argv in (("certify",), ("verify", "--dbe"), ("emit", "--samples"),
+                 ("emit", "--boxcount", "--m", "2..4")):
         assert run_cli(capsys, *argv, "--spec", str(spec), "--d", "6") == (1, "", want)
 
 
@@ -476,9 +490,9 @@ def test_single_depth_commands_refuse_a_range(capsys, argv):
 def _refuse_sampling(monkeypatch):
     def sample(*_):
         raise AssertionError("a refused request sampled the curve")
-    for module in (cli, hausdorff):
-        monkeypatch.setattr(module, "sample", sample)
-    monkeypatch.setattr(hausdorff, "_columns", sample)  # the chord sum's columns
+    # every command, and `sample`, evaluates the curve through the columns
+    for module in (curves, cli, hausdorff):
+        monkeypatch.setattr(module, "_columns", sample)
 
 
 # depth 21 is one past the sample budget; box counts sample at max m + 2
@@ -584,3 +598,76 @@ def test_lengths_at_the_printable_bits_print(capsys):
                            "--precision", str(_MAX_LENGTH_BITS))
     assert code == 0
     assert len(json.loads(out)["lower"].split(".")[1]) == _MAX_LENGTH_BITS + 1
+
+
+def _cross_check_curves():
+    for a in (F(2, 7), F(3, 4)):
+        for n in (3, 4, 5, 6):
+            yield build_extremal_curve(n, a)
+    yield CurveSpec(3, (Cantor(),), F(1, 2))
+    yield flat_piece_curve()
+    # decreasing components: their columns are read reversed
+    mapper = build_extremal_curve(4).mappers[0].f
+    flip = Affine(-1, 1)
+    yield CurveSpec(4, (flip, Composition(mapper, flip)), F(1, 3))
+
+
+def _oracle_point(curve, x):
+    """curve.point(x), with the n = 3 R_a value from the digit-product formula."""
+    if isinstance(curve, ExtremalCurve) and curve.n == 3:
+        return x, oracle.riesz_value(curve.a, x), curve.alpha
+    return curve.point(x)
+
+
+def _sample_commands(spec):
+    return [("verify", "--dbe", "--d", "6", "--spec", str(spec)),
+            ("emit", "--samples", "--d", "6", "--spec", str(spec)),
+            ("emit", "--boxcount", "--m", "0..6", "--spec", str(spec))]
+
+
+@pytest.mark.parametrize("curve", list(_cross_check_curves()), ids=[
+    *(f"n{n}-a{a}" for a in ("2/7", "3/4") for n in (3, 4, 5, 6)),
+    "cantor", "flat-piece", "decreasing"])
+def test_sample_consumers_match_pointwise_evaluation(capsys, tmp_path, curve):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(curve_to_json(curve)))
+    dbe, samples, boxes = (run_cli(capsys, *argv) for argv in _sample_commands(spec))
+    # box counts against a brute count over the depth m + 2 points
+    want = []
+    for m in range(7):
+        scale = 1 << m
+        points = (_oracle_point(curve, F(k, 4 * scale)) for k in range(4 * scale + 1))
+        want.append(len({tuple(min(math.floor(c * scale), scale - 1) for c in p)
+                         for p in points}))
+    assert [bc.count for bc in box_counts(curve, range(7))] == want
+    assert [box_count(curve, m).count for m in range(7)] == want
+    csv = "m,count\n" + "".join(f"{m},{count}\n" for m, count in enumerate(want))
+    assert boxes == (0, csv, "")
+    # the pairwise check against the O(N^2) loop on Fraction points
+    report = _pairwise_dbe(sample(curve, 6))
+    body = json.loads(dbe[1])
+    assert dbe[0] == (0 if report.ok else 1)
+    assert (body["pair_count"], body["violations"], body["ok"]) == (
+        report.pair_count, [list(v) for v in report.violations], report.ok)
+    # the sample dump against format_rational of each point
+    rows = [",".join(f"x{i}" for i in range(1, curve.n + 1))]
+    rows += [",".join(map(format_rational, _oracle_point(curve, F(k, 64))))
+             for k in range(65)]
+    assert samples == (0, "\n".join(rows) + "\n", "")
+
+
+@pytest.mark.parametrize("curve", [build_extremal_curve(5), flat_piece_curve()],
+                         ids=["n5", "flat-piece"])
+def test_sample_consumers_do_not_call_sample(capsys, monkeypatch, tmp_path, curve):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(curve_to_json(curve)))
+    want = [run_cli(capsys, *argv) for argv in _sample_commands(spec)]
+
+    def refuse(*_):
+        raise AssertionError("a sample consumer built Fraction points")
+
+    for module in (dbecurves, curves, cli, hausdorff):
+        for key, value in list(vars(module).items()):
+            if value is curves.sample:
+                monkeypatch.setattr(module, key, refuse)
+    assert [run_cli(capsys, *argv) for argv in _sample_commands(spec)] == want

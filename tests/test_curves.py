@@ -17,6 +17,7 @@ from dbecurves.curves import (
     sample,
 )
 from dbecurves.exact import IntervalUnion
+from test_exact import intersects
 from test_singular import validate_tree
 from dbecurves.singular import (
     Affine,
@@ -82,9 +83,9 @@ def test_build_extremal_curve_n5_disjoint_w():
     c = build_extremal_curve(5, M=3)
     assert len(c.mappers) == 2
     w1, w2 = c.w_domains
-    assert not w1.intersects(w2)
+    assert not intersects(w1, w2)
     n1, n2 = (m.n_trunc for m in c.mappers)
-    assert not n1.intersects(n2)
+    assert not intersects(n1, n2)
 
 
 @pytest.mark.parametrize("a", [F(1, 16), F(15, 16)])
@@ -252,13 +253,17 @@ def test_check_dbe_property_matches_pairwise_on_random_sets():
     assert kinds == {(False, False), (False, True), (True, False), (True, True)}
 
 
+def flat_piece_curve() -> CurveSpec:
+    """One flat piece holding five depth-6 sample points, ten violating pairs."""
+    flat = PiecewiseLinear([(0, 0), (F(5, 16), F(3, 8)), (F(6, 16), F(3, 8)), (1, 1)])
+    return CurveSpec(4, (RieszNagy(F(1, 3)), flat), F(3, 4))
+
+
 def _dbe_samples():
     for n in (3, 4, 5, 6):
         yield sample(build_extremal_curve(n, a=F(2, 7)), 6)
     yield sample(CurveSpec(3, (Cantor(),), F(1, 2)), 6)
-    # one flat piece holding five depth-6 sample points, ten violating pairs
-    flat = PiecewiseLinear([(0, 0), (F(5, 16), F(3, 8)), (F(6, 16), F(3, 8)), (1, 1)])
-    yield sample(CurveSpec(4, (RieszNagy(F(1, 3)), flat), F(3, 4)), 6)
+    yield sample(flat_piece_curve(), 6)
 
 
 @pytest.mark.parametrize("pts", list(_dbe_samples()),

@@ -104,14 +104,27 @@ def test_union_point_components_have_measure_zero():
     assert u.contains(F(1, 3))
 
 
+def intersects(u: IntervalUnion, v: IntervalUnion) -> bool:
+    """u and v share a point (a test helper built on `intersect`)."""
+    return not u.intersect(v).is_empty
+
+
+def subset_of(u: IntervalUnion, v: IntervalUnion) -> bool:
+    """u lies inside v (a test helper built on `subtract`)."""
+    return u.subtract(v).is_empty
+
+
 def test_subset_and_intersects():
     big = IntervalUnion.closed(0, 1)
     small = IntervalUnion.closed(F(1, 8), F(1, 4))
-    assert small.subset_of(big)
-    assert not big.subset_of(small)
-    assert small.intersects(big)
+    assert subset_of(small, big)
+    assert not subset_of(big, small)
+    assert intersects(small, big)
     gap = IntervalUnion.closed(F(1, 2), F(3, 4))
-    assert not small.intersects(gap)
+    assert not intersects(small, gap)
+    # a shared closed end is a shared point; a shared open end is not
+    assert intersects(small, IntervalUnion.closed(F(1, 4), F(1, 2)))
+    assert not intersects(small, IntervalUnion((Interval(F(1, 4), F(1, 2), lo_closed=False),)))
 
 
 def test_union_json_roundtrip():

@@ -13,6 +13,7 @@ from dbecurves.partitions import (
     refine,
 )
 from dbecurves.trials import random_partition, random_union
+from test_exact import intersects
 
 F = Fraction
 
@@ -37,7 +38,7 @@ def test_partition_validation():
 
 def _pairwise_overlap(blocks):
     """Reference: some two blocks intersect."""
-    return any(blocks[i].intersects(blocks[j])
+    return any(intersects(blocks[i], blocks[j])
                for i in range(len(blocks)) for j in range(i + 1, len(blocks)))
 
 

@@ -38,6 +38,7 @@ from dbecurves.singular import (
     identity_fn,
     image_measure,
 )
+from test_exact import intersects
 
 F = Fraction
 
@@ -449,7 +450,7 @@ def _scan_children(grid, parent, width_bound, excluded):
     for g in range(first, first + _SCAN_RETRIES + 1):
         good = [(k, g, iv) for k, g, iv in cells(g)
                 if lo_bound <= iv.lo and iv.hi <= hi_bound
-                and not IntervalUnion((iv,)).intersects(excluded)]
+                and not intersects(IntervalUnion((iv,)), excluded)]
         later = [c for c in good[1:] if c[0] >= good[0][0] + 2]
         if later:
             return first, [good[0], later[0]]
@@ -579,7 +580,7 @@ def validate_tree(tree, excluded):
             parent = parents[idx // 2].iv
             assert parent.lo <= cell.iv.lo and cell.iv.hi <= parent.hi, (n, idx)
             assert cell.iv.diam <= bound, (n, idx)
-            assert not IntervalUnion((cell.iv,)).intersects(excluded), (n, idx)
+            assert not intersects(IntervalUnion((cell.iv,)), excluded), (n, idx)
         for left, right in zip(level, level[1:]):
             assert left.iv.hi < right.iv.lo, f"level {n} cells not separated"
 
@@ -610,7 +611,7 @@ def test_staircase_tree_avoids_excluded():
     validate_tree(tree, excluded)
     for level in range(1, 4):
         for cell in tree.levels[level]:
-            assert not IntervalUnion((cell.iv,)).intersects(excluded)
+            assert not intersects(IntervalUnion((cell.iv,)), excluded)
 
 
 def test_staircase_tree_room_counts_only_the_excluded_part_inside_the_root():
@@ -824,13 +825,13 @@ def test_full_measure_mapper_bounds():
     # stair unions pairwise disjoint
     for i in range(len(mr.stair_unions)):
         for j in range(i + 1, len(mr.stair_unions)):
-            assert not mr.stair_unions[i].intersects(mr.stair_unions[j])
+            assert not intersects(mr.stair_unions[i], mr.stair_unions[j])
 
 
 def test_full_measure_mapper_avoids_excluded():
     excluded = IntervalUnion.closed(F(2, 5), F(3, 5))
     mr = build_full_measure_mapper(excluded, 4)
-    assert not mr.n_trunc.intersects(excluded)
+    assert not intersects(mr.n_trunc, excluded)
     assert image_measure(mr.f, mr.n_trunc) >= F(15, 16)
 
 

@@ -19,6 +19,7 @@ from dbecurves.trials import (
     run_refinement_trials,
     run_sum_bound_trials,
 )
+from test_exact import subset_of
 
 F = Fraction
 
@@ -49,7 +50,7 @@ def test_random_union_shape():
     for _ in range(50):
         u = random_union(rng)
         assert not u.is_empty
-        assert u.subset_of(IntervalUnion.closed(0, 1))
+        assert subset_of(u, IntervalUnion.closed(0, 1))
         assert all(c.lo < c.hi for c in u.components)
 
 
