@@ -3,8 +3,9 @@
 All numeric inputs accept exact "p/q" rational syntax.  Outputs are
 deterministic: JSON with sorted keys, CSV with a header row, '.' decimals
 and ',' separators.  Exit codes: 0 all checks passed, 1 verification or
-evaluation failure, 2 usage error.  `--precision` sets the square-root
-precision in bits (minimum 32).
+evaluation failure, 2 usage error.  Every bad curve flag exits 2 with the
+message of `build_extremal_curve`; a bad key of a `--spec` file exits 1.
+`--precision` sets the square-root precision in bits (minimum 32).
 
 `certify`, `verify --dbe` and `emit --samples` take one depth `--d`, and
 `emit --length-series` a range.  A request to evaluate over 2^20 curve
@@ -13,22 +14,19 @@ n >= 7 is refused at depth 20), exits 2 before any is evaluated; `certify`
 and `--length-series` on a curve with a collapsed length sum (n = 3, or one
 R_a) are exempt.  A length whose precision + depth passes 4096 bits could
 not be printed, so `certify` and `--length-series` exit 2 on such a request
-before any work.  `verify --lemmas` runs at most 100000 trials, and an
-extremal curve has n <= 100.
+before any work.  `verify --lemmas` runs at most 100000 trials.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
 from fractions import Fraction
 
 from .curves import (
-    _MAX_N,
-    _MAX_STAIRCASE_DEPTH,
-    _STAIRCASE_DEPTHS,
     _columns,
     build_extremal_curve,
     check_dbe_property,
@@ -91,20 +89,10 @@ def _check(args: argparse.Namespace) -> None:
         raise UsageError(f"precision must be >= {_MIN_PRECISION} bits")
     one_depth = (args.command == "certify" or getattr(args, "dbe", False)
                  or getattr(args, "samples", False))
-    needs_curve = one_depth or args.command in ("construct", "emit")
-    if needs_curve and getattr(args, "spec_path", None) is None:
-        if args.n < 3:
-            raise UsageError("curve construction needs n >= 3")
-        if args.n > _MAX_N:
-            raise UsageError(f"n {args.n} is over the budget of {_MAX_N}")
     if "trials" in args and args.trials < 1:
         raise UsageError("trials must be >= 1")
     if "trials" in args and args.trials > _MAX_TRIALS:
         raise UsageError(f"trials {args.trials} is over the budget of {_MAX_TRIALS}")
-    if args.M < 1:
-        raise UsageError("M must be >= 1")
-    if args.staircase_depth not in _STAIRCASE_DEPTHS:
-        raise UsageError(f"staircase depth must be in 1..{_MAX_STAIRCASE_DEPTH}")
     if one_depth and len(args.d) > 1:
         raise UsageError("--d must be one depth for certify, verify --dbe "
                          "and emit --samples")
@@ -156,7 +144,10 @@ def _load_curve(args: argparse.Namespace):
             fault = (f"missing key {exc}" if isinstance(exc, KeyError)
                      else f"{type(exc).__name__}: {exc}")
             raise ValueError(f"malformed curve spec {path}: {fault}") from exc
-    return build_extremal_curve(args.n, args.a, args.M, args.alpha, args.staircase_depth)
+    try:
+        return build_extremal_curve(args.n, args.a, args.M, args.alpha, args.staircase_depth)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
@@ -278,7 +269,9 @@ def _add_suites(sp: argparse.ArgumentParser, *suites: tuple[str, str]) -> None:
     sp.add_argument("--spec", dest="spec_path", help="curve spec JSON to load")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process on first use."""
     parser = argparse.ArgumentParser(
         prog="dbecurves",
         description="Construct and certify piecewise-monotone curves whose "

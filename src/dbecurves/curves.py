@@ -94,6 +94,8 @@ def build_extremal_curve(n: int, a=Fraction(1, 4), M: int = 4,
     full-measure mappers composed with h = R_a, each built to avoid the
     previous mappers' N sets; the mappers' staircase cells come from the
     R_a image grid, so every W_j = h^{-1}(N_j) is read off their addresses.
+    A bad n, a, M, alpha or staircase depth raises ValueError before any
+    mapper is built.
     """
     if type(n) is not int or not 3 <= n <= _MAX_N:
         raise ValueError(f"extremal construction needs an integer n in 3..{_MAX_N}")
@@ -104,6 +106,8 @@ def build_extremal_curve(n: int, a=Fraction(1, 4), M: int = 4,
     alpha = Fraction(alpha)
     if not (ZERO < a < ONE) or a == Fraction(1, 2):
         raise ValueError("need 0 < a < 1 with a != 1/2")
+    if not ZERO <= alpha <= ONE:
+        raise ValueError("alpha must lie in [0,1]")
     h = RieszNagy(a)
     if n == 3:
         return ExtremalCurve(3, (h,), alpha, (), (), IntervalUnion.closed(0, 1),

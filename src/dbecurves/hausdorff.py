@@ -146,14 +146,6 @@ def _chord_sum(curve, depth: int, bits: int) -> tuple[Fraction, Fraction]:
     return _sqrt_sum(((1, s, L2) for s in sums), bits)
 
 
-def lower_method(curve) -> str:
-    return (
-        "inscribed-polyline/collapsed-binomial"
-        if _is_collapsible(curve)
-        else "inscribed-polyline/chord-sum"
-    )
-
-
 @dataclass(frozen=True)
 class H1Certificate:
     """Paired exact upper bound and certified polyline lower bound."""
@@ -188,7 +180,8 @@ def certify_h1(curve, depth: int, precision: int = 64) -> H1Certificate:
         error_radius=radius,
         lower_depth=depth,
         upper_method="partition-image-sum",
-        lower_method=lower_method(curve),
+        lower_method=("inscribed-polyline/collapsed-binomial" if _is_collapsible(curve)
+                      else "inscribed-polyline/chord-sum"),
     )
 
 
@@ -201,35 +194,26 @@ class BoxCount:
     count: int
 
 
-def box_count(curve_or_points, m: int) -> BoxCount:
-    """Count 2^-m grid boxes hit by a curve sample (or an explicit point list).
+def box_count(curve, m: int) -> BoxCount:
+    """Count the 2^-m grid boxes hit by the curve's depth-(m + 2) sample.
 
-    A point's box has index min(floor(c * 2^m), 2^m - 1) in each coordinate
-    c, an int or a Fraction.  A curve is sampled at depth m + 2.
+    A point's box has index min(floor(c * 2^m), 2^m - 1) in each coordinate c.
     """
-    if not isinstance(curve_or_points, (list, tuple)):
-        return box_counts(curve_or_points, [m])[0]
-    scale = 1 << m
-    top = scale - 1
-    cells = {tuple(min(c.numerator * scale // c.denominator, top) for c in p)
-             for p in curve_or_points}
-    return BoxCount(Fraction(1, scale), len(cells))
+    return box_counts(curve, [m])[0]
 
 
-def box_counts(curve_or_points, ms) -> list[BoxCount]:
-    """[box_count(curve_or_points, m) for m in ms], evaluating a curve once.
+def box_counts(curve, ms) -> list[BoxCount]:
+    """[box_count(curve, m) for m in ms], evaluating the curve once.
 
-    A curve is read as its integer columns at the finest depth needed, top =
+    The curve is read as its integer columns at the finest depth needed, top =
     max(ms) + 2; the depth-t sample is every 2^(top - t)-th column entry, and
     a box index is min(v * 2^m // den, 2^m - 1) for an entry v over den.  The
     x = k/2^(m+2) of sample point k lies in box k >> 2, and the constant
     alpha lies in one box, so it does not change the count.
     """
-    if isinstance(curve_or_points, (list, tuple)):
-        return [box_count(curve_or_points, m) for m in ms]
     ms = list(ms)
     top = max(ms) + 2
-    columns = _columns(curve_or_points, top)
+    columns = _columns(curve, top)
     out = []
     for m in ms:
         step, last = 1 << (top - m - 2), (1 << m) - 1
@@ -240,12 +224,12 @@ def box_counts(curve_or_points, ms) -> list[BoxCount]:
     return out
 
 
-def box_count_slope(curve_or_points, ms):
-    """(slope, series): least-squares dimension estimate over a range of m."""
+def box_count_slope(curve, ms):
+    """(slope, series): least-squares dimension estimate of a curve over a range of m."""
     ms = list(ms)
     if len(ms) < 2:
         raise ValueError("need at least two grid resolutions")
-    raw = box_counts(curve_or_points, ms)
+    raw = box_counts(curve, ms)
     xs = [m * math.log(2.0) for m in ms]
     ys = [math.log(bc.count) for bc in raw]
     return statistics.linear_regression(xs, ys).slope, raw

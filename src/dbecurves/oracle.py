@@ -258,34 +258,6 @@ def cantor_closed_form_length(d: int, prec: int = 50) -> Fraction:
     return flat + Fraction(bridge)
 
 
-def cantor_digit_bracket(x, digits: int) -> tuple[Fraction, Fraction]:
-    """(lo, hi) bracket of c(x) from a truncated ternary expansion.
-
-    Long-divides out `digits` ternary digits; stopping early brackets the
-    value within 2^-(digits emitted).  Exact when a middle-third digit or
-    termination is reached first.
-    """
-    x = Fraction(x)
-    if not 0 <= x <= 1:
-        raise ValueError("defined on [0,1]")
-    if x == 1:
-        return ONE, ONE
-    num, den = x.numerator, x.denominator
-    bits = 0
-    for i in range(1, digits + 1):
-        num *= 3
-        digit, num = divmod(num, den)
-        if digit == 1:
-            exact = Fraction((bits << 1) | 1, 1 << i)
-            return exact, exact
-        bits = (bits << 1) | (digit >> 1)
-        if num == 0:
-            exact = Fraction(bits, 1 << i)
-            return exact, exact
-    lo = Fraction(bits, 1 << digits)
-    return lo, lo + Fraction(1, 1 << digits)
-
-
 def brute_cover_sum(data, delta) -> Fraction:
     """Greedy left-to-right delta-fine cover sum (upper bound, not infimum).
 

@@ -456,30 +456,20 @@ class Composition(MonotoneFn):
 # -- grids supplying staircase cells ------------------------------------------
 
 
-class DyadicGrid:
-    """Cells [k*2^-g, (k+1)*2^-g]; the default staircase cell source."""
-
-    ratio = _HALF  # a cell's split point, as a fraction of its width
-
-    def point(self, k: int, g: int) -> Fraction:
-        return Fraction(k, 1 << g)
-
-    def to_json(self) -> dict:
-        return {"kind": "dyadic"}
-
-
 class RieszNagyImageGrid:
     """Cells [R_a(k*2^-g), R_a((k+1)*2^-g)]: the R_a image of the dyadic grid.
 
     Staircases built on this grid keep every endpoint inside the dyadic
     image of R_a, so preimages under R_a stay exactly computable.  By
-    self-similarity a cell [lo, hi] splits at lo + a*(hi - lo).
+    self-similarity a cell [lo, hi] splits at lo + a*(hi - lo).  R_1/2 is
+    the identity, so the default a = 1/2 is the dyadic grid
+    [k*2^-g, (k+1)*2^-g], the default staircase cell source.
     """
 
-    def __init__(self, a):
+    def __init__(self, a=_HALF):
         self.a = Fraction(a)
-        if not (ZERO < self.a < ONE) or self.a == _HALF:
-            raise ValueError("need 0 < a < 1, a != 1/2")
+        if not ZERO < self.a < ONE:
+            raise ValueError("need 0 < a < 1")
 
     @property
     def ratio(self) -> Fraction:
@@ -489,12 +479,14 @@ class RieszNagyImageGrid:
         return eval_riesz_nagy(self.a, Fraction(k, 1 << g))
 
     def to_json(self) -> dict:
+        if self.a == _HALF:
+            return {"kind": "dyadic"}
         return {"kind": "riesz_nagy_image", "a": format_rational(self.a)}
 
 
 def grid_from_json(obj: dict):
     if obj["kind"] == "dyadic":
-        return DyadicGrid()
+        return RieszNagyImageGrid()
     if obj["kind"] == "riesz_nagy_image":
         return RieszNagyImageGrid(parse_rational(obj["a"]))
     raise ValueError(f"unknown grid kind {obj['kind']!r}")
@@ -685,7 +677,7 @@ def build_staircase_tree(I: Interval, excluded: IntervalUnion, depth: int,
     positive length between I's ends.
     """
     if grid is None:
-        grid = DyadicGrid()
+        grid = RieszNagyImageGrid()
     if not (I.lo_closed and I.hi_closed and ZERO <= I.lo < I.hi <= ONE):
         raise ValueError("I must be a nondegenerate closed interval in [0, 1]")
     ends = [I.lo, *(x for c in _meeting(excluded, I) for x in (c.lo, c.hi)), I.hi]

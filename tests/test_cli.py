@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, formats, exit codes, determinism."""
 
+import argparse
 import hashlib
 import json
 import math
@@ -9,8 +10,9 @@ import pytest
 
 import dbecurves
 from dbecurves import cli, curves, hausdorff, oracle
-from dbecurves.cli import _MAX_LENGTH_BITS, _MAX_STAIRCASE_DEPTH, main, parse_range
+from dbecurves.cli import _MAX_LENGTH_BITS, main, parse_range
 from dbecurves.curves import (
+    _MAX_STAIRCASE_DEPTH,
     CurveSpec,
     ExtremalCurve,
     _pairwise_dbe,
@@ -71,23 +73,66 @@ def test_construct_n5_has_composed_mappers(capsys):
 def test_construct_rejects_n2(capsys):
     code, _, err = run_cli(capsys, "construct", "--n", "2")
     assert code == 2
-    assert "n >= 3" in err
+    assert "n in 3..100" in err
 
 
-@pytest.mark.parametrize("argv", [("construct",), ("certify",), ("verify", "--dbe"),
-                                  ("emit", "--boxcount")],
-                         ids=["construct", "certify", "verify-dbe", "boxcount"])
+_CURVE_COMMANDS = {"construct": ("construct",), "certify": ("certify",),
+                   "verify-dbe": ("verify", "--dbe"), "boxcount": ("emit", "--boxcount")}
+
+
+class _MapperBuilt(Exception):
+    pass
+
+
+def _refuse_mappers(monkeypatch):
+    def build(*_, **__):
+        raise _MapperBuilt
+    monkeypatch.setattr(curves, "build_full_measure_mapper", build)
+
+
+@pytest.mark.parametrize("argv", _CURVE_COMMANDS.values(), ids=_CURVE_COMMANDS)
 def test_n_over_the_budget_is_refused_before_any_build(capsys, monkeypatch, argv):
-    def build(*_):
-        raise AssertionError("a refused request built a curve")
-    monkeypatch.setattr(cli, "build_extremal_curve", build)
+    _refuse_mappers(monkeypatch)
     code, out, err = run_cli(capsys, *argv, "--n", str(10**9))
     assert code == 2 and out == ""
-    assert err.count("\n") == 1 and f"budget of {cli._MAX_N}" in err
-    parse = cli.build_parser().parse_args
-    cli._check(parse(["construct", "--n", str(cli._MAX_N)]))
-    with pytest.raises(cli.UsageError):
-        cli._check(parse(["construct", "--n", str(cli._MAX_N + 1)]))
+    assert err.count("\n") == 1 and f"3..{curves._MAX_N}" in err
+    # the largest admitted n goes on to build its mappers
+    with pytest.raises(_MapperBuilt):
+        main([*argv, "--n", str(curves._MAX_N)])
+
+
+@pytest.mark.parametrize("flag", [
+    ("--n", "2"), ("--n", "101"), ("--a", "1/2"), ("--a", "0"), ("--alpha", "3/2"),
+    ("--M", "0"), ("--staircase-depth", "0"), ("--staircase-depth", "8"),
+], ids=lambda flag: "".join(flag).lstrip("-"))
+@pytest.mark.parametrize("argv", _CURVE_COMMANDS.values(), ids=_CURVE_COMMANDS)
+def test_every_bad_curve_flag_exits_2_before_any_mapper_is_built(capsys, monkeypatch,
+                                                                   argv, flag):
+    _refuse_mappers(monkeypatch)
+    code, out, err = run_cli(capsys, *argv, "--n", "4", *flag)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+def test_curve_flags_a_command_does_not_read_are_not_checked(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--lemmas", "--trials", "1", "--M", "0")
+    assert code == 0 and json.loads(out)["ok"]
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    for _ in range(2):
+        assert run_cli(capsys, "verify", "--family", "--n", "3")[0] == 0
+    # the top-level parser and one per subcommand, all in the first call
+    assert len(built) == 5
 
 
 @pytest.mark.parametrize("argv", [("certify", "--d", "5..3"), ("emit", "--samples", "--d", "-1"),
@@ -476,7 +521,7 @@ def test_constructed_specs_load_and_certify_like_their_parameters(capsys, tmp_pa
 def test_verify_dbe_needs_n3_like_the_other_curve_commands(capsys):
     code, out, err = run_cli(capsys, "verify", "--dbe", "--n", "2")
     assert code == 2 and out == ""
-    assert err == "error: curve construction needs n >= 3\n"
+    assert err == "error: extremal construction needs an integer n in 3..100\n"
 
 
 @pytest.mark.parametrize("argv", [("certify",), ("verify", "--dbe"), ("emit", "--samples")],

@@ -70,3 +70,13 @@ def test_private_definitions_are_used_in_the_package():
                            for ref, name in refs):
                     unused.append(node.name)
     assert sorted(unused) == []
+
+
+def test_cli_imports_no_private_constant_from_curves():
+    # the curve parameter ranges live in curves, and build_extremal_curve alone
+    # checks the curve flags
+    tree = ast.parse((ROOT / "src" / "dbecurves" / "cli.py").read_text(encoding="utf-8"))
+    taken = [a.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "curves"
+             for a in node.names if a.name.startswith("_") and a.name[1:].isupper()]
+    assert taken == []

@@ -305,18 +305,6 @@ def test_box_count_segment_slope_near_one():
         assert (1 << m) <= bc.count <= (1 << m) + 1
 
 
-def test_box_count_degenerate_point():
-    assert box_count([(F(0), F(0), F(0))], 5).count == 1
-    slope, _ = box_count_slope([(F(1, 3), F(1, 3))], range(2, 6))
-    assert slope == 0.0
-
-
-def test_box_count_clamps_top_edge():
-    bc = box_count([(F(1), F(1))], 3)
-    assert bc.count == 1
-    assert bc.delta == F(1, 8)
-
-
 # -- Lipschitz image bound ----------------------------------------------------
 
 

@@ -85,16 +85,6 @@ def test_cantor_closed_form_series():
     assert abs(float(values[-1]) - 1.982809) < 1e-6
 
 
-def test_cantor_digit_bracket():
-    lo, hi = oracle.cantor_digit_bracket(F(1, 4), 40)
-    assert lo <= F(1, 3) <= hi
-    assert hi - lo <= F(1, 1 << 40)
-    exact_lo, exact_hi = oracle.cantor_digit_bracket(F(1, 3), 10)
-    assert exact_lo == exact_hi == F(1, 2)
-    term_lo, term_hi = oracle.cantor_digit_bracket(F(2, 9), 10)
-    assert term_lo == term_hi == oracle.cantor_value(F(2, 9))
-
-
 def test_brute_cover_sum_interval_cases():
     assert oracle.brute_cover_sum(IntervalUnion.closed(0, 1), F(1, 4)) == 1
     cover = IntervalUnion(

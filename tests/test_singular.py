@@ -17,7 +17,6 @@ from dbecurves.singular import (
     Cantor,
     Composition,
     ConstructionError,
-    DyadicGrid,
     IntervalStaircase,
     NestedIntervalTree,
     NotEvaluableError,
@@ -35,6 +34,7 @@ from dbecurves.singular import (
     eval_cantor,
     eval_riesz_nagy,
     fn_from_json,
+    grid_from_json,
     identity_fn,
     image_measure,
 )
@@ -401,10 +401,18 @@ def _split_holds(grid, gens):
 
 
 def test_dyadic_grid():
-    g = DyadicGrid()
-    assert g.point(3, 2) == F(3, 4)
+    g = RieszNagyImageGrid()
     assert g.ratio == F(1, 2)
+    for gen in range(7):
+        assert [g.point(k, gen) for k in range((1 << gen) + 1)] == [
+            F(k, 1 << gen) for k in range((1 << gen) + 1)]
     _split_holds(g, 6)
+    assert g.to_json() == {"kind": "dyadic"}
+    tree = build_staircase_tree(Interval.closed(F(1, 8), F(7, 8)),
+                                IntervalUnion.closed(F(1, 4), F(1, 3)), 3)
+    blob = json.dumps(tree.to_json())
+    assert json.loads(blob)["grid"] == {"kind": "dyadic"}
+    assert json.dumps(NestedIntervalTree.from_json(json.loads(blob)).to_json()) == blob
 
 
 def test_riesz_image_grid():
@@ -414,8 +422,12 @@ def test_riesz_image_grid():
         assert (g.point(0, 0), g.point(1, 1), g.point(1, 0)) == (0, a, 1)
         assert g.point(3, 3) == eval_riesz_nagy(a, F(3, 8))
         _split_holds(g, 5)
-    with pytest.raises(ValueError):
-        RieszNagyImageGrid(F(1, 2))
+    for a in (0, 1):
+        with pytest.raises(ValueError):
+            RieszNagyImageGrid(a)
+    # R_1/2 is the identity, so a = 1/2 is the dyadic grid
+    half = grid_from_json({"kind": "riesz_nagy_image", "a": "1/2"})
+    assert half.ratio == F(1, 2) and half.to_json() == {"kind": "dyadic"}
 
 
 _SCAN_RETRIES = 3
@@ -472,12 +484,12 @@ def _random_excluded(rng, grid, k0, g0, depth):
     return IntervalUnion(comps)
 
 
-_DESCENT_GRIDS = [DyadicGrid()] + [RieszNagyImageGrid(a) for a in
-                                   (F(1, 4), F(5, 7), F(1, 16), F(15, 16))]
+_DESCENT_GRIDS = [RieszNagyImageGrid()] + [RieszNagyImageGrid(a) for a in
+                                           (F(1, 4), F(5, 7), F(1, 16), F(15, 16))]
+_DESCENT_IDS = [g.to_json().get("a", "dyadic") for g in _DESCENT_GRIDS]
 
 
-@pytest.mark.parametrize("grid", _DESCENT_GRIDS,
-                         ids=lambda g: str(getattr(g, "a", "dyadic")))
+@pytest.mark.parametrize("grid", _DESCENT_GRIDS, ids=_DESCENT_IDS)
 def test_find_children_matches_brute_force_scan(grid):
     rng = random.Random(str(grid.to_json()))
     shrink = max(grid.ratio, 1 - grid.ratio)
@@ -547,8 +559,7 @@ def _cmp(x, y):
     return (x > y) - (x < y)
 
 
-@pytest.mark.parametrize("grid", _DESCENT_GRIDS,
-                         ids=lambda g: str(getattr(g, "a", "dyadic")))
+@pytest.mark.parametrize("grid", _DESCENT_GRIDS, ids=_DESCENT_IDS)
 def test_integer_cut_orders_like_the_fraction_cut(grid):
     q = grid.ratio.denominator
     for den in (q, q ** 3, 3 * q ** 2):
@@ -747,7 +758,7 @@ def _staircase_probes(tree, rng):
     return probes
 
 
-@pytest.mark.parametrize("grid", [DyadicGrid(), RieszNagyImageGrid(F(1, 3)),
+@pytest.mark.parametrize("grid", [RieszNagyImageGrid(), RieszNagyImageGrid(F(1, 3)),
                                   RieszNagyImageGrid(F(3, 8))])
 @pytest.mark.parametrize("depth", [1, 2, 3])
 def test_interval_staircase_closed_form_matches_reference(grid, depth):
