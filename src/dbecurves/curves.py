@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
 
@@ -76,14 +77,33 @@ class CurveSpec:
 
 @dataclass(frozen=True)
 class ExtremalCurve(CurveSpec):
-    """The curve of `build_extremal_curve`; its parameters fix every other field."""
+    """The curve of `build_extremal_curve`: its fields are what the builder chose.
+
+    The domains W_j = h^{-1}(N_j) and their complement q1 are derived on first read.
+    """
 
     mappers: tuple[MapperResult, ...]
-    w_domains: tuple[IntervalUnion, ...]
-    q1: IntervalUnion
     a: Fraction
     M: int
     staircase_depth: int
+
+    @cached_property
+    def w_domains(self) -> tuple[IntervalUnion, ...]:
+        """W_j = h^{-1}(N_j): leaf (k, g) is the image of [k/2^g, (k+1)/2^g]."""
+        return tuple(
+            IntervalUnion(
+                Interval(Fraction(c.k, 1 << c.g), Fraction(c.k + 1, 1 << c.g))
+                for t in mr.f.terms if isinstance(t, IntervalStaircase)
+                for c in t.tree.leaves()
+            )
+            for mr in self.mappers
+        )
+
+    @cached_property
+    def q1(self) -> IntervalUnion:
+        """[0, 1] minus every W_j."""
+        return IntervalUnion.closed(0, 1).subtract(
+            IntervalUnion(c for w in self.w_domains for c in w.components))
 
 
 def build_extremal_curve(n: int, a=Fraction(1, 4), M: int = 4,
@@ -109,9 +129,6 @@ def build_extremal_curve(n: int, a=Fraction(1, 4), M: int = 4,
     if not ZERO <= alpha <= ONE:
         raise ValueError("alpha must lie in [0,1]")
     h = RieszNagy(a)
-    if n == 3:
-        return ExtremalCurve(3, (h,), alpha, (), (), IntervalUnion.closed(0, 1),
-                             a, M, staircase_depth)
     grid = RieszNagyImageGrid(a)
     avoid = IntervalUnion.empty()
     mappers: list[MapperResult] = []
@@ -119,20 +136,8 @@ def build_extremal_curve(n: int, a=Fraction(1, 4), M: int = 4,
         mr = build_full_measure_mapper(avoid, M, staircase_depth, grid=grid)
         mappers.append(mr)
         avoid = avoid.union(mr.n_trunc)
-    # W_j = h^{-1}(N_j): leaf (k, g) is the image of [k/2^g, (k+1)/2^g]
-    w_domains = [
-        IntervalUnion(
-            Interval(Fraction(c.k, 1 << c.g), Fraction(c.k + 1, 1 << c.g))
-            for t in mr.f.terms if isinstance(t, IntervalStaircase)
-            for c in t.tree.leaves()
-        )
-        for mr in mappers
-    ]
-    q1 = IntervalUnion.closed(0, 1).subtract(
-        IntervalUnion(c for w in w_domains for c in w.components))
     components = (h, *(Composition(mr.f, h) for mr in mappers))
-    return ExtremalCurve(n, components, alpha, tuple(mappers), tuple(w_domains),
-                         q1, a, M, staircase_depth)
+    return ExtremalCurve(n, components, alpha, tuple(mappers), a, M, staircase_depth)
 
 
 def _column(f: MonotoneFn, depth: int, memo: dict) -> tuple[int, list[int]]:

@@ -471,10 +471,6 @@ class RieszNagyImageGrid:
         if not ZERO < self.a < ONE:
             raise ValueError("need 0 < a < 1")
 
-    @property
-    def ratio(self) -> Fraction:
-        return self.a
-
     def point(self, k: int, g: int) -> Fraction:
         return eval_riesz_nagy(self.a, Fraction(k, 1 << g))
 
@@ -636,7 +632,7 @@ def _find_children(grid, parent: StairCell, width_bound: Fraction,
         w, target, least = ONE, min(width_bound, bounds.diam / 8), 0
     else:
         start, w, target, least = parent, bounds.diam, width_bound, 2
-    p, q = grid.ratio.numerator, grid.ratio.denominator
+    p, q = grid.a.numerator, grid.a.denominator
     shrink = max(p, q - p)  # max child/parent width ratio, over q
     # w * (shrink/q)^extra > target, cross-multiplied
     over, under = w.numerator * target.denominator, target.numerator * w.denominator

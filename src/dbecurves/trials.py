@@ -78,22 +78,19 @@ def random_partition(rng: random.Random, u: IntervalUnion) -> LRPartition:
     return LRPartition(blocks)
 
 
-def random_piecewise_linear(rng: random.Random, strict: bool = True,
-                            allow_flat: bool = False,
-                            max_pieces: int = 4) -> PiecewiseLinear:
-    """Random nondecreasing piecewise-affine function on [0,1].
+def random_piecewise_linear(rng: random.Random, strict: bool = True) -> PiecewiseLinear:
+    """Random nondecreasing piecewise-affine function on [0,1], 1-4 pieces.
 
-    Strict mode forces every slope positive; allow_flat mixes in zero-slope
-    pieces (only meaningful when strict is off).
+    Strict mode forces every slope positive; otherwise zero-slope pieces mix in.
     """
     q = 32
-    knot_count = rng.randint(2, max_pieces + 1)
+    knot_count = rng.randint(2, 5)
     xs = [ZERO]
     xs += [Fraction(i, q) for i in sorted(rng.sample(range(1, q), knot_count - 2))]
     xs.append(Fraction(1))
     ys = [ZERO]
     for _ in range(len(xs) - 1):
-        if not strict and allow_flat and rng.random() < 0.3:
+        if not strict and rng.random() < 0.3:
             inc = ZERO
         else:
             inc = Fraction(rng.randint(1, 12), 16)
@@ -152,8 +149,7 @@ def run_lipschitz_trials(trials: int = 500, seed: int = 0) -> int:
             c = _max_cell_slope(f, depth)
             domain = random_union(rng, den=1 << depth)
         else:
-            f = random_piecewise_linear(rng, strict=rng.random() < 0.5,
-                                        allow_flat=True)
+            f = random_piecewise_linear(rng, strict=rng.random() < 0.5)
             c = max((abs(s) for _, s in f.pieces()), default=ZERO)
             domain = random_union(rng)
         try:
@@ -171,7 +167,7 @@ def run_derivative_trials(trials: int = 500, seed: int = 0) -> int:
     rng = random.Random(seed)
     violations = 0
     for _ in range(trials):
-        f = random_piecewise_linear(rng, strict=False, allow_flat=True)
+        f = random_piecewise_linear(rng, strict=False)
         e = random_union(rng)
         if not check_derivative_bound(f, e):
             violations += 1

@@ -292,6 +292,11 @@ def test_emit_deterministic(capsys, tmp_path):
 # sha256 of `construct` stdout, fixed when the staircase cells were found by
 # a left-to-right scan of each generation
 _CONSTRUCT_SHA256 = {
+    # n = 3, fixed while that case still had its own branch in the builder
+    ("3", "1/4", "4", "2"):
+        "083ef1bff49b0be7db19951c7d4e83eb3db8744f6cac87c430ba7d36e0fbd2f5",
+    ("3", "5/8", "7", "3"):
+        "72f8fea23cd0f96fedf60ef6505cdf7e147fd43d28e6877df035edb1028622d5",
     ("4", "1/8", "10", "3"):
         "1aaca78fa175156ef39ad56da80802a1af9fd6987195c08f06aacb8052350a35",
     ("5", "7/8", "6", "2"):

@@ -1,5 +1,6 @@
 """Curve construction, sampling, the pairwise-coordinate property, and JSON."""
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -17,6 +18,7 @@ from dbecurves.curves import (
     sample,
 )
 from dbecurves.exact import IntervalUnion
+from dbecurves.hausdorff import certify_h1
 from test_exact import intersects
 from test_singular import validate_tree
 from dbecurves.singular import (
@@ -51,6 +53,8 @@ def test_build_extremal_curve_n3():
     assert c.n == 3
     assert isinstance(c.components[0], RieszNagy)
     assert c.point(F(3, 4)) == (F(3, 4), F(7, 16), F(1, 2))
+    assert c.mappers == () and c.w_domains == ()
+    assert c.q1 == IntervalUnion.closed(0, 1)
     with pytest.raises(ValueError):
         build_extremal_curve(2)
     with pytest.raises(ValueError):
@@ -86,6 +90,22 @@ def test_build_extremal_curve_n5_disjoint_w():
     assert not intersects(w1, w2)
     n1, n2 = (m.n_trunc for m in c.mappers)
     assert not intersects(n1, n2)
+
+
+def test_extremal_curve_fields_are_the_builders_choices():
+    # W_j and q1 are derived from the mappers, so they must not come back as fields
+    assert [f.name for f in dataclasses.fields(ExtremalCurve)] == [
+        "n", "components", "alpha", "mappers", "a", "M", "staircase_depth"]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_w_domains_and_q1_are_computed_only_when_read(n):
+    c = build_extremal_curve(n)
+    certify_h1(c, 4)
+    sample(c, 4)
+    assert "w_domains" not in vars(c) and "q1" not in vars(c)
+    curve_to_json(c)
+    assert "w_domains" in vars(c) and "q1" in vars(c)
 
 
 @pytest.mark.parametrize("a", [F(1, 16), F(15, 16)])

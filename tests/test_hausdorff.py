@@ -362,8 +362,7 @@ def test_lipschitz_consecutive_probe_matches_all_pairs():
     depth = 5
     cases = []
     for _ in range(60):
-        f = trials.random_piecewise_linear(rng, strict=rng.random() < 0.5,
-                                           allow_flat=True)
+        f = trials.random_piecewise_linear(rng, strict=rng.random() < 0.5)
         c = max(abs(s) for _, s in f.pieces())
         cases.append((f, c, trials.random_union(rng)))
     for _ in range(20):

@@ -352,8 +352,7 @@ def _random_column(rng, den, size, must=()):
 def test_piecewise_linear_and_riesz_columns_equal_pointwise_evaluation(den, size):
     rng = random.Random(den)
     for _ in range(20):
-        pl = trials.random_piecewise_linear(rng, strict=rng.random() < 0.5,
-                                            allow_flat=True)
+        pl = trials.random_piecewise_linear(rng, strict=rng.random() < 0.5)
         knots = [x.numerator * den // x.denominator for x, _ in pl.knots
                  if den % x.denominator == 0]
         _assert_column_is_pointwise(pl, den, _random_column(rng, den, size, knots))
@@ -397,12 +396,12 @@ def _split_holds(grid, gens):
         for k in range(1 << g):
             lo, hi = grid.point(k, g), grid.point(k + 1, g)
             assert grid.point(2 * k, g + 1) == lo
-            assert grid.point(2 * k + 1, g + 1) == lo + grid.ratio * (hi - lo)
+            assert grid.point(2 * k + 1, g + 1) == lo + grid.a * (hi - lo)
 
 
 def test_dyadic_grid():
     g = RieszNagyImageGrid()
-    assert g.ratio == F(1, 2)
+    assert g.a == F(1, 2)
     for gen in range(7):
         assert [g.point(k, gen) for k in range((1 << gen) + 1)] == [
             F(k, 1 << gen) for k in range((1 << gen) + 1)]
@@ -418,7 +417,7 @@ def test_dyadic_grid():
 def test_riesz_image_grid():
     for a in (F(1, 4), F(5, 7), F(1, 16), F(15, 16)):
         g = RieszNagyImageGrid(a)
-        assert g.ratio == a
+        assert g.a == a
         assert (g.point(0, 0), g.point(1, 1), g.point(1, 0)) == (0, a, 1)
         assert g.point(3, 3) == eval_riesz_nagy(a, F(3, 8))
         _split_holds(g, 5)
@@ -427,7 +426,7 @@ def test_riesz_image_grid():
             RieszNagyImageGrid(a)
     # R_1/2 is the identity, so a = 1/2 is the dyadic grid
     half = grid_from_json({"kind": "riesz_nagy_image", "a": "1/2"})
-    assert half.ratio == F(1, 2) and half.to_json() == {"kind": "dyadic"}
+    assert half.a == F(1, 2) and half.to_json() == {"kind": "dyadic"}
 
 
 _SCAN_RETRIES = 3
@@ -492,7 +491,7 @@ _DESCENT_IDS = [g.to_json().get("a", "dyadic") for g in _DESCENT_GRIDS]
 @pytest.mark.parametrize("grid", _DESCENT_GRIDS, ids=_DESCENT_IDS)
 def test_find_children_matches_brute_force_scan(grid):
     rng = random.Random(str(grid.to_json()))
-    shrink = max(grid.ratio, 1 - grid.ratio)
+    shrink = max(grid.a, 1 - grid.a)
     cases = []
     for _ in range(30):
         g = rng.randint(1, 4)
@@ -561,7 +560,7 @@ def _cmp(x, y):
 
 @pytest.mark.parametrize("grid", _DESCENT_GRIDS, ids=_DESCENT_IDS)
 def test_integer_cut_orders_like_the_fraction_cut(grid):
-    q = grid.ratio.denominator
+    q = grid.a.denominator
     for den in (q, q ** 3, 3 * q ** 2):
         for t in (-2, 0, 1, den - 1, den, den + 3):
             on = F(t, den)

@@ -67,7 +67,7 @@ def test_random_piecewise_linear_monotone():
     rng = random.Random(5)
     for _ in range(50):
         strict = rng.random() < 0.5
-        f = random_piecewise_linear(rng, strict=strict, allow_flat=not strict)
+        f = random_piecewise_linear(rng, strict=strict)
         xs = [F(k, 32) for k in range(33)]
         vals = [f(x) for x in xs]
         if strict:
