@@ -31,7 +31,6 @@ from .singular import (
     IntervalStaircase,
     MapperResult,
     MonotoneFn,
-    NestedIntervalTree,
     NotEvaluableError,
     PiecewiseLinear,
     RieszNagy,
@@ -43,7 +42,6 @@ from .singular import (
     enumerate_rational_intervals,
     eval_cantor,
     eval_riesz_nagy,
-    identity_fn,
     image_measure,
 )
 from .curves import (
@@ -97,7 +95,6 @@ __all__ = [
     "LipschitzWitnessError",
     "MapperResult",
     "MonotoneFn",
-    "NestedIntervalTree",
     "NotEvaluableError",
     "PiecewiseLinear",
     "RefinementBoundError",
@@ -124,7 +121,6 @@ __all__ = [
     "eval_cantor",
     "eval_riesz_nagy",
     "format_rational",
-    "identity_fn",
     "image_measure",
     "max_family_size",
     "near_pencil",

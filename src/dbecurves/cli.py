@@ -24,7 +24,6 @@ import functools
 import json
 import math
 import sys
-from fractions import Fraction
 
 from .curves import (
     _columns,
@@ -144,8 +143,9 @@ def _load_curve(args: argparse.Namespace):
             fault = (f"missing key {exc}" if isinstance(exc, KeyError)
                      else f"{type(exc).__name__}: {exc}")
             raise ValueError(f"malformed curve spec {path}: {fault}") from exc
+    given = {k: getattr(args, k) for k in ("a", "M", "alpha", "staircase_depth") if k in args}
     try:
-        return build_extremal_curve(args.n, args.a, args.M, args.alpha, args.staircase_depth)
+        return build_extremal_curve(args.n, **given)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -249,14 +249,15 @@ def cmd_emit(args: argparse.Namespace) -> int:
 
 
 def _add_curve_args(sp: argparse.ArgumentParser) -> None:
+    """The curve flags; an unset flag other than --n takes the builder's default."""
     sp.add_argument("--n", type=int, default=3, help="ambient dimension (>= 3)")
-    sp.add_argument("--a", type=parse_rational, default=Fraction(1, 4),
+    sp.add_argument("--a", type=parse_rational, default=argparse.SUPPRESS,
                     help="Riesz-Nagy weight as p/q, not 1/2")
-    sp.add_argument("--M", type=int, default=4,
+    sp.add_argument("--M", type=int, default=argparse.SUPPRESS,
                     help="full-measure mapper truncation level")
-    sp.add_argument("--alpha", type=parse_rational, default=Fraction(1, 2),
+    sp.add_argument("--alpha", type=parse_rational, default=argparse.SUPPRESS,
                     help="constant last coordinate as p/q")
-    sp.add_argument("--staircase-depth", type=int, default=2,
+    sp.add_argument("--staircase-depth", type=int, default=argparse.SUPPRESS,
                     dest="staircase_depth", help="staircase tree depth per mapper term")
 
 

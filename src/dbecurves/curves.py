@@ -41,14 +41,13 @@ _MAX_STAIRCASE_DEPTH = 7
 # construction time grows faster than n^2: n = 100 takes 1.7 s and n = 200
 # 10.6 s (2 vCPUs, x86_64)
 _MAX_N = 100
-# A depth-0 staircase's only leaf is its whole root interval, which leaves no
-# room for the next mapper term or mapper.
-_STAIRCASE_DEPTHS = range(1, _MAX_STAIRCASE_DEPTH + 1)
 
 
 def _check_staircase_depth(depth, name: str) -> None:
-    """Refuse a staircase depth that is not an integer in _STAIRCASE_DEPTHS."""
-    if type(depth) is not int or depth not in _STAIRCASE_DEPTHS:
+    """Refuse a staircase depth outside the integers 1.._MAX_STAIRCASE_DEPTH: a
+    depth-0 staircase's only leaf is its whole root interval, which leaves no
+    room for the next mapper term or mapper."""
+    if type(depth) is not int or not 1 <= depth <= _MAX_STAIRCASE_DEPTH:
         raise ValueError(f"{name} is not an integer in 1..{_MAX_STAIRCASE_DEPTH}")
 
 
@@ -94,7 +93,7 @@ class ExtremalCurve(CurveSpec):
             IntervalUnion(
                 Interval(Fraction(c.k, 1 << c.g), Fraction(c.k + 1, 1 << c.g))
                 for t in mr.f.terms if isinstance(t, IntervalStaircase)
-                for c in t.tree.leaves()
+                for c in t.leaves()
             )
             for mr in self.mappers
         )

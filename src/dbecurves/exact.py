@@ -23,6 +23,8 @@ ONE = Fraction(1)
 
 def parse_rational(s: str) -> Fraction:
     """Parse 'p/q' (or a plain integer string 'p') into a Fraction."""
+    if type(s) is not str:
+        raise ValueError(f"expected a rational string 'p/q', got {s!r}")
     try:
         return Fraction(s.strip())
     except ZeroDivisionError:

@@ -281,10 +281,6 @@ class Affine(MonotoneFn):
         return f"Affine({self.slope}, {self.offset})"
 
 
-def identity_fn() -> Affine:
-    return Affine(1, 0)
-
-
 class PiecewiseLinear(MonotoneFn):
     """Non-decreasing piecewise-linear interpolant through rational knots."""
 
@@ -488,7 +484,7 @@ def grid_from_json(obj: dict):
     raise ValueError(f"unknown grid kind {obj['kind']!r}")
 
 
-# -- nested interval trees -----------------------------------------------------
+# -- interval staircases -------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -498,53 +494,6 @@ class StairCell:
     k: int
     g: int
     iv: Interval
-
-
-class NestedIntervalTree:
-    """Binary tree of nested grid cells under an interval I.
-
-    Level n holds 2^n cells, left to right.  Each pair of children lies
-    inside its parent with a gap between them, cells at level n have width
-    at most 1/((n+1)*2^n), and every cell at level >= 1 avoids the excluded
-    set given to `build_staircase_tree` (the root itself may meet it).
-    """
-
-    def __init__(self, root: Interval, levels, grid):
-        self.root = root
-        self.levels = [list(lv) for lv in levels]
-        self.grid = grid
-
-    @property
-    def depth(self) -> int:
-        return len(self.levels) - 1
-
-    def leaves(self) -> list[StairCell]:
-        return self.levels[-1]
-
-    def to_json(self) -> dict:
-        return {
-            "root": [format_rational(self.root.lo), format_rational(self.root.hi)],
-            "grid": self.grid.to_json(),
-            "levels": [
-                [[format_rational(c.iv.lo), format_rational(c.iv.hi)] for c in level]
-                for level in self.levels
-            ],
-            "addresses": [[[c.k, c.g] for c in level] for level in self.levels],
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "NestedIntervalTree":
-        grid = grid_from_json(obj["grid"])
-        root = Interval(parse_rational(obj["root"][0]), parse_rational(obj["root"][1]))
-        levels = []
-        for eps, adrs in zip(obj["levels"], obj["addresses"]):
-            levels.append(
-                [
-                    StairCell(k, g, Interval(parse_rational(lo), parse_rational(hi)))
-                    for (lo, hi), (k, g) in zip(eps, adrs)
-                ]
-            )
-        return cls(root, levels, grid)
 
 
 _RETRY_GENERATIONS = 64
@@ -665,8 +614,8 @@ def _find_children(grid, parent: StairCell, width_bound: Fraction,
 
 
 def build_staircase_tree(I: Interval, excluded: IntervalUnion, depth: int,
-                         grid=None, leaf_cap=None) -> NestedIntervalTree:
-    """Grow the nested-cell tree behind build_interval_staircase.
+                         grid=None, leaf_cap=None) -> IntervalStaircase:
+    """Grow the staircase's nested-cell tree of the given depth under I.
 
     Raises ConstructionError up front when the part of excluded inside I has
     all of I's length: the components that meet I, in order, leave no gap of
@@ -689,7 +638,7 @@ def build_staircase_tree(I: Interval, excluded: IntervalUnion, depth: int,
         for cell in levels[-1]:
             nxt.extend(_find_children(grid, cell, bound, excluded))
         levels.append(nxt)
-    return NestedIntervalTree(I, levels, grid)
+    return IntervalStaircase(I, levels, grid)
 
 
 class IntervalStaircase(MonotoneFn):
@@ -704,20 +653,28 @@ class IntervalStaircase(MonotoneFn):
     interval, where c climbs from i/2^d to (i+1)/2^d self-similarly, so the
     value inside leaf i is (i + c(u))/2^d for u the relative position in the
     leaf, and the gap after leaf i holds the constant (i+1)/2^d.
+
+    The staircase is its tree of nested grid cells under the root: level n
+    holds 2^n cells, left to right, and the leaves are level d.  Children lie
+    inside their parent with a gap between them, cells at level n have width
+    at most 1/((n+1)*2^n), and every cell at level >= 1 avoids the excluded
+    set given to `build_staircase_tree` (the root itself may meet it).
     """
 
     kind = "interval_staircase"
 
-    def __init__(self, tree: NestedIntervalTree):
-        self.tree = tree
-        leaves = tree.leaves()
-        if len(leaves) != 1 << tree.depth:
-            raise ValueError(f"a depth-{tree.depth} staircase needs "
-                             f"{1 << tree.depth} leaf cells, got {len(leaves)}")
-        bounds = [tree.root.lo]
+    def __init__(self, root: Interval, levels, grid):
+        self.root = root
+        self.levels = [list(lv) for lv in levels]
+        self.grid = grid
+        leaves = self.leaves()
+        if len(leaves) != 1 << self.depth:
+            raise ValueError(f"a depth-{self.depth} staircase needs "
+                             f"{1 << self.depth} leaf cells, got {len(leaves)}")
+        bounds = [root.lo]
         for cell in leaves:
             bounds.extend((cell.iv.lo, cell.iv.hi))
-        bounds.append(tree.root.hi)
+        bounds.append(root.hi)
         # root.lo <= lo_0 < hi_0 < lo_1 < ... < hi_last <= root.hi
         for i, (left, right) in enumerate(zip(bounds, bounds[1:])):
             if left > right or (left == right and 0 < i < len(bounds) - 2):
@@ -726,11 +683,18 @@ class IntervalStaircase(MonotoneFn):
         self._bounds = bounds[1:-1]
         self._scale = len(leaves)
 
+    @property
+    def depth(self) -> int:
+        return len(self.levels) - 1
+
+    def leaves(self) -> list[StairCell]:
+        return self.levels[-1]
+
     def __call__(self, x) -> Fraction:
         x = Fraction(x)
-        if x <= self.tree.root.lo:
+        if x <= self.root.lo:
             return ZERO
-        if x >= self.tree.root.hi:
+        if x >= self.root.hi:
             return ONE
         j = bisect_right(self._bounds, x)
         i = j // 2
@@ -760,7 +724,26 @@ class IntervalStaircase(MonotoneFn):
         yield start, len(nums), self._scale
 
     def to_json(self) -> dict:
-        return {"kind": self.kind, "tree": self.tree.to_json()}
+        return {"kind": self.kind, "tree": {
+            "root": [format_rational(self.root.lo), format_rational(self.root.hi)],
+            "grid": self.grid.to_json(),
+            "levels": [
+                [[format_rational(c.iv.lo), format_rational(c.iv.hi)] for c in level]
+                for level in self.levels
+            ],
+            "addresses": [[[c.k, c.g] for c in level] for level in self.levels],
+        }}
+
+    @classmethod
+    def from_json(cls, obj: dict) -> IntervalStaircase:
+        tree = obj["tree"]
+        root = Interval(parse_rational(tree["root"][0]), parse_rational(tree["root"][1]))
+        levels = [
+            [StairCell(k, g, Interval(parse_rational(lo), parse_rational(hi)))
+             for (lo, hi), (k, g) in zip(eps, adrs)]
+            for eps, adrs in zip(tree["levels"], tree["addresses"])
+        ]
+        return cls(root, levels, grid_from_json(tree["grid"]))
 
 
 def build_interval_staircase(I: Interval, excluded: IntervalUnion, depth: int,
@@ -771,10 +754,9 @@ def build_interval_staircase(I: Interval, excluded: IntervalUnion, depth: int,
     cell at level >= 1 avoids `excluded`, and f_I is continuous non-decreasing
     with f_I = 0 left of I, 1 right of I, and image of N equal to [0,1].
     """
-    tree = build_staircase_tree(I, excluded, depth, grid=grid, leaf_cap=leaf_cap)
-    f = IntervalStaircase(tree)
+    f = build_staircase_tree(I, excluded, depth, grid=grid, leaf_cap=leaf_cap)
     # f has checked that the closed leaf cells are separated, left to right
-    return IntervalUnion._canonical(tuple(c.iv for c in tree.leaves())), f
+    return IntervalUnion._canonical(tuple(c.iv for c in f.leaves())), f
 
 
 # -- truncated full-measure mappers -------------------------------------------
@@ -859,7 +841,7 @@ def build_full_measure_mapper(excluded: IntervalUnion, M: int,
     n_trunc = IntervalUnion(c for u in unions for c in u.components)
     weights = [Fraction(1, 1 << (m + 1)) for m in range(M)]
     tail = Fraction(1, 1 << M)
-    f = WeightedSum(stairs + [identity_fn()], weights + [tail])
+    f = WeightedSum(stairs + [Affine(1, 0)], weights + [tail])
     bound = ONE - tail
     got = image_measure(f, n_trunc)
     if got < bound:
@@ -883,7 +865,7 @@ def fn_from_json(obj: dict) -> MonotoneFn:
             (parse_rational(x), parse_rational(y)) for x, y in obj["knots"]
         )
     if kind == "interval_staircase":
-        return IntervalStaircase(NestedIntervalTree.from_json(obj["tree"]))
+        return IntervalStaircase.from_json(obj)
     if kind == "weighted_sum":
         return WeightedSum(
             [fn_from_json(t) for t in obj["terms"]],

@@ -70,6 +70,13 @@ def test_construct_n5_has_composed_mappers(capsys):
     assert len(blob["mappers"]) == 2
 
 
+@pytest.mark.parametrize("argv, n", [((), 3), (("--n", "4"), 4)], ids=["no-flags", "n4"])
+def test_unset_curve_flags_take_the_builders_defaults(capsys, argv, n):
+    code, out, _ = run_cli(capsys, "construct", *argv)
+    assert code == 0
+    assert out == cli._json_text(curve_to_json(build_extremal_curve(n))) + "\n"
+
+
 def test_construct_rejects_n2(capsys):
     code, _, err = run_cli(capsys, "construct", "--n", "2")
     assert code == 2
@@ -487,6 +494,10 @@ def _tree(spec):
       "components": [{"kind": "interval_staircase",
                       "tree": {**_tree(_n4_spec(lambda s: None)), "grid": {"kind": "nope"}}}]},
      "unknown grid kind 'nope'"),
+    ({"schema_version": 1, "type": "curve", "n": 3, "alpha": "1/2",
+      "components": [{"kind": "affine", "slope": 1, "offset": "0/1"}]}, "rational string"),
+    ({"schema_version": 1, "type": "curve", "n": 3, "alpha": 0.5,
+      "components": [{"kind": "cantor"}]}, "rational string"),
     # n = 3 builds no mapper, so only the parameter checks see M
     ({**curve_to_json(build_extremal_curve(3)), "M": -5}, "M is not an integer >= 1"),
     ({**curve_to_json(build_extremal_curve(3)), "M": 0}, "M is not an integer >= 1"),
@@ -496,7 +507,7 @@ def _tree(spec):
         "more-mappers-than-compositions", "one-entry-tree-root", "empty-tree-levels",
         "no-mappers", "no-w-domains-or-q1", "wrong-q1", "huge-n", "huge-M",
         "huge-staircase-depth", "zero-staircase-depth", "fractional-M", "string-n",
-        "n-over-budget", "unknown-grid-kind",
+        "n-over-budget", "unknown-grid-kind", "number-slope", "number-alpha",
         "n3-negative-M", "n3-zero-M", "n3-fractional-M"])
 def test_malformed_spec_fails_cleanly(capsys, tmp_path, blob, fault):
     spec = tmp_path / "spec.json"

@@ -121,7 +121,7 @@ def test_extremal_curve_at_skewed_weights(n, a):
         excluded = avoid
         stairs = [t for t in mr.f.terms if isinstance(t, IntervalStaircase)]
         for t, n_m in zip(stairs, mr.stair_unions, strict=True):
-            validate_tree(t.tree, excluded)
+            validate_tree(t, excluded)
             excluded = excluded.union(n_m)
         avoid = avoid.union(mr.n_trunc)
         assert IntervalUnion(
@@ -149,7 +149,7 @@ def _inside_leaf_count(c, depth):
     hs = [c.components[0](F(k, 1 << depth)) for k in range((1 << depth) + 1)]
     return sum(1 for mr in c.mappers for t in mr.f.terms
                if isinstance(t, IntervalStaircase)
-               for leaf in t.tree.leaves() for y in hs if leaf.iv.lo < y < leaf.iv.hi)
+               for leaf in t.leaves() for y in hs if leaf.iv.lo < y < leaf.iv.hi)
 
 
 _COLUMN_WEIGHTS = (F(1, 4), F(1, 3), F(3, 8), F(25, 32), F(1, 8))

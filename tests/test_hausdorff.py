@@ -44,7 +44,6 @@ from dbecurves.singular import (
     PiecewiseLinear,
     RieszNagy,
     WeightedSum,
-    identity_fn,
     image_measure,
 )
 
@@ -297,7 +296,7 @@ def test_box_count_slope_samples_once_at_the_finest_depth():
 
 
 def test_box_count_segment_slope_near_one():
-    spec = CurveSpec(3, (identity_fn(),), F(1, 2))
+    spec = CurveSpec(3, (Affine(1, 0),), F(1, 2))
     slope, series = box_count_slope(spec, range(3, 9))
     assert 0.9 <= slope <= 1.1
     # a diagonal hits about 2^m cells at resolution m
@@ -311,7 +310,7 @@ def test_box_count_segment_slope_near_one():
 def test_lipschitz_affine_and_identity():
     F01 = IntervalUnion.closed(0, 1)
     assert check_lipschitz_image(Affine(F(1, 2), F(0)), F(1, 2), F01)
-    assert check_lipschitz_image(identity_fn(), F(1), F01)
+    assert check_lipschitz_image(Affine(1, 0), F(1), F01)
 
 
 def test_lipschitz_riesz_max_cell_slope():
@@ -504,7 +503,7 @@ def _sum_image_bound_reference(f1, f2, D, delta):
 
 def test_sum_image_bound_evaluates_each_point_once():
     rng = random.Random(3318)
-    cases = [(identity_fn(), Cantor(), IntervalUnion.closed(0, 1), F(1, 8))]
+    cases = [(Affine(1, 0), Cantor(), IntervalUnion.closed(0, 1), F(1, 8))]
     for _ in range(40):
         f1 = trials.random_piecewise_linear(rng, strict=True)
         f2 = trials.random_piecewise_linear(rng, strict=True)
@@ -542,14 +541,14 @@ def _cantor_cover(level):
 
 def test_level_order_cuts_equal_depth_first_bisection():
     rng = random.Random(1717)
-    cases = [(identity_fn(), IntervalUnion.closed(0, 1), F(1, 8)),
+    cases = [(Affine(1, 0), IntervalUnion.closed(0, 1), F(1, 8)),
              (Cantor(), IntervalUnion.closed(0, 1), F(1, 8)),
              (Cantor(), _cantor_cover(3), F(1, 16)),
              # a point component, open ends, and two components sharing an end
              (Cantor(), IntervalUnion((Interval(F(1, 5), F(1, 5)),
                                        Interval(F(1, 3), F(4, 5), lo_closed=False,
                                                 hi_closed=False))), F(1, 8)),
-             (identity_fn(), IntervalUnion((Interval(F(0), F(1, 2), hi_closed=False),
+             (Affine(1, 0), IntervalUnion((Interval(F(0), F(1, 2), hi_closed=False),
                                             Interval(F(1, 2), F(1), lo_closed=False))),
               F(1, 8))]
     for _ in range(60):
@@ -580,14 +579,14 @@ def test_sum_image_bound_raises_at_the_bisection_cap():
     F01 = IntervalUnion.closed(0, 1)
     with pytest.raises(NotEvaluableError, match="could not refine below delta"):
         _delta_cuts(_Jump(), F01.components[0], F(1, 4))
-    for f1, f2 in ((identity_fn(), _Jump()), (_Jump(), identity_fn())):
+    for f1, f2 in ((Affine(1, 0), _Jump()), (_Jump(), Affine(1, 0))):
         with pytest.raises(NotEvaluableError, match="could not refine below delta"):
             check_sum_image_bound(f1, f2, F01, F(1, 4))
 
 
 def test_sum_image_bound_identity_pair():
     F01 = IntervalUnion.closed(0, 1)
-    assert check_sum_image_bound(identity_fn(), identity_fn(), F01, F(1, 4))
+    assert check_sum_image_bound(Affine(1, 0), Affine(1, 0), F01, F(1, 4))
 
 
 def test_sum_image_bound_identity_plus_cantor():
@@ -597,7 +596,7 @@ def test_sum_image_bound_identity_plus_cantor():
         digits = (k // 9, (k // 3) % 3, k % 3)
         if 1 not in digits:
             cover = cover | IntervalUnion.closed(F(k, 27), F(k + 1, 27))
-    assert check_sum_image_bound(identity_fn(), Cantor(), cover, F(1, 8))
+    assert check_sum_image_bound(Affine(1, 0), Cantor(), cover, F(1, 8))
 
 
 def test_sum_image_bound_piecewise_pairs():
@@ -651,4 +650,4 @@ def test_derivative_bound_domain_is_the_closed_knot_span():
     # an affine map evaluates anywhere, so only the check refuses E beyond [0, 1]
     for e in (IntervalUnion.closed(F(-1, 2), F(1, 2)), IntervalUnion.closed(F(1, 2), F(3, 2))):
         with pytest.raises(NotEvaluableError):
-            check_derivative_bound(identity_fn(), e)
+            check_derivative_bound(Affine(1, 0), e)

@@ -17,11 +17,11 @@ from dbecurves.exact import Interval, IntervalUnion, parse_rational
 from dbecurves.hausdorff import polyline_length
 from dbecurves.oracle import brute_cover_sum
 from dbecurves.singular import (
+    Affine,
     Cantor,
     RieszNagy,
     eval_cantor,
     eval_riesz_nagy,
-    identity_fn,
     image_measure,
 )
 
@@ -82,7 +82,7 @@ def _union(obj) -> IntervalUnion:
 _FNS = {
     "cantor": Cantor(),
     "riesz_1/4": RieszNagy(F(1, 4)),
-    "identity": identity_fn(),
+    "identity": Affine(1, 0),
 }
 
 

@@ -18,7 +18,6 @@ from dbecurves.singular import (
     Composition,
     ConstructionError,
     IntervalStaircase,
-    NestedIntervalTree,
     NotEvaluableError,
     PiecewiseLinear,
     RieszNagy,
@@ -35,7 +34,6 @@ from dbecurves.singular import (
     eval_riesz_nagy,
     fn_from_json,
     grid_from_json,
-    identity_fn,
     image_measure,
 )
 from test_exact import intersects
@@ -162,7 +160,7 @@ def test_monotone_fn_wrappers():
     aff = Affine(F(-2), F(1))
     assert aff(F(1, 4)) == F(1, 2)
     assert not aff.increasing
-    ident = identity_fn()
+    ident = Affine(1, 0)
     assert ident(F(5, 7)) == F(5, 7)
     comp = Composition(r, ident)
     assert comp(F(1, 2)) == F(1, 4)
@@ -181,16 +179,16 @@ def test_piecewise_linear_eval_and_pieces():
 
 
 def test_weighted_sum_increments():
-    ws = WeightedSum((identity_fn(), RieszNagy(F(1, 4))), (F(1, 2), F(1, 2)))
+    ws = WeightedSum((Affine(1, 0), RieszNagy(F(1, 4))), (F(1, 2), F(1, 2)))
     assert ws(F(1, 2)) == F(1, 2) * F(1, 2) + F(1, 2) * F(1, 4)
     assert ws.strictly_monotone
     with pytest.raises(ValueError):
-        WeightedSum((identity_fn(),), (F(3, 2),))
+        WeightedSum((Affine(1, 0),), (F(3, 2),))
 
 
 def test_image_measure():
     u = IntervalUnion.closed(0, F(1, 2))
-    assert image_measure(identity_fn(), u) == F(1, 2)
+    assert image_measure(Affine(1, 0), u) == F(1, 2)
     assert image_measure(RieszNagy(F(1, 4)), u) == F(1, 4)
     two = IntervalUnion.closed(0, F(1, 4)) | IntervalUnion.closed(F(1, 2), 1)
     assert image_measure(RieszNagy(F(1, 4)), two) == F(1, 16) + F(3, 4)
@@ -231,10 +229,10 @@ def test_fn_json_roundtrip():
         Cantor(),
         RieszNagy(F(2, 5)),
         Affine(F(1, 2), F(1, 8)),
-        identity_fn(),
+        Affine(1, 0),
         PiecewiseLinear(((F(0), F(0)), (F(1), F(2)))),
-        WeightedSum((identity_fn(), Cantor()), (F(1, 4), F(1, 2))),
-        Composition(RieszNagy(F(1, 4)), identity_fn()),
+        WeightedSum((Affine(1, 0), Cantor()), (F(1, 4), F(1, 2))),
+        Composition(RieszNagy(F(1, 4)), Affine(1, 0)),
     ]
     for fn in fns:
         back = fn_from_json(fn.to_json())
@@ -262,8 +260,8 @@ def _column_points(f, den, rng):
     bounds, leaves = [], []
     for t in getattr(f, "terms", (f,)):
         if isinstance(t, IntervalStaircase):
-            bounds += [t.tree.root.lo, t.tree.root.hi]
-            for c in t.tree.leaves():
+            bounds += [t.root.lo, t.root.hi]
+            for c in t.leaves():
                 bounds += [c.iv.lo, c.iv.hi]
                 leaves += [c.iv.lo + c.iv.diam / 3, (c.iv.lo + c.iv.hi) / 2]
         elif isinstance(t, PiecewiseLinear):
@@ -289,7 +287,7 @@ def _column_cases():
     pl = PiecewiseLinear(((F(0), F(0)), (F(1, 3), F(1, 5)), (F(5, 7), F(3, 11)),
                           (F(1), F(1))))
     # one denominator puts every leaf bound on an integer, the others do not
-    exact = math.lcm(*(b.denominator for cell in stair.tree.leaves()
+    exact = math.lcm(*(b.denominator for cell in stair.leaves()
                        for b in (cell.iv.lo, cell.iv.hi)))
     dens = (exact, 1 << 9, 3 ** 8 * 7)
     return [
@@ -301,7 +299,7 @@ def _column_cases():
         (stair, dens),
         (mapper, dens),
         # non-affine, non-staircase terms beside a staircase and the identity
-        (WeightedSum((stair, Cantor(), pl, identity_fn()),
+        (WeightedSum((stair, Cantor(), pl, Affine(1, 0)),
                      (F(1, 4), F(1, 8), F(1, 3), F(1, 16))), dens),
         (WeightedSum((mapper, RieszNagy(F(3, 8))), (F(1, 2), F(1, 2))), (1 << 9,)),
         (Composition(mapper, RieszNagy(F(3, 8))), (1 << 9,)),
@@ -410,8 +408,8 @@ def test_dyadic_grid():
     tree = build_staircase_tree(Interval.closed(F(1, 8), F(7, 8)),
                                 IntervalUnion.closed(F(1, 4), F(1, 3)), 3)
     blob = json.dumps(tree.to_json())
-    assert json.loads(blob)["grid"] == {"kind": "dyadic"}
-    assert json.dumps(NestedIntervalTree.from_json(json.loads(blob)).to_json()) == blob
+    assert json.loads(blob)["tree"]["grid"] == {"kind": "dyadic"}
+    assert json.dumps(fn_from_json(json.loads(blob)).to_json()) == blob
 
 
 def test_riesz_image_grid():
@@ -767,17 +765,16 @@ def test_interval_staircase_closed_form_matches_reference(grid, depth):
              (Interval.closed(F(1, 8), F(1, 4)), IntervalUnion.empty())]
     checked = 0
     for root, excluded in roots:
-        tree = build_staircase_tree(root, excluded, depth, grid=grid)
-        stair = IntervalStaircase(tree)
-        for x in _staircase_probes(tree, rng):
-            assert stair(x) == _reference_staircase(tree, x), (root, depth, x)
+        stair = build_staircase_tree(root, excluded, depth, grid=grid)
+        for x in _staircase_probes(stair, rng):
+            assert stair(x) == _reference_staircase(stair, x), (root, depth, x)
             checked += 1
     assert checked > 3 * 50
 
 
 def _tree_json_with_leaves(leaves, root=("0/1", "1/1")):
     tree = build_staircase_tree(Interval.closed(0, 1), IntervalUnion.empty(), 1)
-    blob = tree.to_json()
+    blob = tree.to_json()["tree"]
     blob["root"] = list(root)
     blob["levels"][1] = [list(iv) for iv in leaves]
     return blob
@@ -791,9 +788,8 @@ def _tree_json_with_leaves(leaves, root=("0/1", "1/1")):
     ((("1/2", "5/8"), ("1/8", "1/4")), ("0/1", "1/1")),   # leaves out of order
 ])
 def test_interval_staircase_rejects_malformed_trees(leaves, root):
-    tree = NestedIntervalTree.from_json(_tree_json_with_leaves(leaves, root))
     with pytest.raises(ValueError):
-        IntervalStaircase(tree)
+        IntervalStaircase.from_json({"tree": _tree_json_with_leaves(leaves, root)})
     with pytest.raises(ValueError):
         fn_from_json({"kind": "interval_staircase",
                       "tree": _tree_json_with_leaves(leaves, root)})
@@ -804,7 +800,7 @@ def test_interval_staircase_rejects_wrong_leaf_count():
     blob["levels"][1].append(["3/4", "7/8"])
     blob["addresses"][1].append([6, 3])
     with pytest.raises(ValueError):
-        IntervalStaircase(NestedIntervalTree.from_json(blob))
+        IntervalStaircase.from_json({"tree": blob})
 
 
 # -- rational interval enumeration and mappers ------------------------------
