@@ -52,22 +52,23 @@ def main():
     print()
     print("== truncated full-measure mapper ==")
     for M in (1, 2, 4, 6):
-        res = build_full_measure_mapper(empty, M, staircase_depth=2)
-        got = image_measure(res.f, res.n_trunc)
-        print(f"  M = {M}: carrier measure {res.n_trunc.measure()}, "
-              f"image measure {got} >= {res.image_lower_bound}: "
-              f"{got >= res.image_lower_bound}")
+        n_trunc, f = build_full_measure_mapper(empty, M, staircase_depth=2)
+        got = image_measure(f, n_trunc)
+        bound = 1 - f.weights[-1]
+        print(f"  M = {M}: carrier measure {n_trunc.measure()}, "
+              f"image measure {got} >= {bound}: {got >= bound}")
 
     print()
-    res = build_full_measure_mapper(empty, 4, staircase_depth=2)
+    _, f = build_full_measure_mapper(empty, 4, staircase_depth=2)
+    # a mapper is its weighted sum: staircase terms, then the identity
+    stairs = [IntervalUnion(c.iv for c in g.leaves()) for g in f.terms[:-1]]
     print("the M = 4 mapper keeps its per-term carriers pairwise disjoint:")
-    for i in range(len(res.stair_unions)):
-        for j in range(i + 1, len(res.stair_unions)):
-            overlap = res.stair_unions[i].intersect(res.stair_unions[j])
+    for i in range(len(stairs)):
+        for j in range(i + 1, len(stairs)):
+            overlap = stairs[i].intersect(stairs[j])
             assert overlap.is_empty
-    pairs = len(res.stair_unions) * (len(res.stair_unions) - 1) // 2
+    pairs = len(stairs) * (len(stairs) - 1) // 2
     print(f"  checked all {pairs} pairs: disjoint")
-
 
 if __name__ == "__main__":
     main()

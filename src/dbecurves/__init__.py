@@ -29,7 +29,6 @@ from .singular import (
     Composition,
     ConstructionError,
     IntervalStaircase,
-    MapperResult,
     MonotoneFn,
     NotEvaluableError,
     PiecewiseLinear,
@@ -38,7 +37,6 @@ from .singular import (
     WeightedSum,
     build_full_measure_mapper,
     build_interval_staircase,
-    build_staircase_tree,
     enumerate_rational_intervals,
     eval_cantor,
     eval_riesz_nagy,
@@ -93,7 +91,6 @@ __all__ = [
     "IntervalUnion",
     "LRPartition",
     "LipschitzWitnessError",
-    "MapperResult",
     "MonotoneFn",
     "NotEvaluableError",
     "PiecewiseLinear",
@@ -107,7 +104,6 @@ __all__ = [
     "build_extremal_curve",
     "build_full_measure_mapper",
     "build_interval_staircase",
-    "build_staircase_tree",
     "certify_h1",
     "check_dbe_property",
     "check_derivative_bound",

@@ -21,7 +21,6 @@ from .exact import Interval, IntervalUnion, ONE, ZERO, format_rational, parse_ra
 from .singular import (
     Composition,
     IntervalStaircase,
-    MapperResult,
     MonotoneFn,
     RieszNagy,
     RieszNagyImageGrid,
@@ -62,8 +61,8 @@ class CurveSpec:
     def __post_init__(self):
         object.__setattr__(self, "alpha", Fraction(self.alpha))
         object.__setattr__(self, "components", tuple(self.components))
-        if self.n < 2:
-            raise ValueError("need n >= 2")
+        if type(self.n) is not int or self.n < 2:
+            raise ValueError("need an integer n >= 2")
         if len(self.components) != self.n - 2:
             raise ValueError(f"n={self.n} needs {self.n - 2} component functions")
         if not (ZERO <= self.alpha <= ONE):
@@ -78,13 +77,19 @@ class CurveSpec:
 class ExtremalCurve(CurveSpec):
     """The curve of `build_extremal_curve`: its fields are what the builder chose.
 
-    The domains W_j = h^{-1}(N_j) and their complement q1 are derived on first read.
+    Each mapper is stored once, as the outer function of its component, with
+    its leaf union N_trunc in `n_truncs`.  The domains W_j = h^{-1}(N_j) and
+    their complement q1 are derived on first read.
     """
 
-    mappers: tuple[MapperResult, ...]
     a: Fraction
     M: int
     staircase_depth: int
+    n_truncs: tuple[IntervalUnion, ...]
+
+    @property
+    def mappers(self) -> tuple[MonotoneFn, ...]:
+        return tuple(c.outer for c in self.components[1:])
 
     @cached_property
     def w_domains(self) -> tuple[IntervalUnion, ...]:
@@ -92,10 +97,10 @@ class ExtremalCurve(CurveSpec):
         return tuple(
             IntervalUnion(
                 Interval(Fraction(c.k, 1 << c.g), Fraction(c.k + 1, 1 << c.g))
-                for t in mr.f.terms if isinstance(t, IntervalStaircase)
+                for t in f.terms if isinstance(t, IntervalStaircase)
                 for c in t.leaves()
             )
-            for mr in self.mappers
+            for f in self.mappers
         )
 
     @cached_property
@@ -130,13 +135,13 @@ def build_extremal_curve(n: int, a=Fraction(1, 4), M: int = 4,
     h = RieszNagy(a)
     grid = RieszNagyImageGrid(a)
     avoid = IntervalUnion.empty()
-    mappers: list[MapperResult] = []
+    components, n_truncs = [h], []
     for _ in range(n - 3):
-        mr = build_full_measure_mapper(avoid, M, staircase_depth, grid=grid)
-        mappers.append(mr)
-        avoid = avoid.union(mr.n_trunc)
-    components = (h, *(Composition(mr.f, h) for mr in mappers))
-    return ExtremalCurve(n, components, alpha, tuple(mappers), a, M, staircase_depth)
+        n_trunc, f = build_full_measure_mapper(avoid, M, staircase_depth, grid=grid)
+        components.append(Composition(f, h))
+        n_truncs.append(n_trunc)
+        avoid = avoid.union(n_trunc)
+    return ExtremalCurve(n, components, alpha, a, M, staircase_depth, tuple(n_truncs))
 
 
 def _column(f: MonotoneFn, depth: int, memo: dict) -> tuple[int, list[int]]:
@@ -282,11 +287,11 @@ def curve_to_json(curve) -> dict:
             "staircase_depth": curve.staircase_depth,
             "mappers": [
                 {
-                    "level": mr.level,
-                    "image_lower_bound": format_rational(mr.image_lower_bound),
-                    "n_trunc": mr.n_trunc.to_json(),
+                    "level": len(f.terms) - 1,
+                    "image_lower_bound": format_rational(1 - f.weights[-1]),
+                    "n_trunc": n_trunc.to_json(),
                 }
-                for mr in curve.mappers
+                for f, n_trunc in zip(curve.mappers, curve.n_truncs)
             ],
             "w_domains": [w.to_json() for w in curve.w_domains],
             "q1": curve.q1.to_json(),
@@ -320,6 +325,8 @@ def curve_from_json(obj: dict):
     partition older specs may carry, which never changed the upper bound of
     a curve whose pieces cover [0,1].
     """
+    if not isinstance(obj, dict):
+        raise ValueError("spec is not a JSON object")
     if _nesting(obj) > MAX_NESTING:
         raise ValueError(f"spec nests deeper than {MAX_NESTING} levels")
     if obj.get("schema_version") != SCHEMA_VERSION:

@@ -613,34 +613,6 @@ def _find_children(grid, parent: StairCell, width_bound: Fraction,
     )
 
 
-def build_staircase_tree(I: Interval, excluded: IntervalUnion, depth: int,
-                         grid=None, leaf_cap=None) -> IntervalStaircase:
-    """Grow the staircase's nested-cell tree of the given depth under I.
-
-    Raises ConstructionError up front when the part of excluded inside I has
-    all of I's length: the components that meet I, in order, leave no gap of
-    positive length between I's ends.
-    """
-    if grid is None:
-        grid = RieszNagyImageGrid()
-    if not (I.lo_closed and I.hi_closed and ZERO <= I.lo < I.hi <= ONE):
-        raise ValueError("I must be a nondegenerate closed interval in [0, 1]")
-    ends = [I.lo, *(x for c in _meeting(excluded, I) for x in (c.lo, c.hi)), I.hi]
-    if all(right <= left for left, right in zip(ends[::2], ends[1::2])):
-        raise ConstructionError("excluded set leaves no room inside I")
-    root = StairCell(-1, 0, I)
-    levels: list[list[StairCell]] = [[root]]
-    for n in range(1, depth + 1):
-        bound = Fraction(1, (n + 1) * (1 << n))
-        if n == depth and leaf_cap is not None:
-            bound = min(bound, Fraction(leaf_cap))
-        nxt: list[StairCell] = []
-        for cell in levels[-1]:
-            nxt.extend(_find_children(grid, cell, bound, excluded))
-        levels.append(nxt)
-    return IntervalStaircase(I, levels, grid)
-
-
 class IntervalStaircase(MonotoneFn):
     """c composed with the linear map of each leaf cell onto its Cantor cover cell.
 
@@ -658,7 +630,7 @@ class IntervalStaircase(MonotoneFn):
     holds 2^n cells, left to right, and the leaves are level d.  Children lie
     inside their parent with a gap between them, cells at level n have width
     at most 1/((n+1)*2^n), and every cell at level >= 1 avoids the excluded
-    set given to `build_staircase_tree` (the root itself may meet it).
+    set given to `build_interval_staircase` (the root itself may meet it).
     """
 
     kind = "interval_staircase"
@@ -748,13 +720,34 @@ class IntervalStaircase(MonotoneFn):
 
 def build_interval_staircase(I: Interval, excluded: IntervalUnion, depth: int,
                              grid=None, leaf_cap=None):
-    """Return (N, f_I): the leaf-cell union and its staircase function.
+    """Return (N, f_I): the leaf-cell union and the depth-`depth` staircase under I.
 
     N is the union of the 2^depth leaf cells (measure <= 1/(depth+1)), every
     cell at level >= 1 avoids `excluded`, and f_I is continuous non-decreasing
     with f_I = 0 left of I, 1 right of I, and image of N equal to [0,1].
+
+    Raises ConstructionError up front when the part of excluded inside I has
+    all of I's length: the components that meet I, in order, leave no gap of
+    positive length between I's ends.
     """
-    f = build_staircase_tree(I, excluded, depth, grid=grid, leaf_cap=leaf_cap)
+    if grid is None:
+        grid = RieszNagyImageGrid()
+    if not (I.lo_closed and I.hi_closed and ZERO <= I.lo < I.hi <= ONE):
+        raise ValueError("I must be a nondegenerate closed interval in [0, 1]")
+    ends = [I.lo, *(x for c in _meeting(excluded, I) for x in (c.lo, c.hi)), I.hi]
+    if all(right <= left for left, right in zip(ends[::2], ends[1::2])):
+        raise ConstructionError("excluded set leaves no room inside I")
+    root = StairCell(-1, 0, I)
+    levels: list[list[StairCell]] = [[root]]
+    for n in range(1, depth + 1):
+        bound = Fraction(1, (n + 1) * (1 << n))
+        if n == depth and leaf_cap is not None:
+            bound = min(bound, Fraction(leaf_cap))
+        nxt: list[StairCell] = []
+        for cell in levels[-1]:
+            nxt.extend(_find_children(grid, cell, bound, excluded))
+        levels.append(nxt)
+    f = IntervalStaircase(I, levels, grid)
     # f has checked that the closed leaf cells are separated, left to right
     return IntervalUnion._canonical(tuple(c.iv for c in f.leaves())), f
 
@@ -784,17 +777,6 @@ def enumerate_rational_intervals():
         b += 1
 
 
-@dataclass(frozen=True)
-class MapperResult:
-    """Strictly increasing f with measure(f(N_trunc)) >= 1 - 2^-level."""
-
-    f: MonotoneFn
-    n_trunc: IntervalUnion
-    level: int
-    image_lower_bound: Fraction
-    stair_unions: tuple[IntervalUnion, ...]
-
-
 def image_measure(f: MonotoneFn, u: IntervalUnion) -> Fraction:
     """Measure of f(u) for monotone f: summed endpoint differences.
 
@@ -807,15 +789,17 @@ def image_measure(f: MonotoneFn, u: IntervalUnion) -> Fraction:
 
 
 def build_full_measure_mapper(excluded: IntervalUnion, M: int,
-                              staircase_depth: int = 3, grid=None) -> MapperResult:
-    """Truncate the full-measure construction at M staircase terms.
+                              staircase_depth: int, grid=None):
+    """Return (N_trunc, f): the full-measure construction cut at M staircase terms.
 
     Walks the fixed interval enumeration I_0, I_1, ...; inside each I_m a
-    depth-`staircase_depth` staircase is built avoiding `excluded` and every
-    earlier N, with leaf cells capped small enough that all N's together
-    stay well below the room available in later intervals.  The result is
-    f = sum 2^-(m+1) g_m + 2^-M id, strictly increasing with f(0)=0, f(1)=1,
-    and the exact image bound measure(f(N_trunc)) >= 1 - 2^-M.
+    depth-`staircase_depth` staircase g_m is built avoiding `excluded` and
+    every earlier N, with leaf cells capped small enough that all N's together
+    stay well below the room available in later intervals.  N_trunc is the
+    union of the staircases' leaf cells, and f = sum 2^-(m+1) g_m + 2^-M id
+    is strictly increasing with f(0)=0, f(1)=1 and the exact image bound
+    measure(f(N_trunc)) >= 1 - 2^-M = 1 - f.weights[-1].  The mapper's level
+    M is len(f.terms) - 1.
     """
     if M < 1:
         raise ValueError("M must be >= 1")
@@ -846,7 +830,7 @@ def build_full_measure_mapper(excluded: IntervalUnion, M: int,
     got = image_measure(f, n_trunc)
     if got < bound:
         raise AssertionError(f"mapper image measure {got} below bound {bound}")
-    return MapperResult(f, n_trunc, M, bound, tuple(unions))
+    return n_trunc, f
 
 
 # -- serialization -------------------------------------------------------------
@@ -861,6 +845,8 @@ def fn_from_json(obj: dict) -> MonotoneFn:
     if kind == "affine":
         return Affine(parse_rational(obj["slope"]), parse_rational(obj["offset"]))
     if kind == "piecewise_linear":
+        if not isinstance(obj["knots"], list):
+            raise ValueError("key 'knots' is not a list of [x, y] pairs")
         return PiecewiseLinear(
             (parse_rational(x), parse_rational(y)) for x, y in obj["knots"]
         )

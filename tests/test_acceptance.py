@@ -112,13 +112,13 @@ def test_criterion_03_cantor_graph_diagnostic(capsys):
 def test_criterion_04_mapper_truncations_exact(capsys):
     def body():
         for M in range(1, 11):
-            mr = build_full_measure_mapper(IntervalUnion.empty(), M)
-            stairs = mr.stair_unions
+            n_trunc, f = build_full_measure_mapper(IntervalUnion.empty(), M, 3)
+            stairs = [IntervalUnion(c.iv for c in t.leaves()) for t in f.terms[:-1]]
             for i in range(len(stairs)):
                 for j in range(i + 1, len(stairs)):
                     assert not intersects(stairs[i], stairs[j]), (M, i, j)
-            assert mr.f.strictly_monotone, M
-            got = image_measure(mr.f, mr.n_trunc)
+            assert f.strictly_monotone, M
+            got = image_measure(f, n_trunc)
             assert got >= 1 - F(1, 1 << M), (M, got)
 
     _report(capsys, 4, "truncated mappers at M=1..10: disjoint stair sets, "

@@ -464,7 +464,7 @@ def _tree(spec):
      "missing key 'components'"),
     ({"schema_version": 1, "type": "curve", "n": 3, "alpha": "1/2",
       "components": [{"kind": "affine", "slope": "1/2"}]}, "missing key 'offset'"),
-    ([{"schema_version": 1}], "AttributeError"),
+    ([{"schema_version": 1}], "spec is not a JSON object"),
     ({"schema_version": 1, "type": "curve", "n": 3, "alpha": "1/2",
       "components": [{"kind": "affine", "slope": "3/1", "offset": "0/1"}]},
      "leaves the unit cube"),
@@ -498,6 +498,11 @@ def _tree(spec):
       "components": [{"kind": "affine", "slope": 1, "offset": "0/1"}]}, "rational string"),
     ({"schema_version": 1, "type": "curve", "n": 3, "alpha": 0.5,
       "components": [{"kind": "cantor"}]}, "rational string"),
+    ({"schema_version": 1, "type": "curve", "n": 3, "alpha": "1/2",
+      "components": [{"kind": "piecewise_linear", "knots": 5}]},
+     "key 'knots' is not a list of [x, y] pairs"),
+    ({"schema_version": 1, "type": "curve", "n": "3", "alpha": "1/2",
+      "components": [{"kind": "cantor"}]}, "need an integer n >= 2"),
     # n = 3 builds no mapper, so only the parameter checks see M
     ({**curve_to_json(build_extremal_curve(3)), "M": -5}, "M is not an integer >= 1"),
     ({**curve_to_json(build_extremal_curve(3)), "M": 0}, "M is not an integer >= 1"),
@@ -508,7 +513,7 @@ def _tree(spec):
         "no-mappers", "no-w-domains-or-q1", "wrong-q1", "huge-n", "huge-M",
         "huge-staircase-depth", "zero-staircase-depth", "fractional-M", "string-n",
         "n-over-budget", "unknown-grid-kind", "number-slope", "number-alpha",
-        "n3-negative-M", "n3-zero-M", "n3-fractional-M"])
+        "knots-not-a-list", "generic-string-n", "n3-negative-M", "n3-zero-M", "n3-fractional-M"])
 def test_malformed_spec_fails_cleanly(capsys, tmp_path, blob, fault):
     spec = tmp_path / "spec.json"
     spec.write_text(blob if isinstance(blob, str) else json.dumps(blob))
@@ -668,7 +673,7 @@ def _cross_check_curves():
     yield CurveSpec(3, (Cantor(),), F(1, 2))
     yield flat_piece_curve()
     # decreasing components: their columns are read reversed
-    mapper = build_extremal_curve(4).mappers[0].f
+    mapper = build_extremal_curve(4).mappers[0]
     flip = Affine(-1, 1)
     yield CurveSpec(4, (flip, Composition(mapper, flip)), F(1, 3))
 

@@ -77,7 +77,7 @@ def test_build_extremal_curve_n4_structure():
         type(comp)(h(comp.lo), h(comp.hi), comp.lo_closed, comp.hi_closed)
         for comp in w.components
     )
-    assert mapped == c.mappers[0].n_trunc
+    assert mapped == c.n_truncs[0]
     # q1 is exactly the complement of the W's
     assert c.q1 == IntervalUnion.closed(0, 1) - w
     assert image_measure(c.components[1], w) >= F(15, 16)
@@ -88,14 +88,29 @@ def test_build_extremal_curve_n5_disjoint_w():
     assert len(c.mappers) == 2
     w1, w2 = c.w_domains
     assert not intersects(w1, w2)
-    n1, n2 = (m.n_trunc for m in c.mappers)
+    n1, n2 = c.n_truncs
     assert not intersects(n1, n2)
 
 
 def test_extremal_curve_fields_are_the_builders_choices():
     # W_j and q1 are derived from the mappers, so they must not come back as fields
     assert [f.name for f in dataclasses.fields(ExtremalCurve)] == [
-        "n", "components", "alpha", "mappers", "a", "M", "staircase_depth"]
+        "n", "components", "alpha", "a", "M", "staircase_depth", "n_truncs"]
+
+
+@pytest.mark.parametrize("a", [F(1, 4), F(2, 7)])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_extremal_curve_stores_each_mapper_once(n, a):
+    c = build_extremal_curve(n, a=a, M=3)
+    body = curve_to_json(c)
+    assert len(c.mappers) == len(c.n_truncs) == len(body["mappers"]) == n - 3
+    for j, f in enumerate(c.mappers):
+        assert f is c.components[j + 1].outer
+        assert c.n_truncs[j] == IntervalUnion(
+            cell.iv for t in f.terms if isinstance(t, IntervalStaircase)
+            for cell in t.leaves())
+        assert body["mappers"][j]["level"] == c.M == 3
+        assert F(body["mappers"][j]["image_lower_bound"]) == 1 - F(1, 1 << c.M)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -116,18 +131,18 @@ def test_extremal_curve_at_skewed_weights(n, a):
     c = build_extremal_curve(n, a=a)
     h = c.components[0]
     avoid = IntervalUnion.empty()  # the earlier mappers' N sets
-    for mr, w in zip(c.mappers, c.w_domains):
+    for f, n_trunc, w in zip(c.mappers, c.n_truncs, c.w_domains, strict=True):
         # staircase m avoided the earlier mappers' N sets and this mapper's N_0..N_(m-1)
         excluded = avoid
-        stairs = [t for t in mr.f.terms if isinstance(t, IntervalStaircase)]
-        for t, n_m in zip(stairs, mr.stair_unions, strict=True):
-            validate_tree(t, excluded)
-            excluded = excluded.union(n_m)
-        avoid = avoid.union(mr.n_trunc)
+        for t in f.terms:
+            if isinstance(t, IntervalStaircase):
+                validate_tree(t, excluded)
+                excluded = excluded.union(IntervalUnion(cell.iv for cell in t.leaves()))
+        avoid = avoid.union(n_trunc)
         assert IntervalUnion(
             type(comp)(h(comp.lo), h(comp.hi), comp.lo_closed, comp.hi_closed)
-            for comp in w.components) == mr.n_trunc
-        assert image_measure(mr.f, mr.n_trunc) >= mr.image_lower_bound
+            for comp in w.components) == n_trunc
+        assert image_measure(f, n_trunc) >= 1 - F(1, 1 << c.M)
     assert check_dbe_property(sample(c, 5)).ok
 
 
@@ -147,7 +162,7 @@ def _pointwise(spec, depth):
 def _inside_leaf_count(c, depth):
     """Sample points whose h lies strictly inside a leaf of a mapper staircase."""
     hs = [c.components[0](F(k, 1 << depth)) for k in range((1 << depth) + 1)]
-    return sum(1 for mr in c.mappers for t in mr.f.terms
+    return sum(1 for f in c.mappers for t in f.terms
                if isinstance(t, IntervalStaircase)
                for leaf in t.leaves() for y in hs if leaf.iv.lo < y < leaf.iv.hi)
 
@@ -181,7 +196,7 @@ def test_sample_cases_reach_inside_staircase_leaves():
 
 def test_sample_matches_pointwise_on_mapper_compositions():
     c = build_extremal_curve(4, a=F(3, 8), M=3)
-    mapper = c.mappers[0].f
+    mapper = c.mappers[0]
     comps = (
         Composition(mapper, Affine(-1, 1)),  # decreasing inner: point by point
         Composition(mapper, Affine(F(1, 2), F(1, 4))),

@@ -39,7 +39,7 @@ WEIGHTS = (F(1, 4), F(1, 3), F(2, 7), F(3, 8), F(5, 9))
 _settings = settings(max_examples=150, deadline=None, database=None, derandomize=True)
 
 # the staircase terms of one built mapper, mapping [0,1] onto [0,1]
-_STAIRCASES = build_extremal_curve(4, a=F(2, 7), M=2).mappers[0].f.terms[:-1]
+_STAIRCASES = build_extremal_curve(4, a=F(2, 7), M=2).mappers[0].terms[:-1]
 
 # slope k/4 and an offset that keeps both ends in [0,1]
 _affine = st.integers(-4, 4).flatmap(

@@ -215,11 +215,11 @@ def test_subtract_merge_matches_nested_loop_reference():
 def test_one_shot_n_trunc_and_q1_match_the_folds(a):
     for n in (4, 5, 6):
         curve = build_extremal_curve(n, a, M=4, staircase_depth=2)
-        for mr in curve.mappers:
+        for f, n_trunc in zip(curve.mappers, curve.n_truncs, strict=True):
             fold = IntervalUnion.empty()
-            for u in mr.stair_unions:
-                fold = fold.union(u)
-            assert mr.n_trunc == fold
+            for t in f.terms[:-1]:
+                fold = fold.union(IntervalUnion(c.iv for c in t.leaves()))
+            assert n_trunc == fold
         q1 = IntervalUnion.closed(0, 1)
         for w in curve.w_domains:
             q1 = _subtract_reference(q1, w)

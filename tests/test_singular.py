@@ -28,7 +28,6 @@ from dbecurves.singular import (
     _find_children,
     build_full_measure_mapper,
     build_interval_staircase,
-    build_staircase_tree,
     enumerate_rational_intervals,
     eval_cantor,
     eval_riesz_nagy,
@@ -203,14 +202,15 @@ def test_image_measure_column_matches_pointwise_endpoints(a):
     for n in (4, 5, 6):
         curve = build_extremal_curve(n, a, M=5, staircase_depth=2)
         back = curve_from_json(json.loads(json.dumps(curve_to_json(curve))))
-        for mr in curve.mappers + back.mappers:
-            got = image_measure(mr.f, mr.n_trunc)
-            assert got == _pointwise_image_measure(mr.f, mr.n_trunc)
-            assert got >= mr.image_lower_bound
+        for f, n_trunc in [*zip(curve.mappers, curve.n_truncs, strict=True),
+                           *zip(back.mappers, back.n_truncs, strict=True)]:
+            got = image_measure(f, n_trunc)
+            assert got == _pointwise_image_measure(f, n_trunc)
+            assert got >= 1 - F(1, 32)
             # endpoints strictly inside leaf cells take the pointwise branch
             inner = IntervalUnion(Interval(c.lo + c.diam / 3, c.hi - c.diam / 5)
-                                  for c in mr.n_trunc.components)
-            assert image_measure(mr.f, inner) == _pointwise_image_measure(mr.f, inner)
+                                  for c in n_trunc.components)
+            assert image_measure(f, inner) == _pointwise_image_measure(f, inner)
 
 
 def test_image_measure_of_piecewise_linear_on_open_ends():
@@ -282,7 +282,7 @@ def _assert_column_is_pointwise(f, den, nums):
 def _column_cases():
     """(f, dens) for every component kind; R_a reads only dyadic columns."""
     c = build_extremal_curve(4, a=F(3, 8), M=3)
-    mapper = c.mappers[0].f
+    mapper = c.mappers[0]
     stair = mapper.terms[0]
     pl = PiecewiseLinear(((F(0), F(0)), (F(1, 3), F(1, 5)), (F(5, 7), F(3, 11)),
                           (F(1), F(1))))
@@ -318,7 +318,7 @@ def test_integer_columns_equal_pointwise_evaluation():
 
 def test_integer_columns_reach_inside_leaves_and_both_sides_of_bounds():
     c = build_extremal_curve(4, a=F(3, 8), M=3)
-    stair = c.mappers[0].f.terms[0]
+    stair = c.mappers[0].terms[0]
     for den in (1 << 9, 3 ** 8 * 7):
         nums = _column_points(stair, den, random.Random(5))
         runs = list(stair._runs(den, nums))
@@ -405,8 +405,8 @@ def test_dyadic_grid():
             F(k, 1 << gen) for k in range((1 << gen) + 1)]
     _split_holds(g, 6)
     assert g.to_json() == {"kind": "dyadic"}
-    tree = build_staircase_tree(Interval.closed(F(1, 8), F(7, 8)),
-                                IntervalUnion.closed(F(1, 4), F(1, 3)), 3)
+    _, tree = build_interval_staircase(Interval.closed(F(1, 8), F(7, 8)),
+                                       IntervalUnion.closed(F(1, 4), F(1, 3)), 3)
     blob = json.dumps(tree.to_json())
     assert json.loads(blob)["tree"]["grid"] == {"kind": "dyadic"}
     assert json.dumps(fn_from_json(json.loads(blob)).to_json()) == blob
@@ -594,7 +594,7 @@ def validate_tree(tree, excluded):
 
 
 def test_staircase_tree_structure_and_bounds():
-    tree = build_staircase_tree(Interval.closed(0, 1), IntervalUnion.empty(), 3)
+    _, tree = build_interval_staircase(Interval.closed(0, 1), IntervalUnion.empty(), 3)
     validate_tree(tree, IntervalUnion.empty())
     assert tree.depth == 3
     assert len(tree.leaves()) == 8
@@ -610,12 +610,12 @@ def test_staircase_tree_structure_and_bounds():
                                   Interval(F(1, 2), F(1, 2)), Interval(0, 1, False)])
 def test_staircase_tree_needs_a_closed_root_in_the_unit_interval(root):
     with pytest.raises(ValueError):
-        build_staircase_tree(root, IntervalUnion.empty(), 2)
+        build_interval_staircase(root, IntervalUnion.empty(), 2)
 
 
 def test_staircase_tree_avoids_excluded():
     excluded = IntervalUnion.closed(F(1, 3), F(2, 3))
-    tree = build_staircase_tree(Interval.closed(0, 1), excluded, 3)
+    _, tree = build_interval_staircase(Interval.closed(0, 1), excluded, 3)
     validate_tree(tree, excluded)
     for level in range(1, 4):
         for cell in tree.levels[level]:
@@ -623,13 +623,13 @@ def test_staircase_tree_avoids_excluded():
 
 
 def test_staircase_tree_room_counts_only_the_excluded_part_inside_the_root():
-    tree = build_staircase_tree(Interval.closed(0, F(1, 4)),
-                                IntervalUnion.closed(F(1, 2), 1), 2)
+    _, tree = build_interval_staircase(Interval.closed(0, F(1, 4)),
+                                       IntervalUnion.closed(F(1, 2), 1), 2)
     validate_tree(tree, IntervalUnion.closed(F(1, 2), 1))
     assert len(tree.leaves()) == 4
     # only 1/16 of the root's length 1/4 lies under the straddling component
-    tree = build_staircase_tree(Interval.closed(F(1, 4), F(1, 2)),
-                                IntervalUnion.closed(0, F(5, 16)), 2)
+    _, tree = build_interval_staircase(Interval.closed(F(1, 4), F(1, 2)),
+                                       IntervalUnion.closed(0, F(5, 16)), 2)
     validate_tree(tree, IntervalUnion.closed(0, F(5, 16)))
     assert len(tree.leaves()) == 4
     covers = [IntervalUnion.closed(0, F(3, 4)),
@@ -639,21 +639,21 @@ def test_staircase_tree_room_counts_only_the_excluded_part_inside_the_root():
                              Interval.closed(F(1, 4), F(1, 2))))]
     for excluded in covers:
         with pytest.raises(ConstructionError, match="no room"):
-            build_staircase_tree(Interval.closed(F(1, 4), F(1, 2)), excluded, 2)
+            build_interval_staircase(Interval.closed(F(1, 4), F(1, 2)), excluded, 2)
 
 
 def test_staircase_tree_respects_leaf_cap():
     cap = F(1, 4096)
-    tree = build_staircase_tree(Interval.closed(0, 1), IntervalUnion.empty(), 2,
-                                leaf_cap=cap)
+    _, tree = build_interval_staircase(Interval.closed(0, 1), IntervalUnion.empty(), 2,
+                                       leaf_cap=cap)
     for cell in tree.levels[2]:
         assert cell.iv.diam <= cap
 
 
 def test_staircase_tree_on_image_grid():
     a = F(1, 4)
-    tree = build_staircase_tree(Interval.closed(0, 1), IntervalUnion.empty(), 2,
-                                grid=RieszNagyImageGrid(a))
+    _, tree = build_interval_staircase(Interval.closed(0, 1), IntervalUnion.empty(), 2,
+                                       grid=RieszNagyImageGrid(a))
     validate_tree(tree, IntervalUnion.empty())
     # leaf endpoints are exact R_a images of dyadics, so the inverse is exact
     for cell in tree.leaves():
@@ -664,7 +664,7 @@ def test_staircase_tree_on_image_grid():
 
 
 def test_staircase_tree_json_roundtrip():
-    tree = build_staircase_tree(Interval.closed(0, 1), IntervalUnion.empty(), 2)
+    _, tree = build_interval_staircase(Interval.closed(0, 1), IntervalUnion.empty(), 2)
     back = type(tree).from_json(tree.to_json())
     assert back.root == tree.root
     assert back.levels == tree.levels
@@ -765,7 +765,7 @@ def test_interval_staircase_closed_form_matches_reference(grid, depth):
              (Interval.closed(F(1, 8), F(1, 4)), IntervalUnion.empty())]
     checked = 0
     for root, excluded in roots:
-        stair = build_staircase_tree(root, excluded, depth, grid=grid)
+        _, stair = build_interval_staircase(root, excluded, depth, grid=grid)
         for x in _staircase_probes(stair, rng):
             assert stair(x) == _reference_staircase(stair, x), (root, depth, x)
             checked += 1
@@ -773,7 +773,7 @@ def test_interval_staircase_closed_form_matches_reference(grid, depth):
 
 
 def _tree_json_with_leaves(leaves, root=("0/1", "1/1")):
-    tree = build_staircase_tree(Interval.closed(0, 1), IntervalUnion.empty(), 1)
+    _, tree = build_interval_staircase(Interval.closed(0, 1), IntervalUnion.empty(), 1)
     blob = tree.to_json()["tree"]
     blob["root"] = list(root)
     blob["levels"][1] = [list(iv) for iv in leaves]
@@ -823,33 +823,53 @@ def test_enumerate_rational_intervals_order():
 
 
 def test_full_measure_mapper_bounds():
-    mr = build_full_measure_mapper(IntervalUnion.empty(), 3)
-    assert mr.level == 3
-    assert mr.image_lower_bound >= F(7, 8)
-    assert image_measure(mr.f, mr.n_trunc) >= F(7, 8)
-    assert mr.f.strictly_monotone
+    n_trunc, f = build_full_measure_mapper(IntervalUnion.empty(), 3, 3)
+    assert len(f.terms) - 1 == 3
+    assert 1 - f.weights[-1] >= F(7, 8)
+    assert image_measure(f, n_trunc) >= F(7, 8)
+    assert f.strictly_monotone
     # stair unions pairwise disjoint
-    for i in range(len(mr.stair_unions)):
-        for j in range(i + 1, len(mr.stair_unions)):
-            assert not intersects(mr.stair_unions[i], mr.stair_unions[j])
+    stairs = [IntervalUnion(c.iv for c in t.leaves()) for t in f.terms[:-1]]
+    for i in range(len(stairs)):
+        for j in range(i + 1, len(stairs)):
+            assert not intersects(stairs[i], stairs[j])
 
 
 def test_full_measure_mapper_avoids_excluded():
     excluded = IntervalUnion.closed(F(2, 5), F(3, 5))
-    mr = build_full_measure_mapper(excluded, 4)
-    assert not intersects(mr.n_trunc, excluded)
-    assert image_measure(mr.f, mr.n_trunc) >= F(15, 16)
+    n_trunc, f = build_full_measure_mapper(excluded, 4, 3)
+    assert not intersects(n_trunc, excluded)
+    assert image_measure(f, n_trunc) >= F(15, 16)
 
 
 def test_full_measure_mapper_on_image_grid():
     a = F(1, 4)
-    mr = build_full_measure_mapper(IntervalUnion.empty(), 4,
-                                   grid=RieszNagyImageGrid(a))
-    assert image_measure(mr.f, mr.n_trunc) >= F(15, 16)
+    n_trunc, f = build_full_measure_mapper(IntervalUnion.empty(), 4, 3,
+                                           grid=RieszNagyImageGrid(a))
+    assert image_measure(f, n_trunc) >= F(15, 16)
     # all breakpoints invert exactly through R_a
-    for comp in mr.n_trunc.components:
+    for comp in n_trunc.components:
         riesz_nagy_inverse(a, comp.lo)
         riesz_nagy_inverse(a, comp.hi)
+
+
+@pytest.mark.parametrize("grid", [RieszNagyImageGrid(), RieszNagyImageGrid(F(1, 4))],
+                         ids=["dyadic", "R_1/4"])
+@pytest.mark.parametrize("excluded", [IntervalUnion.empty(),
+                                      IntervalUnion.closed(F(2, 5), F(3, 5))],
+                         ids=["nothing-excluded", "middle-excluded"])
+def test_full_measure_mapper_returns_its_leaf_union_and_weighted_sum(excluded, grid):
+    got = build_full_measure_mapper(excluded, 3, 2, grid=grid)
+    assert type(got) is tuple and len(got) == 2
+    n_trunc, f = got
+    # f is sum 2^-(m+1) g_m + 2^-3 id, and N_trunc is the union of the g_m's leaves
+    assert isinstance(f, WeightedSum)
+    assert f.weights == (F(1, 2), F(1, 4), F(1, 8), F(1, 8))
+    assert f.terms[-1].to_json() == Affine(1, 0).to_json()
+    assert all(isinstance(t, IntervalStaircase) and t.grid.a == grid.a
+               for t in f.terms[:-1])
+    assert n_trunc == IntervalUnion(c.iv for t in f.terms[:-1] for c in t.leaves())
+    assert not intersects(n_trunc, excluded)
 
 
 @pytest.mark.parametrize("depth", [0, -1])
