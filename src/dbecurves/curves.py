@@ -144,30 +144,6 @@ def build_extremal_curve(n: int, a=Fraction(1, 4), M: int = 4,
     return ExtremalCurve(n, components, alpha, a, M, staircase_depth, tuple(n_truncs))
 
 
-def _column(f: MonotoneFn, depth: int, memo: dict) -> tuple[int, list[int]]:
-    """f on the grid k * 2^-depth as (den, nums), memoized by f.
-
-    Every R_a that compares equal (h, and the h inside each
-    Composition(mapper, h)) is computed once.  Columns come from
-    `MonotoneFn.column`: a composition hands its inner column to
-    `outer.column`, reversed first and back after when the inner function is
-    decreasing.
-    """
-    col = memo.get(f)
-    if col is None:
-        if isinstance(f, Composition):
-            den, nums = _column(f.inner, depth, memo)
-            if f.inner.increasing:
-                col = f.outer.column(den, nums)
-            else:
-                den, nums = f.outer.column(den, nums[::-1])
-                col = den, nums[::-1]
-        else:
-            col = f.column(1 << depth, range((1 << depth) + 1))
-        memo[f] = col
-    return col
-
-
 def _columns(curve, depth: int) -> list[tuple[int, list[int]]]:
     """The (den, nums) column of each component on the grid k * 2^-depth.
 
@@ -176,9 +152,8 @@ def _columns(curve, depth: int) -> list[tuple[int, list[int]]]:
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    memo: dict = {}
     try:
-        return [_column(f, depth, memo) for f in curve.components]
+        return [f.column(1 << depth, range((1 << depth) + 1)) for f in curve.components]
     except ValueError:
         for k in range((1 << depth) + 1):
             curve.point(Fraction(k, 1 << depth))
@@ -335,6 +310,8 @@ def curve_from_json(obj: dict):
         return _extremal_from_json(obj)
     if obj["type"] != "curve":
         raise ValueError(f"unknown curve type {obj['type']!r}")
+    if not isinstance(obj["components"], list):
+        raise ValueError("key 'components' is not a list")
     components = tuple(fn_from_json(f) for f in obj["components"])
     # Every component kind is monotone, so its values at 0 and 1 bound it.
     for i, f in enumerate(components, 2):

@@ -214,12 +214,6 @@ class Cantor(MonotoneFn):
     def to_json(self) -> dict:
         return {"kind": self.kind}
 
-    def __eq__(self, other):
-        return isinstance(other, Cantor)
-
-    def __hash__(self):
-        return hash(self.kind)
-
 
 class RieszNagy(MonotoneFn):
     """R_a: strictly increasing singular function, exact at dyadics."""
@@ -231,28 +225,27 @@ class RieszNagy(MonotoneFn):
         self.a = Fraction(a)
         if not (ZERO < self.a < ONE):
             raise ValueError("need 0 < a < 1")
+        self._level = None, None  # (d, _riesz_nagy_nums(a, d)) last read densely
 
     def __call__(self, x) -> Fraction:
         return eval_riesz_nagy(self.a, x)
 
     def column(self, den: int, nums) -> tuple[int, list[int]]:
         """A dense column over den = 2^d inside [0, 1] reads the level-d
-        values of the integer recursion; any other goes point by point."""
+        values of the integer recursion, kept until a column at another depth;
+        any other goes point by point."""
         d = den.bit_length() - 1
         if (den == 1 << d and den <= _DENSE_LEVEL * len(nums)
                 and 0 <= nums[0] and nums[-1] <= den):
-            qd, level = _riesz_nagy_nums(self.a, d)
+            last = self._level
+            if last[0] != d:
+                last = self._level = d, _riesz_nagy_nums(self.a, d)
+            qd, level = last[1]
             return qd, [level[v] for v in nums]
         return super().column(den, nums)
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "a": format_rational(self.a)}
-
-    def __eq__(self, other):
-        return isinstance(other, RieszNagy) and self.a == other.a
-
-    def __hash__(self):
-        return hash((self.kind, self.a))
 
     def __repr__(self) -> str:
         return f"RieszNagy({self.a})"
@@ -437,6 +430,15 @@ class Composition(MonotoneFn):
 
     def __call__(self, x) -> Fraction:
         return self.outer(self.inner(x))
+
+    def column(self, den: int, nums) -> tuple[int, list[int]]:
+        """outer at the inner's column, reversed first and back after when
+        the inner function is decreasing."""
+        den, nums = self.inner.column(den, nums)
+        if self.inner.increasing:
+            return self.outer.column(den, nums)
+        den, nums = self.outer.column(den, nums[::-1])
+        return den, nums[::-1]
 
     def to_json(self) -> dict:
         return {
@@ -837,6 +839,8 @@ def build_full_measure_mapper(excluded: IntervalUnion, M: int,
 
 
 def fn_from_json(obj: dict) -> MonotoneFn:
+    if not isinstance(obj, dict):
+        raise ValueError("function spec is not a JSON object")
     kind = obj["kind"]
     if kind == "cantor":
         return Cantor()

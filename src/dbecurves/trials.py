@@ -78,7 +78,7 @@ def random_partition(rng: random.Random, u: IntervalUnion) -> LRPartition:
     return LRPartition(blocks)
 
 
-def random_piecewise_linear(rng: random.Random, strict: bool = True) -> PiecewiseLinear:
+def random_piecewise_linear(rng: random.Random, strict: bool) -> PiecewiseLinear:
     """Random nondecreasing piecewise-affine function on [0,1], 1-4 pieces.
 
     Strict mode forces every slope positive; otherwise zero-slope pieces mix in.
@@ -98,7 +98,7 @@ def random_piecewise_linear(rng: random.Random, strict: bool = True) -> Piecewis
     return PiecewiseLinear(tuple(zip(xs, ys)))
 
 
-def run_refinement_trials(trials: int = 500, seed: int = 0) -> int:
+def run_refinement_trials(trials: int, seed: int) -> int:
     """Common refinements of random ordered partitions; violations counted."""
     rng = random.Random(seed)
     violations = 0
@@ -113,7 +113,7 @@ def run_refinement_trials(trials: int = 500, seed: int = 0) -> int:
     return violations
 
 
-def run_sum_bound_trials(trials: int = 500, seed: int = 0) -> int:
+def run_sum_bound_trials(trials: int, seed: int) -> int:
     """Two-function cover-sum inequality on random strict increasing pairs."""
     rng = random.Random(seed)
     violations = 0
@@ -133,7 +133,7 @@ def _max_cell_slope(f: RieszNagy, depth: int) -> Fraction:
     return Fraction(max(r - l for l, r in zip(level, level[1:])) << depth, den)
 
 
-def run_lipschitz_trials(trials: int = 500, seed: int = 0) -> int:
+def run_lipschitz_trials(trials: int, seed: int) -> int:
     """Image-measure bound with the exact best Lipschitz constant.
 
     Mostly piecewise-affine functions with c = max slope; a slice of trials
@@ -162,7 +162,7 @@ def run_lipschitz_trials(trials: int = 500, seed: int = 0) -> int:
     return violations
 
 
-def run_derivative_trials(trials: int = 500, seed: int = 0) -> int:
+def run_derivative_trials(trials: int, seed: int) -> int:
     """Piecewise-affine derivative-integral bound on random domains."""
     rng = random.Random(seed)
     violations = 0
@@ -174,7 +174,7 @@ def run_derivative_trials(trials: int = 500, seed: int = 0) -> int:
     return violations
 
 
-def run_all(trials: int = 500, seed: int = 0) -> dict[str, int]:
+def run_all(trials: int, seed: int) -> dict[str, int]:
     """All four suites; maps suite name to violation count."""
     return {
         "refinement": run_refinement_trials(trials, seed),

@@ -503,6 +503,13 @@ def _tree(spec):
      "key 'knots' is not a list of [x, y] pairs"),
     ({"schema_version": 1, "type": "curve", "n": "3", "alpha": "1/2",
       "components": [{"kind": "cantor"}]}, "need an integer n >= 2"),
+    ({"schema_version": 1, "type": "curve", "n": 3, "alpha": "1/2", "components": 5},
+     "key 'components' is not a list"),
+    ({"schema_version": 1, "type": "curve", "n": 3, "alpha": "1/2", "components": [5]},
+     "function spec is not a JSON object"),
+    ({"schema_version": 1, "type": "curve", "n": 3, "alpha": "1/2",
+      "components": [{"kind": "weighted_sum", "weights": ["1/2"], "terms": [7]}]},
+     "function spec is not a JSON object"),
     # n = 3 builds no mapper, so only the parameter checks see M
     ({**curve_to_json(build_extremal_curve(3)), "M": -5}, "M is not an integer >= 1"),
     ({**curve_to_json(build_extremal_curve(3)), "M": 0}, "M is not an integer >= 1"),
@@ -513,7 +520,9 @@ def _tree(spec):
         "no-mappers", "no-w-domains-or-q1", "wrong-q1", "huge-n", "huge-M",
         "huge-staircase-depth", "zero-staircase-depth", "fractional-M", "string-n",
         "n-over-budget", "unknown-grid-kind", "number-slope", "number-alpha",
-        "knots-not-a-list", "generic-string-n", "n3-negative-M", "n3-zero-M", "n3-fractional-M"])
+        "knots-not-a-list", "generic-string-n", "components-not-a-list",
+        "component-not-an-object", "term-not-an-object", "n3-negative-M", "n3-zero-M",
+        "n3-fractional-M"])
 def test_malformed_spec_fails_cleanly(capsys, tmp_path, blob, fault):
     spec = tmp_path / "spec.json"
     spec.write_text(blob if isinstance(blob, str) else json.dumps(blob))

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from dbecurves import curves
+from dbecurves import curves, singular
 from dbecurves.curves import (
     CurveSpec,
     ExtremalCurve,
@@ -223,6 +223,26 @@ def test_sample_matches_pointwise_on_generic_components():
         assert got == _pointwise(spec, depth)
         assert all(type(v) is F for p in got for v in p)
     assert sample(CurveSpec(2, (), F(1, 2)), 2) == _pointwise(CurveSpec(2, (), F(1, 2)), 2)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_extremal_columns_compute_the_riesz_level_once_per_depth(n, monkeypatch):
+    # h and the h inside every Composition(mapper, h) are one RieszNagy
+    depths = []
+    level = singular._riesz_nagy_nums
+
+    def counted(a, depth):
+        depths.append(depth)
+        return level(a, depth)
+    monkeypatch.setattr(singular, "_riesz_nagy_nums", counted)
+    c = build_extremal_curve(n)
+    first = curves._columns(c, 8)
+    assert depths == [8]
+    again = curves._columns(c, 8)
+    assert depths == [8]
+    assert again == first and all(u is not v for (_, u), (_, v) in zip(first, again))
+    curves._columns(c, 6)
+    assert depths == [8, 6]
 
 
 def test_sample_raises_the_pointwise_error():

@@ -19,6 +19,7 @@ from dbecurves.exact import Interval, IntervalUnion
 from dbecurves.hausdorff import (
     _BISECT_CAP,
     BoxCount,
+    _chord_sum,
     _collapsed_riesz_length,
     _level_cuts,
     _sample_nums,
@@ -243,6 +244,16 @@ def test_polyline_general_path_matches_collapsed():
         v1, r1 = polyline_length(collapsed_curve, d)
         v2, r2 = polyline_length(spec, d)
         assert abs(v1 - v2) <= r1 + r2
+
+
+@pytest.mark.parametrize("a", [F(1, 4), F(1, 3), F(2, 7), F(3, 7), F(999, 1000),
+                               F(1, 1024)])
+def test_chord_sum_equals_collapsed_length_exactly_on_n3(a):
+    c = build_extremal_curve(3, a=a)
+    for d in range(15):
+        for precision in (1, 64):
+            bits = precision + d
+            assert _collapsed_riesz_length(a, d, bits) == _chord_sum(c, d, bits)
 
 
 def test_polyline_taxicab_bounds_per_depth():

@@ -316,6 +316,29 @@ def test_integer_columns_equal_pointwise_evaluation():
             _assert_column_is_pointwise(f, den, [])
 
 
+def test_composition_column_equals_pointwise_evaluation():
+    rng = random.Random(7)
+    mapper = build_extremal_curve(4, a=F(3, 8), M=3).mappers[0]
+    # knots at thirds: over 3 * 2^k every value is dyadic, so R_a can read it
+    thirds = PiecewiseLinear(((F(0), F(0)), (F(1, 3), F(1, 8)), (F(2, 3), F(1, 2)),
+                              (F(1), F(1))))
+    pl = PiecewiseLinear(((F(0), F(0)), (F(1, 3), F(1, 5)), (F(5, 7), F(3, 11)),
+                          (F(1), F(1))))
+    inners = [
+        (RieszNagy(F(3, 8)), [(1 << 9, _random_column(rng, 1 << 9, 600)),  # dense
+                              (1 << 12, _random_column(rng, 1 << 12, 3))]),  # sparse
+        (thirds, [(3 << 7, _random_column(rng, 3 << 7, 200, (128, 256)))]),
+        (Affine(-1, 1), [(1 << 9, _random_column(rng, 1 << 9, 200))]),  # decreasing
+    ]
+    for outer in (RieszNagy(F(2, 7)), pl, mapper):
+        for inner, columns in inners:
+            for den, nums in columns:
+                _assert_column_is_pointwise(Composition(outer, inner), den, nums)
+    ws = WeightedSum((Composition(mapper, RieszNagy(F(3, 8))), Affine(1, 0), Cantor()),
+                     (F(1, 2), F(1, 4), F(1, 8)))
+    _assert_column_is_pointwise(ws, 1 << 9, _random_column(rng, 1 << 9, 600))
+
+
 def test_integer_columns_reach_inside_leaves_and_both_sides_of_bounds():
     c = build_extremal_curve(4, a=F(3, 8), M=3)
     stair = c.mappers[0].terms[0]
