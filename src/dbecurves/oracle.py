@@ -1,12 +1,12 @@
 """Independent reference implementations for cross-checking the estimators.
 
 Nothing here shares code with the modules it checks: Cantor values come from
-an affine self-similarity walk instead of ternary digit cycling, Riesz-Nagy
-values from the closed digit-product formula instead of the halving
-recursion, R_a^{-1} by running that recursion backwards, and square roots
-from decimal arithmetic instead of integer-sqrt enclosures.  All outputs
-are exact Fractions (decimal results are converted exactly), with accuracy
-driven by the decimal context precision.
+an affine walk closing its cycle on a dict of `Fraction` states, not on the
+integer remainder anchor of `singular`'s digit walk; Riesz-Nagy values from
+the closed digit-product formula instead of that walk; R_a^{-1} by running
+the halving recursion backwards; and square roots from decimal arithmetic
+instead of integer-sqrt enclosures.  All outputs are exact Fractions (decimal
+results are converted exactly), with accuracy driven by the decimal context precision.
 
 These routines favor clarity over speed; they exist to generate and defend
 expected values, not to be fast.

@@ -47,9 +47,9 @@ class ConstructionError(RuntimeError):
 
 _HALF = Fraction(1, 2)
 
-# Guard against pathological ternary periods.  Unreachable for the rationals
-# this library produces: a digit 1 or the cycle shows up long before.
-_CANTOR_STEP_CAP = 2_000_000
+# Guard against pathological digit periods.  Unreachable for the rationals
+# this library produces: a flat digit or the cycle shows up long before.
+_DIGIT_STEP_CAP = 2_000_000
 
 
 def _num_over(v: Fraction, den: int) -> int:
@@ -78,55 +78,57 @@ def _is_dyadic(x: Fraction) -> bool:
     return d & (d - 1) == 0
 
 
+def _digit_walk(x: Fraction, base: int, q: int, maps) -> Fraction:
+    """f(x) for the f with f(0) = 0, f(1) = 1 and f((j + t)/base) = (o + s*f(t))/q
+    on digit j, where (o, s) = maps[j].
+
+    After i digits of the canonical expansion f(x) = (off + scale*f(t))/q^i
+    on integers, for the remainder t.  The walk stops at t = 0, once a flat
+    digit (s = 0) zeroes the scale, or when t returns to its value off0,
+    scale0 at the end of the preperiod P: then
+    (off0 + scale0*f(t))*q^(i-P) = off + scale*f(t) gives f(t).
+    """
+    if x == ONE:
+        return ONE
+    num, den = x.numerator, x.denominator
+    # remainders are purely periodic once the factors den shares with base are used up
+    pre, rest = 0, den
+    while (g := math.gcd(rest, base)) > 1:
+        rest //= g
+        pre += 1
+    off, scale, i = 0, 1, 0
+    while num and scale:
+        if i == pre:
+            anchor, off0, scale0 = num, off, scale
+        elif i > pre and num == anchor:
+            return Fraction(scale0 * off - off0 * scale, (scale0 * q**(i - pre) - scale) * q**pre)
+        if i > _DIGIT_STEP_CAP:
+            raise RuntimeError("digit period beyond step cap")
+        j, num = divmod(num * base, den)
+        o, s = maps[j]
+        off, scale, i = q * off + scale * o, scale * s, i + 1
+    return Fraction(off, q**i)
+
+
 def eval_cantor(x) -> Fraction:
     """Exact value of the Cantor function at a rational x in [0,1].
 
-    Walks the canonical ternary expansion: the first digit 1 terminates with
-    a dyadic value; an all-{0,2} rational tail is eventually periodic and the
-    cycle is detected exactly, giving a value with denominator
-    (2^L - 1) * 2^P for preperiod P and period L.
+    The digit walk of the canonical ternary expansion: the first digit 1
+    ends it with a dyadic value; an all-{0,2} rational tail is eventually
+    periodic, giving a value with denominator (2^L - 1) * 2^P for preperiod
+    P and period L.
     """
     x = Fraction(x)
     if not (ZERO <= x <= ONE):
         raise NotEvaluableError("eval_cantor needs x in [0,1]")
-    if x == ONE:
-        return ONE
-    num, den = x.numerator, x.denominator
-    # remainders are purely periodic once the powers of 3 in den are used up
-    pre = 0
-    d3 = den
-    while d3 % 3 == 0:
-        d3 //= 3
-        pre += 1
-    bits = 0  # binary digits accumulated so far, as an integer
-    i = 0
-    anchor = anchor_i = anchor_bits = None
-    while True:
-        if num == 0:
-            return Fraction(bits, 1 << i)
-        if anchor is None:
-            if i == pre:
-                anchor, anchor_i, anchor_bits = num, i, bits
-        elif num == anchor:
-            period = i - anchor_i
-            cycle = bits - (anchor_bits << period)
-            tail = Fraction(cycle, (1 << period) - 1)
-            return (anchor_bits + tail) / (1 << anchor_i)
-        if i > _CANTOR_STEP_CAP:
-            raise RuntimeError("ternary period beyond step cap")
-        num *= 3
-        dgt, num = divmod(num, den)
-        i += 1
-        if dgt == 1:
-            return Fraction((bits << 1) | 1, 1 << i)
-        bits = (bits << 1) | (dgt >> 1)
+    return _digit_walk(x, 3, 2, ((0, 1), (1, 0), (1, 1)))
 
 
 def eval_riesz_nagy(a, x) -> Fraction:
-    """Exact R_a at a dyadic rational x via the halving recursion.
+    """Exact R_a at a dyadic rational x by the digit walk of its binary expansion.
 
     R(x) = a*R(2x) on [0,1/2] and R(x) = a + (1-a)*R(2x-1) on [1/2,1].
-    Non-dyadic x has no finite recursion and raises NotEvaluableError.
+    Non-dyadic x raises NotEvaluableError.
     """
     a = Fraction(a)
     x = Fraction(x)
@@ -136,19 +138,8 @@ def eval_riesz_nagy(a, x) -> Fraction:
         raise NotEvaluableError("eval_riesz_nagy needs x in [0,1]")
     if not _is_dyadic(x):
         raise NotEvaluableError(f"R_a is exactly evaluable only at dyadic x, got {x}")
-    off = ZERO
-    scale = ONE
-    while x != ZERO and x != ONE:
-        if x <= _HALF:
-            scale *= a
-            x = 2 * x
-        else:
-            off += scale * a
-            scale *= ONE - a
-            x = 2 * x - ONE
-    if x == ONE:
-        off += scale
-    return off
+    p, q = a.numerator, a.denominator
+    return _digit_walk(x, 2, q, ((0, p), (p, q - p)))
 
 
 # A column over 2^d reads all 2^d + 1 level-d values when it holds at least
@@ -711,6 +702,8 @@ class IntervalStaircase(MonotoneFn):
     @classmethod
     def from_json(cls, obj: dict) -> IntervalStaircase:
         tree = obj["tree"]
+        if not isinstance(tree, dict):
+            raise ValueError("key 'tree' is not a JSON object")
         root = Interval(parse_rational(tree["root"][0]), parse_rational(tree["root"][1]))
         levels = [
             [StairCell(k, g, Interval(parse_rational(lo), parse_rational(hi)))
@@ -857,6 +850,9 @@ def fn_from_json(obj: dict) -> MonotoneFn:
     if kind == "interval_staircase":
         return IntervalStaircase.from_json(obj)
     if kind == "weighted_sum":
+        for key in ("terms", "weights"):
+            if not isinstance(obj[key], list):
+                raise ValueError(f"key {key!r} is not a list")
         return WeightedSum(
             [fn_from_json(t) for t in obj["terms"]],
             [parse_rational(w) for w in obj["weights"]],

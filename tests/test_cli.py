@@ -510,6 +510,15 @@ def _tree(spec):
     ({"schema_version": 1, "type": "curve", "n": 3, "alpha": "1/2",
       "components": [{"kind": "weighted_sum", "weights": ["1/2"], "terms": [7]}]},
      "function spec is not a JSON object"),
+    ({"schema_version": 1, "type": "curve", "n": 3, "alpha": "1/2",
+      "components": [{"kind": "weighted_sum", "weights": ["1/2"], "terms": 5}]},
+     "key 'terms' is not a list"),
+    ({"schema_version": 1, "type": "curve", "n": 3, "alpha": "1/2",
+      "components": [{"kind": "weighted_sum", "weights": 5, "terms": [{"kind": "cantor"}]}]},
+     "key 'weights' is not a list"),
+    ({"schema_version": 1, "type": "curve", "n": 3, "alpha": "1/2",
+      "components": [{"kind": "interval_staircase", "tree": 5}]},
+     "key 'tree' is not a JSON object"),
     # n = 3 builds no mapper, so only the parameter checks see M
     ({**curve_to_json(build_extremal_curve(3)), "M": -5}, "M is not an integer >= 1"),
     ({**curve_to_json(build_extremal_curve(3)), "M": 0}, "M is not an integer >= 1"),
@@ -521,7 +530,8 @@ def _tree(spec):
         "huge-staircase-depth", "zero-staircase-depth", "fractional-M", "string-n",
         "n-over-budget", "unknown-grid-kind", "number-slope", "number-alpha",
         "knots-not-a-list", "generic-string-n", "components-not-a-list",
-        "component-not-an-object", "term-not-an-object", "n3-negative-M", "n3-zero-M",
+        "component-not-an-object", "term-not-an-object", "terms-not-a-list",
+        "weights-not-a-list", "tree-not-an-object", "n3-negative-M", "n3-zero-M",
         "n3-fractional-M"])
 def test_malformed_spec_fails_cleanly(capsys, tmp_path, blob, fault):
     spec = tmp_path / "spec.json"

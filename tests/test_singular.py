@@ -145,6 +145,109 @@ def test_riesz_nagy_inverse_off_image_raises():
         riesz_nagy_inverse(F(1, 4), F(1, 3), max_steps=64)
 
 
+# -- the digit walk against the two loops it replaced ------------------------
+
+
+def _cantor_reference(x) -> F:
+    """The ternary walk with cycle detection that eval_cantor used to run."""
+    x = F(x)
+    if not (0 <= x <= 1):
+        raise NotEvaluableError("eval_cantor needs x in [0,1]")
+    if x == 1:
+        return F(1)
+    num, den = x.numerator, x.denominator
+    pre, d3 = 0, den
+    while d3 % 3 == 0:
+        d3 //= 3
+        pre += 1
+    bits = i = 0
+    anchor = anchor_i = anchor_bits = None
+    while True:
+        if num == 0:
+            return F(bits, 1 << i)
+        if anchor is None:
+            if i == pre:
+                anchor, anchor_i, anchor_bits = num, i, bits
+        elif num == anchor:
+            period = i - anchor_i
+            tail = F(bits - (anchor_bits << period), (1 << period) - 1)
+            return (anchor_bits + tail) / (1 << anchor_i)
+        dgt, num = divmod(3 * num, den)
+        i += 1
+        if dgt == 1:
+            return F((bits << 1) | 1, 1 << i)
+        bits = (bits << 1) | (dgt >> 1)
+
+
+def _riesz_nagy_reference(a, x) -> F:
+    """The Fraction halving recursion that eval_riesz_nagy used to run."""
+    a, x = F(a), F(x)
+    if not (0 < a < 1):
+        raise ValueError("need 0 < a < 1")
+    if not (0 <= x <= 1):
+        raise NotEvaluableError("eval_riesz_nagy needs x in [0,1]")
+    if x.denominator & (x.denominator - 1):
+        raise NotEvaluableError(f"R_a is exactly evaluable only at dyadic x, got {x}")
+    off, scale = F(0), F(1)
+    while x not in (0, 1):
+        if x <= F(1, 2):
+            scale *= a
+            x = 2 * x
+        else:
+            off += scale * a
+            scale *= 1 - a
+            x = 2 * x - 1
+    return off + scale if x == 1 else off
+
+
+def test_cantor_walk_equals_the_ternary_reference():
+    rng = random.Random(27)
+    xs = [F(k, m) for m in range(1, 201) for k in range(m + 1)]
+    for _ in range(1500):
+        m = rng.randint(1, 10**6)
+        xs.append(F(rng.randint(0, m), m))
+    for e in range(1, 40):
+        for m in (2**e, 3**e, 2**e * 3**(e // 2)):
+            xs += [F(1, m), F(m - 1, m), F(rng.randint(0, m), m)]
+    # flat thirds, and periodic tails after a preperiod of ternary digits
+    xs += [F(1, 3), F(2, 3), F(10, 27), F(17, 27), F(1, 12), F(3, 4) / 27,
+           F(1, 10) / 27, F(1, 13) / 9 + F(2, 3), F(7, 10) / 243, F(1, 28) / 9 + F(2, 9)]
+    for x in xs:
+        assert eval_cantor(x) == _cantor_reference(x), x
+
+
+@pytest.mark.parametrize("a", [F(1, 4), F(1, 3), F(3, 4), F(2, 5), F(2, 7), F(5, 16),
+                               F(999, 1000), F(1, 1024)])
+def test_riesz_nagy_walk_equals_the_halving_reference(a):
+    rng = random.Random(str(a))
+    xs = [F(k, 64) for k in range(65)]
+    for e in range(7, 61):
+        xs += [F(1, 2**e), F(2**e - 1, 2**e)]
+        xs += [F(rng.randint(0, 2**e), 2**e) for _ in range(8)]
+    for x in xs:
+        assert eval_riesz_nagy(a, x) == _riesz_nagy_reference(a, x), x
+
+
+@pytest.mark.parametrize("fn, ref, args", [
+    (eval_cantor, _cantor_reference, (F(-1, 3),)),
+    (eval_cantor, _cantor_reference, (F(4, 3),)),
+    (eval_riesz_nagy, _riesz_nagy_reference, (F(1, 4), F(-1, 2))),
+    (eval_riesz_nagy, _riesz_nagy_reference, (F(1, 4), F(3, 2))),
+    (eval_riesz_nagy, _riesz_nagy_reference, (F(0), F(1, 2))),
+    (eval_riesz_nagy, _riesz_nagy_reference, (F(1), F(1, 2))),
+    (eval_riesz_nagy, _riesz_nagy_reference, (F(5, 4), F(1, 2))),
+    (eval_riesz_nagy, _riesz_nagy_reference, (F(1, 4), F(1, 3))),
+    (eval_riesz_nagy, _riesz_nagy_reference, (F(1, 4), F(5, 12))),
+], ids=["cantor-below", "cantor-above", "riesz-below", "riesz-above", "weight-0",
+        "weight-1", "weight-above-1", "riesz-third", "riesz-non-dyadic"])
+def test_walk_errors_keep_the_reference_type_and_message(fn, ref, args):
+    with pytest.raises(Exception) as want:
+        ref(*args)
+    with pytest.raises(Exception) as got:
+        fn(*args)
+    assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+
+
 # -- function wrappers ------------------------------------------------------
 
 
