@@ -140,9 +140,8 @@ def _load_curve(args: argparse.Namespace):
             return curve_from_json(json.loads(text))
         except (RecursionError, LookupError, TypeError, AttributeError,
                 ValueError, ConstructionError) as exc:
-            fault = (f"missing key {exc}" if isinstance(exc, KeyError)
-                     else f"{type(exc).__name__}: {exc}")
-            raise ValueError(f"malformed curve spec {path}: {fault}") from exc
+            raise ValueError(f"malformed curve spec {path}: "
+                             f"{type(exc).__name__}: {exc}") from exc
     given = {k: getattr(args, k) for k in ("a", "M", "alpha", "staircase_depth") if k in args}
     try:
         return build_extremal_curve(args.n, **given)

@@ -17,7 +17,7 @@ from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
 
-from .exact import Interval, IntervalUnion, ONE, ZERO, format_rational, parse_rational
+from .exact import Interval, IntervalUnion, ONE, ZERO, _spec_key, format_rational
 from .singular import (
     Composition,
     IntervalStaircase,
@@ -40,6 +40,9 @@ _MAX_STAIRCASE_DEPTH = 7
 # construction time grows faster than n^2: n = 100 takes 1.7 s and n = 200
 # 10.6 s (2 vCPUs, x86_64)
 _MAX_N = 100
+# Build time follows the (n - 3) * M * 2^staircase_depth leaf cells; near 4096,
+# 2.5 s (n = 4, M = 128, depth 5) to 16.7 s (n = 4, M = 1024, depth 2), 2 vCPUs.
+_MAX_LEAF_CELLS = 4096
 
 
 def _check_staircase_depth(depth, name: str) -> None:
@@ -118,8 +121,8 @@ def build_extremal_curve(n: int, a=Fraction(1, 4), M: int = 4,
     full-measure mappers composed with h = R_a, each built to avoid the
     previous mappers' N sets; the mappers' staircase cells come from the
     R_a image grid, so every W_j = h^{-1}(N_j) is read off their addresses.
-    A bad n, a, M, alpha or staircase depth raises ValueError before any
-    mapper is built.
+    A bad n, a, M, alpha or staircase depth, or more than _MAX_LEAF_CELLS
+    leaf cells, raises ValueError before any mapper is built.
     """
     if type(n) is not int or not 3 <= n <= _MAX_N:
         raise ValueError(f"extremal construction needs an integer n in 3..{_MAX_N}")
@@ -132,6 +135,9 @@ def build_extremal_curve(n: int, a=Fraction(1, 4), M: int = 4,
         raise ValueError("need 0 < a < 1 with a != 1/2")
     if not ZERO <= alpha <= ONE:
         raise ValueError("alpha must lie in [0,1]")
+    if (cells := (n - 3) * M << staircase_depth) > _MAX_LEAF_CELLS:
+        raise ValueError(f"(n - 3) * M * 2^staircase_depth = {cells} leaf cells, "
+                         f"over the budget of {_MAX_LEAF_CELLS}")
     h = RieszNagy(a)
     grid = RieszNagyImageGrid(a)
     avoid = IntervalUnion.empty()
@@ -304,15 +310,14 @@ def curve_from_json(obj: dict):
         raise ValueError("spec is not a JSON object")
     if _nesting(obj) > MAX_NESTING:
         raise ValueError(f"spec nests deeper than {MAX_NESTING} levels")
-    if obj.get("schema_version") != SCHEMA_VERSION:
+    if _spec_key(obj, "schema_version", int) != SCHEMA_VERSION:
         raise ValueError("unsupported schema_version")
-    if obj["type"] == "extremal_curve":
+    kind = _spec_key(obj, "type")
+    if kind == "extremal_curve":
         return _extremal_from_json(obj)
-    if obj["type"] != "curve":
-        raise ValueError(f"unknown curve type {obj['type']!r}")
-    if not isinstance(obj["components"], list):
-        raise ValueError("key 'components' is not a list")
-    components = tuple(fn_from_json(f) for f in obj["components"])
+    if kind != "curve":
+        raise ValueError(f"unknown curve type {kind!r}")
+    components = tuple(map(fn_from_json, _spec_key(obj, "components", list)))
     # Every component kind is monotone, so its values at 0 and 1 bound it.
     for i, f in enumerate(components, 2):
         for x in (ZERO, ONE):
@@ -320,24 +325,22 @@ def curve_from_json(obj: dict):
             if not ZERO <= y <= ONE:
                 raise ValueError(f"coordinate {i} leaves the unit cube: "
                                  f"{format_rational(y)} at x = {x}")
-    return CurveSpec(obj["n"], components, parse_rational(obj["alpha"]))
+    return CurveSpec(_spec_key(obj, "n"), components, _spec_key(obj, "alpha", Fraction))
 
 
 def _extremal_from_json(obj: dict) -> ExtremalCurve:
     """The curve the spec's parameters build, if the spec is that curve's JSON."""
-    n, M, depth = obj["n"], obj["M"], obj["staircase_depth"]
+    n, M, depth = (_spec_key(obj, key, int) for key in ("n", "M", "staircase_depth"))
     _check_staircase_depth(depth, "key 'staircase_depth'")
-    for key in ("n", "M"):
-        if type(obj[key]) is not int:
-            raise ValueError(f"key {key!r} is not an integer")
-    if len(obj["mappers"]) != max(n - 3, 0):
+    mappers = _spec_key(obj, "mappers", [dict])
+    if len(mappers) != max(n - 3, 0):
         raise ValueError(f"key 'mappers' does not fit key 'n' = {n}")
-    if any(len(m["n_trunc"]) != M << depth for m in obj["mappers"]):
+    if any(len(_spec_key(m, "n_trunc", list)) != M << depth for m in mappers):
         raise ValueError(f"key 'mappers' does not fit key 'M' = {M} "
                          f"at staircase_depth {depth}")
-    curve = build_extremal_curve(n, parse_rational(obj["a"]), M,
-                                 parse_rational(obj["alpha"]), depth)
+    curve = build_extremal_curve(n, _spec_key(obj, "a", Fraction), M,
+                                 _spec_key(obj, "alpha", Fraction), depth)
     for key, value in curve_to_json(curve).items():
-        if obj[key] != value:
+        if _spec_key(obj, key) != value:
             raise ValueError(f"key {key!r} differs from the curve its parameters build")
     return curve

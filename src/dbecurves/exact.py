@@ -31,6 +31,41 @@ def parse_rational(s: str) -> Fraction:
         raise ValueError(f"zero denominator in rational {s!r}") from None
 
 
+# What an error message calls one value, and a list of values, of each shape
+_SHAPE_NAMES = {dict: ("a JSON object", "JSON objects"), list: ("a list", "lists"),
+                int: ("an integer", "integers"), tuple: ("an [x, y] pair", "[x, y] pairs"),
+                Fraction: ("a rational string", "rational strings")}
+
+
+def _spec_key(obj: dict, key: str, shape=None):
+    """obj[key] if it has the JSON shape `shape`, else ValueError naming the key.
+
+    A shape is None (any value), dict, list, int, Fraction (a rational string,
+    returned as a Fraction), a pair (s, t) or a list [s] of values of shape s.
+    """
+    def read(value, shape):
+        if shape is Fraction:
+            return parse_rational(value)
+        if (type(shape) in (list, tuple) and type(value) is list
+                and len(shape) in (1, len(value))):  # [s]: any length; (s, t): two
+            return [read(v, s) for v, s in zip(value, shape * len(value))]
+        if shape not in (None, type(value)):  # a bool is not an int here
+            raise ValueError
+        return value
+
+    def name(shape, many=False):
+        if type(shape) is list:
+            return ("lists of " if many else "a list of ") + name(shape[0], True)
+        return _SHAPE_NAMES[tuple if type(shape) is tuple else shape][many]
+
+    if key not in obj:
+        raise ValueError(f"missing key {key!r}")
+    try:
+        return read(obj[key], shape)
+    except ValueError:
+        raise ValueError(f"key {key!r} is not {name(shape)}") from None
+
+
 def format_rational(x: Fraction) -> str:
     """Format a Fraction as 'p/q', always including the denominator."""
     x = Fraction(x)

@@ -31,9 +31,9 @@ from .exact import (
     ONE,
     ZERO,
     _end_cut,
+    _spec_key,
     _start_cut,
     format_rational,
-    parse_rational,
 )
 
 
@@ -470,11 +470,12 @@ class RieszNagyImageGrid:
 
 
 def grid_from_json(obj: dict):
-    if obj["kind"] == "dyadic":
+    kind = _spec_key(obj, "kind")
+    if kind == "dyadic":
         return RieszNagyImageGrid()
-    if obj["kind"] == "riesz_nagy_image":
-        return RieszNagyImageGrid(parse_rational(obj["a"]))
-    raise ValueError(f"unknown grid kind {obj['kind']!r}")
+    if kind == "riesz_nagy_image":
+        return RieszNagyImageGrid(_spec_key(obj, "a", Fraction))
+    raise ValueError(f"unknown grid kind {kind!r}")
 
 
 # -- interval staircases -------------------------------------------------------
@@ -701,16 +702,14 @@ class IntervalStaircase(MonotoneFn):
 
     @classmethod
     def from_json(cls, obj: dict) -> IntervalStaircase:
-        tree = obj["tree"]
-        if not isinstance(tree, dict):
-            raise ValueError("key 'tree' is not a JSON object")
-        root = Interval(parse_rational(tree["root"][0]), parse_rational(tree["root"][1]))
+        tree = _spec_key(obj, "tree", dict)
+        root = Interval(*_spec_key(tree, "root", (Fraction, Fraction)))
         levels = [
-            [StairCell(k, g, Interval(parse_rational(lo), parse_rational(hi)))
-             for (lo, hi), (k, g) in zip(eps, adrs)]
-            for eps, adrs in zip(tree["levels"], tree["addresses"])
+            [StairCell(k, g, Interval(lo, hi)) for (lo, hi), (k, g) in zip(eps, adrs)]
+            for eps, adrs in zip(_spec_key(tree, "levels", [[(Fraction, Fraction)]]),
+                                 _spec_key(tree, "addresses", [[(int, int)]]))
         ]
-        return cls(root, levels, grid_from_json(tree["grid"]))
+        return cls(root, levels, grid_from_json(_spec_key(tree, "grid", dict)))
 
 
 def build_interval_staircase(I: Interval, excluded: IntervalUnion, depth: int,
@@ -834,29 +833,21 @@ def build_full_measure_mapper(excluded: IntervalUnion, M: int,
 def fn_from_json(obj: dict) -> MonotoneFn:
     if not isinstance(obj, dict):
         raise ValueError("function spec is not a JSON object")
-    kind = obj["kind"]
+    kind = _spec_key(obj, "kind")
     if kind == "cantor":
         return Cantor()
     if kind == "riesz_nagy":
-        return RieszNagy(parse_rational(obj["a"]))
+        return RieszNagy(_spec_key(obj, "a", Fraction))
     if kind == "affine":
-        return Affine(parse_rational(obj["slope"]), parse_rational(obj["offset"]))
+        return Affine(_spec_key(obj, "slope", Fraction), _spec_key(obj, "offset", Fraction))
     if kind == "piecewise_linear":
-        if not isinstance(obj["knots"], list):
-            raise ValueError("key 'knots' is not a list of [x, y] pairs")
-        return PiecewiseLinear(
-            (parse_rational(x), parse_rational(y)) for x, y in obj["knots"]
-        )
+        return PiecewiseLinear(_spec_key(obj, "knots", [(Fraction, Fraction)]))
     if kind == "interval_staircase":
         return IntervalStaircase.from_json(obj)
     if kind == "weighted_sum":
-        for key in ("terms", "weights"):
-            if not isinstance(obj[key], list):
-                raise ValueError(f"key {key!r} is not a list")
-        return WeightedSum(
-            [fn_from_json(t) for t in obj["terms"]],
-            [parse_rational(w) for w in obj["weights"]],
-        )
+        return WeightedSum(map(fn_from_json, _spec_key(obj, "terms", list)),
+                           _spec_key(obj, "weights", [Fraction]))
     if kind == "composition":
-        return Composition(fn_from_json(obj["outer"]), fn_from_json(obj["inner"]))
+        return Composition(fn_from_json(_spec_key(obj, "outer")),
+                           fn_from_json(_spec_key(obj, "inner")))
     raise ValueError(f"unknown function kind {kind!r}")

@@ -4,6 +4,7 @@ import argparse
 import hashlib
 import json
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,14 @@ from dbecurves.curves import (
 )
 from dbecurves.exact import format_rational
 from dbecurves.hausdorff import box_count, box_counts
-from dbecurves.singular import Affine, Cantor, Composition
+from dbecurves.singular import (
+    Affine,
+    Cantor,
+    Composition,
+    PiecewiseLinear,
+    RieszNagy,
+    WeightedSum,
+)
 from test_curves import flat_piece_curve
 
 F = Fraction
@@ -542,6 +550,83 @@ def test_malformed_spec_fails_cleanly(capsys, tmp_path, blob, fault):
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert f"malformed curve spec {spec}: " in err
     assert fault in err
+
+
+# A generic n = 8 spec with every component kind, its staircase the n = 4 mapper's
+_ALL_KINDS_SPEC = curve_to_json(CurveSpec(8, (
+    Cantor(),
+    RieszNagy(F(1, 3)),
+    Affine(F(1, 2), F(1, 4)),
+    PiecewiseLinear([(0, 0), (F(1, 2), F(1, 4)), (1, 1)]),
+    WeightedSum([build_extremal_curve(4, M=1, staircase_depth=1).mappers[0].terms[0],
+                 Affine(1, 0)], [F(1, 2), F(1, 2)]),
+    Composition(Cantor(), RieszNagy(F(1, 3))),
+), F(1, 2)))
+_DELETED = object()
+_PYTHON_WORDING = ("TypeError", "IndexError", "AttributeError", "KeyError", "unpack",
+                   "subscriptable", "not iterable", "has no len()", "indices must be")
+
+
+def _key_paths(obj, path=()):
+    """The path of every key and list entry inside a JSON value."""
+    items = (obj.items() if isinstance(obj, dict)
+             else enumerate(obj) if isinstance(obj, list) else ())
+    for key, value in items:
+        yield path + (key,)
+        yield from _key_paths(value, path + (key,))
+
+
+_FUZZ_BASES = {"generic": _ALL_KINDS_SPEC, "extremal": _n4_spec(lambda s: None)}
+_SHAPE_FUZZ = [(name, path) for name, spec in _FUZZ_BASES.items() for path in _key_paths(spec)]
+
+
+@pytest.mark.parametrize("name, path", _SHAPE_FUZZ,
+                         ids=["/".join(map(str, [name, *path])) for name, path in _SHAPE_FUZZ])
+def test_wrongly_shaped_spec_values_fail_with_one_line(capsys, tmp_path, name, path):
+    """Each JSON shape in place of a key's value, and the key or entry gone,
+    either still loads or exits 1 with a line naming no Python internals."""
+    base = json.dumps(_FUZZ_BASES[name])
+    spec_file = tmp_path / "spec.json"
+    for value in (5, [5], "x", {}, None, True, [[5]], _DELETED):
+        spec = parent = json.loads(base)
+        for step in path[:-1]:
+            parent = parent[step]
+        if value is _DELETED:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+        spec_file.write_text(json.dumps(spec))
+        code, out, err = run_cli(capsys, "certify", "--spec", str(spec_file), "--d", "3")
+        case = f"{value!r} at {path}"
+        assert not any(word in err for word in _PYTHON_WORDING), (case, err)
+        if code != 0:
+            assert code == 1 and out == "", case
+            assert err.count("\n") == 1, case
+            assert err.startswith(f"error: malformed curve spec {spec_file}: "), (case, err)
+
+
+# each ran past 60 s before the leaf-cell budget
+@pytest.mark.parametrize("argv", [("--n", "100", "--staircase-depth", "7"),
+                                  ("--n", "4", "--M", "1000", "--staircase-depth", "7")],
+                         ids=["n100-depth7", "M1000-depth7"])
+def test_builds_over_the_leaf_cell_budget_are_refused_at_once(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "construct", *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "leaf cells, over the budget of 4096" in err
+
+
+def test_specs_over_the_leaf_cell_budget_fail_at_once(capsys, tmp_path):
+    # the sizes fit: 2 mappers of 1024 * 2^2 N_trunc components each
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(_n4_spec(lambda s: s.update(
+        n=5, M=1024, staircase_depth=2, mappers=[{"n_trunc": [{}] * 4096}] * 2))))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "certify", "--spec", str(spec))
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "leaf cells, over the budget of 4096" in err
 
 
 @pytest.mark.parametrize("a", ["1/4", "2/7"])
