@@ -11,6 +11,7 @@ W_j = h^{-1}(N_j) on which those mappers climb fastest.
 
 from __future__ import annotations
 
+import json
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
@@ -341,6 +342,8 @@ def _extremal_from_json(obj: dict) -> ExtremalCurve:
     curve = build_extremal_curve(n, _spec_key(obj, "a", Fraction), M,
                                  _spec_key(obj, "alpha", Fraction), depth)
     for key, value in curve_to_json(curve).items():
-        if _spec_key(obj, key) != value:
+        # compared as JSON text, since true == 1 == 1.0 in Python
+        if (json.dumps(_spec_key(obj, key), sort_keys=True)
+                != json.dumps(value, sort_keys=True)):
             raise ValueError(f"key {key!r} differs from the curve its parameters build")
     return curve

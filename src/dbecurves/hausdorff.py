@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import math
 import statistics
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .curves import _columns
 from .exact import Interval, IntervalUnion, ONE, ZERO, decimal_str, format_rational
@@ -129,21 +131,30 @@ def polyline_length(curve, depth: int, precision: int = 64):
 
 
 def _chord_sum(curve, depth: int, bits: int) -> tuple[Fraction, Fraction]:
-    """`_sqrt_sum` over the 2^depth chords of the depth-d sample.
+    """`_sqrt_sum` over the 2^depth chords of the depth-d sample, one root
+    per distinct chord square.
 
     Every component column is scaled to L, the lcm of 2^depth and the column
     denominators, so the squared length of chord k is S_k / L^2 with S_k the
     sum of its squared integer coordinate differences.  The x column steps
     by L / 2^depth on every chord, and the constant alpha adds nothing.
+    Chords with the same tuple of column increments are one class, squared
+    once, and classes with equal S merge, so `_sqrt_sum` takes each distinct
+    S once with its count.  Equal S have equal floors and equal exactness,
+    so (lo, hi) is the per-chord sum exactly.
     """
     columns = _columns(curve, depth)
     L = math.lcm(1 << depth, *(den for den, _ in columns))
-    sums = [(L >> depth) ** 2] * (1 << depth)
-    for den, nums in columns:
-        m = L // den
-        sums = [s + (m * (v - u)) ** 2 for s, u, v in zip(sums, nums, nums[1:])]
+    scales = [L // den for den, _ in columns]
+    diffs = [map(int.__sub__, islice(nums, 1, None), nums) for _, nums in columns]
+    # with no component column every chord is the x step alone
+    steps = Counter(zip(*diffs)) if diffs else {(): 1 << depth}
+    x_square = (L >> depth) ** 2
+    squares = Counter()
+    for step, count in steps.items():
+        squares[x_square + sum((m * d) ** 2 for m, d in zip(scales, step))] += count
     L2 = L * L
-    return _sqrt_sum(((1, s, L2) for s in sums), bits)
+    return _sqrt_sum(((count, s, L2) for s, count in squares.items()), bits)
 
 
 @dataclass(frozen=True)

@@ -360,13 +360,15 @@ class WeightedSum(MonotoneFn):
         Affine terms fold into one slope and offset.  A staircase term is
         constant on each run of the column between its leaf bounds, so it
         changes a running constant once per run, and the points between two
-        changes are filled with one integer multiply-add each.  A point
-        strictly inside a leaf of any staircase is evaluated as `__call__`
-        does.  Other terms add their own columns.
+        changes are filled with one integer multiply-add each.  At a point
+        strictly inside a leaf, a staircase adds only its own climb
+        w * (t(x) - prev / 2^depth) on top of the run constant, where prev is
+        the step its runs last set: below the leaf's index when no point fell
+        in the gap before the leaf.  Other terms add their own columns.
         """
         slope = offset = ZERO
         changes: dict[int, Fraction] = {}  # index -> change of the run constant
-        inside: set[int] = set()
+        climbs: dict[int, Fraction] = {}  # index -> climb above the run constant
         others = []  # (weight / column denominator, column numerators)
         for t, w in zip(self.terms, self.weights):
             if isinstance(t, Affine):
@@ -376,7 +378,10 @@ class WeightedSum(MonotoneFn):
                 prev = 0
                 for start, stop, i in t._runs(den, nums):
                     if i is None:
-                        inside.update(range(start, stop))
+                        base = Fraction(prev, t._scale)
+                        for k in range(start, stop):
+                            climb = w * (t(Fraction(nums[k], den)) - base)
+                            climbs[k] = climbs.get(k, ZERO) + climb
                     elif start < stop and i != prev:
                         step = w * (i - prev) / t._scale
                         changes[start] = changes.get(start, ZERO) + step
@@ -385,9 +390,8 @@ class WeightedSum(MonotoneFn):
                 d, col = t.column(den, nums)
                 others.append((w / d, col))
         slope /= den
-        at = {k: self(Fraction(nums[k], den)) for k in inside}
         L = math.lcm(*(v.denominator for v in (slope, offset, *changes.values(),
-                                               *at.values(), *(m for m, _ in others))))
+                                               *climbs.values(), *(m for m, _ in others))))
         s, const = _num_over(slope, L), _num_over(offset, L)
         cuts = sorted({0, *changes, len(nums)})
         out = []
@@ -398,8 +402,8 @@ class WeightedSum(MonotoneFn):
         for m, col in others:
             m = _num_over(m, L)
             out = [o + m * v for o, v in zip(out, col)]
-        for k, v in at.items():
-            out[k] = _num_over(v, L)
+        for k, v in climbs.items():
+            out[k] += _num_over(v, L)
         return L, out
 
     def to_json(self) -> dict:
@@ -704,10 +708,13 @@ class IntervalStaircase(MonotoneFn):
     def from_json(cls, obj: dict) -> IntervalStaircase:
         tree = _spec_key(obj, "tree", dict)
         root = Interval(*_spec_key(tree, "root", (Fraction, Fraction)))
+        ends = _spec_key(tree, "levels", [[(Fraction, Fraction)]])
+        addresses = _spec_key(tree, "addresses", [[(int, int)]])
+        if list(map(len, addresses)) != list(map(len, ends)):
+            raise ValueError("key 'addresses' does not fit key 'levels'")
         levels = [
             [StairCell(k, g, Interval(lo, hi)) for (lo, hi), (k, g) in zip(eps, adrs)]
-            for eps, adrs in zip(_spec_key(tree, "levels", [[(Fraction, Fraction)]]),
-                                 _spec_key(tree, "addresses", [[(int, int)]]))
+            for eps, adrs in zip(ends, addresses)
         ]
         return cls(root, levels, grid_from_json(_spec_key(tree, "grid", dict)))
 

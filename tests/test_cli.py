@@ -629,6 +629,59 @@ def test_specs_over_the_leaf_cell_budget_fail_at_once(capsys, tmp_path):
     assert err.count("\n") == 1 and "leaf cells, over the budget of 4096" in err
 
 
+@pytest.mark.parametrize("key, index", [("addresses", None), ("levels", None),
+                                        ("addresses", 1), ("levels", 1)],
+                         ids=["last-address-list", "last-level", "last-address",
+                              "last-cell"])
+def test_staircase_spec_with_unequal_cell_and_address_lists_exits_1(capsys, tmp_path,
+                                                                    key, index):
+    # a depth-1 tree cut short by its last address list loaded as depth 0
+    spec = json.loads(json.dumps(_ALL_KINDS_SPEC))
+    lists = spec["components"][4]["terms"][0]["tree"][key]
+    (lists if index is None else lists[index]).pop()
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps(spec))
+    code, out, err = run_cli(capsys, "certify", "--spec", str(spec_file), "--d", "3")
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: malformed curve spec {spec_file}: ")
+    assert "key 'addresses' does not fit key 'levels'" in err
+
+
+@pytest.mark.parametrize("path, value", [
+    (("mappers", 0, "level"), True),
+    (("mappers", 0, "level"), 1.0),
+    (("mappers", 0, "n_trunc", 0, "lo_closed"), 1),
+    (("q1", 0, "lo_closed"), 0),
+], ids=["level-true", "level-float", "closed-one", "open-zero"])
+def test_extremal_spec_keys_must_match_as_json_text(capsys, tmp_path, path, value):
+    # each value equals the built one by Python ==, and so loaded before
+    spec = _n4_spec(lambda s: None)
+    parent = spec
+    for step in path[:-1]:
+        parent = parent[step]
+    assert parent[path[-1]] == value
+    parent[path[-1]] = value
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps(spec))
+    code, out, err = run_cli(capsys, "certify", "--spec", str(spec_file), "--d", "3")
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1
+    assert f"key {path[0]!r} differs from the curve its parameters build" in err
+
+
+def test_extremal_spec_loads_whatever_its_key_order(capsys, tmp_path):
+    spec = _n4_spec(lambda s: None)
+    want = run_cli(capsys, "certify", "--n", "4", "--M", "1", "--staircase-depth", "1",
+                   "--d", "3")
+    assert want[0] == 0
+    spec_file = tmp_path / "spec.json"
+    for text in (json.dumps(spec), json.dumps(spec, sort_keys=True),
+                 json.dumps(dict(reversed(spec.items())))):
+        spec_file.write_text(text)
+        assert run_cli(capsys, "certify", "--spec", str(spec_file), "--d", "3") == want
+
+
 @pytest.mark.parametrize("a", ["1/4", "2/7"])
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_constructed_specs_load_and_certify_like_their_parameters(capsys, tmp_path, n, a):

@@ -7,9 +7,10 @@ from fractions import Fraction
 
 import pytest
 
-from dbecurves import oracle, trials
+from dbecurves import hausdorff, oracle, trials
 from dbecurves.curves import (
     CurveSpec,
+    _columns,
     build_extremal_curve,
     curve_from_json,
     curve_to_json,
@@ -23,6 +24,7 @@ from dbecurves.hausdorff import (
     _collapsed_riesz_length,
     _level_cuts,
     _sample_nums,
+    _sqrt_sum,
     H1Certificate,
     LipschitzWitnessError,
     box_count,
@@ -47,6 +49,7 @@ from dbecurves.singular import (
     WeightedSum,
     image_measure,
 )
+from test_curves import _inside_leaf_count
 
 F = Fraction
 
@@ -232,6 +235,76 @@ def test_polyline_chord_sum_matches_naive_oracle():
         rasters = [oracle.raster_from_fn(f, d) for f in c.components]
         naive = oracle.naive_polyline(rasters, d)
         assert abs(value - naive) <= radius + F(1, 1 << 40)
+
+
+def _per_chord_sum(curve, depth, bits):
+    """Reference: `_chord_sum` with one square root per chord, as it was
+    before the chords were grouped into classes."""
+    columns = _columns(curve, depth)
+    L = math.lcm(1 << depth, *(den for den, _ in columns))
+    sums = [(L >> depth) ** 2] * (1 << depth)
+    for den, nums in columns:
+        m = L // den
+        sums = [s + (m * (v - u)) ** 2 for s, u, v in zip(sums, nums, nums[1:])]
+    L2 = L * L
+    return _sqrt_sum(((1, s, L2) for s in sums), bits)
+
+
+# one weight from each of the nine strata of the certify benchmark
+_STRATUM_WEIGHTS = tuple(map(F, ("2/7", "5/16", "5/7", "11/16", "3/7", "3/5", "7/32",
+                                 "1/5", "1/8")))
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_chord_classes_sum_to_the_per_chord_enclosure(n):
+    for a in _STRATUM_WEIGHTS:
+        c = build_extremal_curve(n, a=a)
+        for precision in (1, 64):
+            bits = precision + 9
+            assert _chord_sum(c, 9, bits) == _per_chord_sum(c, 9, bits), (a, precision)
+
+
+def test_chord_classes_sum_to_the_per_chord_enclosure_on_generic_specs():
+    pl = PiecewiseLinear(((F(0), F(0)), (F(1, 3), F(1, 5)), (F(5, 7), F(3, 11)),
+                          (F(1), F(1))))
+    ws = WeightedSum((Cantor(), RieszNagy(F(2, 7))), (F(1, 2), F(1, 3)))
+    specs = [CurveSpec(3, (Cantor(),), F(1, 2)), CurveSpec(3, (ws,), F(1, 3)),
+             CurveSpec(3, (pl,), F(2, 3)), CurveSpec(5, (Cantor(), ws, pl), F(1, 7)),
+             CurveSpec(2, (), F(1, 2))]
+    for spec in specs:
+        for d in (0, 3, 9):
+            for precision in (1, 64):
+                bits = precision + d
+                assert _chord_sum(spec, d, bits) == _per_chord_sum(spec, d, bits)
+
+
+def test_chord_sum_takes_one_root_per_distinct_square(monkeypatch):
+    calls = []
+
+    def record(terms, bits):
+        calls.append(list(terms))
+        return _sqrt_sum(calls[-1], bits)
+
+    monkeypatch.setattr(hausdorff, "_sqrt_sum", record)
+    for n, a, d in ((4, F(2, 7), 9), (5, F(3, 8), 10), (6, F(1, 8), 9)):
+        c = build_extremal_curve(n, a=a, M=3)
+        calls.clear()
+        assert _chord_sum(c, d, 64 + d) == _per_chord_sum(c, d, 64 + d)
+        (terms,) = calls
+        squares = [s for _, s, _ in terms]
+        assert len(set(squares)) == len(squares)
+        assert len({den for _, _, den in terms}) == 1
+        assert sum(count for count, _, _ in terms) == 1 << d
+        assert len(terms) < (1 << d) // 4
+
+
+def test_polyline_chord_sum_matches_naive_oracle_with_in_leaf_points():
+    c = build_extremal_curve(5, a=F(3, 8), M=3)
+    assert _inside_leaf_count(c, 10) >= 1
+    value, radius = polyline_length(c, 10)
+    rasters = [oracle.raster_from_fn(f, 10) for f in c.components]
+    naive = oracle.naive_polyline(rasters, 10)
+    assert abs(value - naive) <= radius + F(1, 1 << 40)
 
 
 def test_polyline_general_path_matches_collapsed():

@@ -452,6 +452,63 @@ def test_integer_columns_reach_inside_leaves_and_both_sides_of_bounds():
         assert len({i for start, stop, i in runs if start < stop}) > 3
 
 
+def _inside_leaves(stairs, den):
+    """Numerators over den strictly inside the leaves of the staircases: the
+    first and last in each leaf that has any, and one between them."""
+    nums = set()
+    for t in stairs:
+        for c in t.leaves():
+            lo = c.iv.lo.numerator * den // c.iv.lo.denominator + 1
+            hi = -(-c.iv.hi.numerator * den // c.iv.hi.denominator) - 1
+            if lo <= hi:
+                nums |= {lo, (lo + hi) // 2, hi}
+    return sorted(nums)
+
+
+def _fine_den(stair):
+    """4 times the lcm of the leaf bounds' denominators: every leaf holds at
+    least three numerators over it."""
+    return 4 * math.lcm(*(b.denominator for c in stair.leaves() for b in (c.iv.lo, c.iv.hi)))
+
+
+def test_climb_column_with_points_only_inside_leaves():
+    # every step run of the staircase is empty, so the run constant stays 0
+    # while the leaf index climbs to 2^depth - 1
+    stair = build_extremal_curve(4, a=F(3, 8), M=3).mappers[0].terms[0]
+    den = _fine_den(stair)
+    nums = _inside_leaves([stair], den)
+    runs = list(stair._runs(den, nums))
+    assert len(nums) == 3 << stair.depth
+    assert all(start == stop for start, stop, i in runs if i is not None)
+    _assert_column_is_pointwise(WeightedSum((stair, Affine(1, 0)), (F(1, 2), F(1, 3))),
+                                den, nums)
+
+
+def test_climb_column_of_one_staircase_twice_with_different_weights():
+    stair = build_extremal_curve(4, a=F(3, 8), M=3).mappers[0].terms[0]
+    f = WeightedSum((stair, Affine(1, 0), stair), (F(1, 3), F(1, 4), F(1, 6)))
+    den = _fine_den(stair)
+    rng = random.Random(11)
+    for d in (den, 1 << 9, 3 ** 8 * 7):
+        _assert_column_is_pointwise(f, d, _column_points(f, d, rng))
+    _assert_column_is_pointwise(f, den, _inside_leaves([stair], den))
+
+
+def test_climb_mapper_column_over_a_non_dyadic_denominator():
+    # the column a mapper reads on an a = 2/5 curve: R_a at k / 2^9, over 5^9
+    a = F(2, 5)
+    mapper = build_extremal_curve(4, a=a).mappers[0]
+    stairs = [t for t in mapper.terms if isinstance(t, IntervalStaircase)]
+    den, nums = RieszNagy(a).column(1 << 9, range((1 << 9) + 1))
+    assert den == 5 ** 9
+    assert sum(stop - start for t in stairs
+               for start, stop, i in t._runs(den, nums) if i is None) > 0
+    _assert_column_is_pointwise(mapper, den, nums)
+    nums = sorted({*nums, *_column_points(mapper, den, random.Random(13)),
+                   *_inside_leaves(stairs, den)})
+    _assert_column_is_pointwise(mapper, den, nums)
+
+
 def test_integer_column_outside_the_domain_raises_the_pointwise_error():
     pl = PiecewiseLinear(((F(1, 4), F(0)), (F(1, 2), F(1, 3)), (F(3, 4), F(1))))
     for nums in ([0, 4, 8], [2, 3, 4, 6, 7], [3, 4, 6, 7]):
@@ -927,6 +984,16 @@ def test_interval_staircase_rejects_wrong_leaf_count():
     blob["addresses"][1].append([6, 3])
     with pytest.raises(ValueError):
         IntervalStaircase.from_json({"tree": blob})
+
+
+def test_interval_staircase_refuses_unequal_cell_and_address_lists():
+    _, tree = build_interval_staircase(Interval.closed(0, 1), IntervalUnion.empty(), 1)
+    for key in ("levels", "addresses"):
+        for cut in (lambda lists: lists.pop(), lambda lists: lists[1].pop()):
+            blob = json.loads(json.dumps(tree.to_json()))
+            cut(blob["tree"][key])
+            with pytest.raises(ValueError, match="^key 'addresses' does not fit key 'levels'$"):
+                IntervalStaircase.from_json(blob)
 
 
 # -- rational interval enumeration and mappers ------------------------------
