@@ -5,6 +5,8 @@ deterministic: JSON with sorted keys, CSV with a header row, '.' decimals
 and ',' separators.  Exit codes: 0 all checks passed, 1 verification or
 evaluation failure, 2 usage error.  Every bad curve flag exits 2 with the
 message of `build_extremal_curve`; a bad key of a `--spec` file exits 1.
+The builder refuses over 4096 leaf cells, and a weight so near 0 or 1 that
+leaf ends would lie over 2^14000 at its M and staircase depth.
 `--precision` sets the square-root precision in bits (minimum 32).
 
 `certify`, `verify --dbe` and `emit --samples` take one depth `--d`, and

@@ -44,6 +44,12 @@ _MAX_N = 100
 # Build time follows the (n - 3) * M * 2^staircase_depth leaf cells; near 4096,
 # 2.5 s (n = 4, M = 128, depth 5) to 16.7 s (n = 4, M = 1024, depth 2), 2 vCPUs.
 _MAX_LEAF_CELLS = 4096
+# A grid generation shrinks a staircase cell by r = max(a, 1 - a) = s/q at most
+# and puts its ends over q times the denominator.  The last leaves are under
+# 2^-(M + depth + 5) wide, so their ends lie over at most q^g, least r^g <= that.
+# Past 2^14000 a spec can pass CPython's 4300 printable digits.  Near it, 0.2 s at
+# n = 4 and 48 s at n = 100 (a = 232/233), 38 s at a = 7/8, M = 891 (2 vCPUs).
+_MAX_LEAF_DEN_BITS = 14000
 
 
 def _check_staircase_depth(depth, name: str) -> None:
@@ -122,8 +128,8 @@ def build_extremal_curve(n: int, a=Fraction(1, 4), M: int = 4,
     full-measure mappers composed with h = R_a, each built to avoid the
     previous mappers' N sets; the mappers' staircase cells come from the
     R_a image grid, so every W_j = h^{-1}(N_j) is read off their addresses.
-    A bad n, a, M, alpha or staircase depth, or more than _MAX_LEAF_CELLS
-    leaf cells, raises ValueError before any mapper is built.
+    A bad n, a, M, alpha or staircase depth, or a build past a budget, raises
+    ValueError before any mapper is built.
     """
     if type(n) is not int or not 3 <= n <= _MAX_N:
         raise ValueError(f"extremal construction needs an integer n in 3..{_MAX_N}")
@@ -139,6 +145,13 @@ def build_extremal_curve(n: int, a=Fraction(1, 4), M: int = 4,
     if (cells := (n - 3) * M << staircase_depth) > _MAX_LEAF_CELLS:
         raise ValueError(f"(n - 3) * M * 2^staircase_depth = {cells} leaf cells, "
                          f"over the budget of {_MAX_LEAF_CELLS}")
+    s, q = max(a, 1 - a).as_integer_ratio()
+    over, under = (n > 3) << (M + staircase_depth + 5), 1  # 0 at n = 3: no mappers
+    while over > under:
+        over, under = over * s, under * q
+        if under.bit_length() > _MAX_LEAF_DEN_BITS:
+            raise ValueError(f"a = {a} is too near 0 or 1 for M = {M} and staircase "
+                             f"depth {staircase_depth}: leaf ends over 2^{_MAX_LEAF_DEN_BITS}")
     h = RieszNagy(a)
     grid = RieszNagyImageGrid(a)
     avoid = IntervalUnion.empty()

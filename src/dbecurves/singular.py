@@ -357,14 +357,12 @@ class WeightedSum(MonotoneFn):
     def column(self, den: int, nums) -> tuple[int, list[int]]:
         """The column by runs, as integer numerators over one denominator L.
 
-        Affine terms fold into one slope and offset.  A staircase term is
-        constant on each run of the column between its leaf bounds, so it
-        changes a running constant once per run, and the points between two
-        changes are filled with one integer multiply-add each.  At a point
-        strictly inside a leaf, a staircase adds only its own climb
-        w * (t(x) - prev / 2^depth) on top of the run constant, where prev is
-        the step its runs last set: below the leaf's index when no point fell
-        in the gap before the leaf.  Other terms add their own columns.
+        Affine terms fold into one slope and offset.  A depth-d staircase is
+        #{i : hi_i <= y} / 2^d, plus c((y - lo)/(hi - lo)) / 2^d strictly
+        inside a leaf [lo, hi]: each leaf changes a running constant by w/2^d
+        at the first point at or right of its right end, and each point inside
+        it adds its climb.  Between two changes a point is one integer
+        multiply-add.  Other terms add their own columns.
         """
         slope = offset = ZERO
         changes: dict[int, Fraction] = {}  # index -> change of the run constant
@@ -375,17 +373,15 @@ class WeightedSum(MonotoneFn):
                 slope += w * t.slope
                 offset += w * t.offset
             elif isinstance(t, IntervalStaircase):
-                prev = 0
-                for start, stop, i in t._runs(den, nums):
-                    if i is None:
-                        base = Fraction(prev, t._scale)
-                        for k in range(start, stop):
-                            climb = w * (t(Fraction(nums[k], den)) - base)
-                            climbs[k] = climbs.get(k, ZERO) + climb
-                    elif start < stop and i != prev:
-                        step = w * (i - prev) / t._scale
-                        changes[start] = changes.get(start, ZERO) + step
-                        prev = i
+                step, bounds, end = w / t._scale, t._bounds, 0
+                for lo, hi in zip(bounds[::2], bounds[1::2]):
+                    start = bisect_right(nums, _floor_times(lo, den), end)
+                    end = bisect_left(nums, _ceil_times(hi, den), start)
+                    for k in range(start, end):
+                        climb = step * eval_cantor((Fraction(nums[k], den) - lo) / (hi - lo))
+                        climbs[k] = climbs.get(k, ZERO) + climb
+                    if end < len(nums):
+                        changes[end] = changes.get(end, ZERO) + step
             else:
                 d, col = t.column(den, nums)
                 others.append((w / d, col))
@@ -662,36 +658,11 @@ class IntervalStaircase(MonotoneFn):
 
     def __call__(self, x) -> Fraction:
         x = Fraction(x)
-        if x <= self.root.lo:
-            return ZERO
-        if x >= self.root.hi:
-            return ONE
-        j = bisect_right(self._bounds, x)
-        i = j // 2
-        if j % 2 == 0:  # left of leaf 0, or in the gap after leaf i - 1
+        i, inside = divmod(bisect_right(self._bounds, x), 2)  # i leaves have hi <= x
+        if not inside:
             return Fraction(i, self._scale)
-        lo, hi = self._bounds[j - 1], self._bounds[j]
+        lo, hi = self._bounds[2 * i], self._bounds[2 * i + 1]
         return (i + eval_cantor((x - lo) / (hi - lo))) / self._scale
-
-    def _runs(self, den: int, nums):
-        """Yield (start, stop, i) covering a non-decreasing column nums / den.
-
-        The staircase equals i/2^depth at nums[start:stop] / den; i None marks
-        the points strictly inside a leaf.  Leaf i's bounds lo < hi split the
-        column into the run [hi of leaf i - 1, lo] at step i and the open run
-        (lo, hi); left of the root is step 0 and right of it the last step.
-        The bounds are compared as the integer thresholds floor(lo * den) and
-        ceil(hi * den).
-        """
-        bounds = self._bounds
-        start = 0
-        for i in range(self._scale):
-            lo_end = bisect_right(nums, _floor_times(bounds[2 * i], den), start)
-            hi_start = bisect_left(nums, _ceil_times(bounds[2 * i + 1], den), lo_end)
-            yield start, lo_end, i
-            yield lo_end, hi_start, None
-            start = hi_start
-        yield start, len(nums), self._scale
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "tree": {

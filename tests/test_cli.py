@@ -629,6 +629,36 @@ def test_specs_over_the_leaf_cell_budget_fail_at_once(capsys, tmp_path):
     assert err.count("\n") == 1 and "leaf cells, over the budget of 4096" in err
 
 
+# 1/(2^64 + 13): the staircase search took a generation per shrink by 1 - a
+# and ran past 120 s before the weight budget
+_NEAR_ZERO = "1/18446744073709551629"
+
+
+@pytest.mark.parametrize("command", [("construct",), ("certify", "--d", "11")])
+def test_weights_too_near_0_or_1_are_refused_at_once(capsys, command):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *command, "--n", "4", "--a", _NEAR_ZERO)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "too near 0 or 1" in err
+
+
+def test_a_weight_too_near_0_still_certifies_without_mappers(capsys):
+    code, out, err = run_cli(capsys, "certify", "--n", "3", "--a", _NEAR_ZERO, "--d", "11")
+    assert code == 0 and err == ""
+    assert json.loads(out)["upper"] == "2/1"
+
+
+def test_specs_with_a_weight_too_near_0_or_1_fail_at_once(capsys, tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(_n4_spec(lambda s: s.update(a=_NEAR_ZERO))))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "certify", "--spec", str(spec))
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "too near 0 or 1" in err
+
+
 @pytest.mark.parametrize("key, index", [("addresses", None), ("levels", None),
                                         ("addresses", 1), ("levels", 1)],
                          ids=["last-address-list", "last-level", "last-address",

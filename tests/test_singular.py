@@ -442,14 +442,21 @@ def test_composition_column_equals_pointwise_evaluation():
     _assert_column_is_pointwise(ws, 1 << 9, _random_column(rng, 1 << 9, 600))
 
 
+def _leaf_places(stair, den, nums):
+    """(#{i : hi_i <= y}, whether y lies strictly inside a leaf) per y = v / den."""
+    leaves = [(c.iv.lo, c.iv.hi) for c in stair.leaves()]
+    return [(sum(hi <= y for _, hi in leaves), any(lo < y < hi for lo, hi in leaves))
+            for y in (F(v, den) for v in nums)]
+
+
 def test_integer_columns_reach_inside_leaves_and_both_sides_of_bounds():
     c = build_extremal_curve(4, a=F(3, 8), M=3)
     stair = c.mappers[0].terms[0]
     for den in (1 << 9, 3 ** 8 * 7):
         nums = _column_points(stair, den, random.Random(5))
-        runs = list(stair._runs(den, nums))
-        assert sum(stop - start for start, stop, i in runs if i is None) > 0
-        assert len({i for start, stop, i in runs if start < stop}) > 3
+        places = _leaf_places(stair, den, nums)
+        assert any(inside for _, inside in places)
+        assert len({i for i, inside in places if not inside}) > 3
 
 
 def _inside_leaves(stairs, den):
@@ -472,14 +479,13 @@ def _fine_den(stair):
 
 
 def test_climb_column_with_points_only_inside_leaves():
-    # every step run of the staircase is empty, so the run constant stays 0
-    # while the leaf index climbs to 2^depth - 1
+    # every point lies strictly inside a leaf, so each leaf's change of the
+    # run constant lands on the first point inside the next leaf
     stair = build_extremal_curve(4, a=F(3, 8), M=3).mappers[0].terms[0]
     den = _fine_den(stair)
     nums = _inside_leaves([stair], den)
-    runs = list(stair._runs(den, nums))
     assert len(nums) == 3 << stair.depth
-    assert all(start == stop for start, stop, i in runs if i is not None)
+    assert all(inside for _, inside in _leaf_places(stair, den, nums))
     _assert_column_is_pointwise(WeightedSum((stair, Affine(1, 0)), (F(1, 2), F(1, 3))),
                                 den, nums)
 
@@ -501,12 +507,51 @@ def test_climb_mapper_column_over_a_non_dyadic_denominator():
     stairs = [t for t in mapper.terms if isinstance(t, IntervalStaircase)]
     den, nums = RieszNagy(a).column(1 << 9, range((1 << 9) + 1))
     assert den == 5 ** 9
-    assert sum(stop - start for t in stairs
-               for start, stop, i in t._runs(den, nums) if i is None) > 0
+    assert any(inside for t in stairs for _, inside in _leaf_places(t, den, nums))
     _assert_column_is_pointwise(mapper, den, nums)
     nums = sorted({*nums, *_column_points(mapper, den, random.Random(13)),
                    *_inside_leaves(stairs, den)})
     _assert_column_is_pointwise(mapper, den, nums)
+
+
+def _count_plus_climb(stair, y):
+    """(#{i : hi_i <= y} + [lo < y < hi] * c((y - lo)/(hi - lo))) / 2^depth,
+    with c from the oracle."""
+    count, climb = 0, F(0)
+    for c in stair.leaves():
+        lo, hi = c.iv.lo, c.iv.hi
+        count += hi <= y
+        if lo < y < hi:
+            climb = oracle.cantor_value((y - lo) / (hi - lo))
+    return (count + climb) / (1 << stair.depth)
+
+
+def test_staircase_and_mapper_column_equal_the_leaf_count_oracle():
+    eps = F(1, 1 << 40)
+    first_leaf_at_root = 0
+    for n, a in itertools.product((4, 5, 6), (F(3, 8), F(2, 5))):
+        for mapper in build_extremal_curve(n, a=a).mappers:
+            stairs = [t for t in mapper.terms if isinstance(t, IntervalStaircase)]
+            ys = set()
+            for t in stairs:
+                first_leaf_at_root += t.leaves()[0].iv.lo == t.root.lo
+                for c in t.leaves():
+                    lo, hi = c.iv.lo, c.iv.hi
+                    ys |= {lo, hi, *(lo + u * (hi - lo) for u in (F(1, 4), F(1, 2), F(7, 9)))}
+                ys |= {e + s for e in (t.root.lo, t.root.hi) for s in (-eps, 0, eps)}
+            ys = [y for y in ys if 0 <= y <= 1]
+            # every point exactly, then the lattice points either side of it
+            for den in (math.lcm(*(y.denominator for y in ys)), 1 << 12, 3 ** 5 * 5 ** 3):
+                nums = sorted({v for y in ys for v in (y.numerator * den // y.denominator,
+                                                       -(-y.numerator * den // y.denominator))})
+                points = [F(v, den) for v in nums]
+                for t in stairs:
+                    assert [t(y) for y in points] == [_count_plus_climb(t, y) for y in points]
+                got_den, got = mapper.column(den, nums)
+                want = [sum(w * (_count_plus_climb(t, y) if t in stairs else t(y))
+                            for t, w in zip(mapper.terms, mapper.weights)) for y in points]
+                assert [F(v, got_den) for v in got] == want
+    assert first_leaf_at_root
 
 
 def test_integer_column_outside_the_domain_raises_the_pointwise_error():
