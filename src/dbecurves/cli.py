@@ -14,9 +14,11 @@ leaf ends would lie over 2^14000 at its M and staircase depth.
 points, or over 4 * 2^20 component column entries ((n - 2) * 2^depth, so
 n >= 7 is refused at depth 20), exits 2 before any is evaluated; `certify`
 and `--length-series` on a curve with a collapsed length sum (n = 3, or one
-R_a) are exempt.  A length whose precision + depth passes 4096 bits could
-not be printed, so `certify` and `--length-series` exit 2 on such a request
-before any work.  `verify --lemmas` runs at most 100000 trials.
+R_a) take instead a budget of 2^40 bit operations over all their depths.
+A length whose precision + depth passes 4096 bits could not be printed, so
+`certify` and `--length-series` exit 2 on such a request before any work,
+and `emit --samples` exits 1 on values past CPython's printable digits.
+`verify --lemmas` runs at most 100000 trials.
 """
 
 from __future__ import annotations
@@ -55,6 +57,11 @@ _MAX_TRIALS = 100_000
 # a length at precision + depth = b bits prints about b + 1 decimal digits,
 # and CPython refuses to print an integer of over 4300 digits
 _MAX_LENGTH_BITS = 4096
+# the collapsed length at depth d divides d + 1 numerators of m = 2d(k + 1) + 2b
+# bits, k the bits of q in a = p/q, each in about m(8 sqrt(m) + b) bit operations;
+# at the budget 1.6 s (certify --d 4032, a = 1/4) to 3.8 s (--length-series
+# --d 1..658 at 1/4, certify --d 94 with a 6644-bit q), 2 vCPUs, x86_64
+_MAX_COLLAPSED_WORK = 1 << 40
 
 
 class UsageError(ValueError):
@@ -104,11 +111,22 @@ def _check(args: argparse.Namespace) -> None:
                              f"{_MAX_LENGTH_BITS} bits for printed lengths")
 
 
-def _check_sample_depth(depth: int, curve, exempt_collapsed: bool = False) -> None:
+def _check_length_depths(depths, curve, precision: int) -> None:
+    """Refuse lengths past their budgets: a collapsed sum (n = 3, or one R_a)
+    by its work summed over the depths, any other by its deepest sample."""
+    if not _is_collapsible(curve):
+        return _check_sample_depth(max(depths), curve)
+    q_bits = curve.components[0].a.denominator.bit_length() + 1
+    work = sum((d + 1) * (m := 2 * d * q_bits + 2 * (precision + d))
+               * (8 * math.isqrt(m) + precision + d) for d in depths)
+    if work > _MAX_COLLAPSED_WORK:
+        raise UsageError(f"collapsed lengths to depth {max(depths)} take {work:.1e} bit "
+                         f"operations, over the budget of {_MAX_COLLAPSED_WORK:.1e}")
+
+
+def _check_sample_depth(depth: int, curve) -> None:
     """Refuse 2^depth curve points or (n - 2) * 2^depth column entries past
-    their budgets, unless `exempt_collapsed` and the curve's length collapses."""
-    if exempt_collapsed and _is_collapsible(curve):
-        return
+    their budgets."""
     if depth > _MAX_SAMPLE_DEPTH:
         raise UsageError(f"sample depth {depth} is over the budget of "
                          f"{_MAX_SAMPLE_DEPTH} (2^depth curve points)")
@@ -158,9 +176,8 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 def cmd_certify(args: argparse.Namespace) -> int:
     curve = _load_curve(args)
-    depth = args.d[0]
-    _check_sample_depth(depth, curve, exempt_collapsed=True)
-    _write(_json_text(certify_h1(curve, depth, args.precision).to_json()), args.out)
+    _check_length_depths(args.d, curve, args.precision)
+    _write(_json_text(certify_h1(curve, args.d[0], args.precision).to_json()), args.out)
     return 0
 
 
@@ -231,10 +248,15 @@ def cmd_emit(args: argparse.Namespace) -> int:
         _check_sample_depth(depth, curve)
         header = [f"x{i}" for i in range(1, curve.n + 1)]
         xs = _rational_strs(1 << depth, range((1 << depth) + 1))
-        rows = zip(xs, *(_rational_strs(den, nums) for den, nums in _columns(curve, depth)),
-                   [format_rational(curve.alpha)] * len(xs))
+        columns = _columns(curve, depth)
+        try:
+            texts = [_rational_strs(den, nums) for den, nums in columns]
+        except ValueError as exc:  # an integer past CPython's printable digits
+            raise ValueError(f"sample values at depth {depth} pass the limit of "
+                             f"{sys.get_int_max_str_digits()} printed digits") from exc
+        rows = zip(xs, *texts, [format_rational(curve.alpha)] * len(xs))
     elif args.length_series:
-        _check_sample_depth(max(args.d), curve, exempt_collapsed=True)
+        _check_length_depths(args.d, curve, args.precision)
         header = ["depth", "value", "error_radius"]
         rows = []
         for d in args.d:

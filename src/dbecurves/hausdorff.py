@@ -85,7 +85,8 @@ def upper_bound_h1(curve) -> Fraction:
     component is monotone on [0,1], so its total variation is |f(1) - f(0)|.
     For components mapping onto [0,1] the bound is exactly n-1.
     """
-    return ONE + sum((abs(f(ONE) - f(ZERO)) for f in curve.components), ZERO)
+    ends = (f.column(1, [0, 1]) for f in curve.components)
+    return ONE + sum((Fraction(abs(v1 - v0), den) for den, (v0, v1) in ends), ZERO)
 
 
 def _collapsed_riesz_length(a: Fraction, depth: int, bits: int):

@@ -4,6 +4,7 @@ import argparse
 import hashlib
 import json
 import math
+import sys
 import time
 from fractions import Fraction
 
@@ -844,6 +845,74 @@ def test_lengths_past_the_printable_bits_are_refused_up_front(capsys, monkeypatc
     code, out, err = run_cli(capsys, *argv, *precision, "--d", depths[1])
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and str(_MAX_LENGTH_BITS) in err
+
+
+# a = 1/(10^500 + 3): certify --d 400 took 14 s, and the refused requests
+# below each ran past 120 s before the collapsed work budget
+_HUGE_Q = f"1/{10**500 + 3}"
+
+
+def _refuse_lengths(monkeypatch):
+    def polyline_length(*_):
+        raise RuntimeError("polyline_length reached")
+    for module in (cli, hausdorff):
+        monkeypatch.setattr(module, "polyline_length", polyline_length)
+
+
+@pytest.mark.parametrize("argv", [
+    ("emit", "--length-series", "--n", "3", "--d", "1..4032"),
+    ("certify", "--n", "3", "--a", _HUGE_Q, "--d", "1000"),
+    ("emit", "--length-series", "--n", "3", "--a", _HUGE_Q, "--d", "1..300"),
+], ids=["series-to-4032", "certify-huge-q", "series-huge-q"])
+def test_collapsed_lengths_over_the_work_budget_are_refused_at_once(capsys, monkeypatch,
+                                                                    argv):
+    _refuse_lengths(monkeypatch)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "collapsed" in err and "budget" in err
+
+
+@pytest.mark.parametrize("argv, depths", [
+    (("certify", "--n", "3", "--d"), ("4032", None)),
+    (("certify", "--n", "3", "--a", _HUGE_Q, "--d"), ("215", "216")),
+    (("emit", "--length-series", "--n", "3", "--d"), ("1..658", "1..659")),
+    (("emit", "--length-series", "--n", "3", "--precision", "4000", "--d"), ("1..96", None)),
+], ids=["certify", "certify-huge-q", "length-series", "length-series-precision"])
+def test_collapsed_work_budget_admits_its_edge(capsys, monkeypatch, argv, depths):
+    _refuse_lengths(monkeypatch)
+    with pytest.raises(RuntimeError, match="reached"):
+        main([*argv, depths[0]])
+    if depths[1] is not None:
+        code, out, err = run_cli(capsys, *argv, depths[1])
+        assert code == 2 and out == "" and "budget" in err
+
+
+_WIDE_Q = 2**1100 + 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("--n", "3", "--a", _HUGE_Q, "--d", "10"),
+    ("--n", "4", "--M", "1", "--staircase-depth", "1", "--a", f"{_WIDE_Q // 3}/{_WIDE_Q}",
+     "--d", "13"),
+], ids=["n3", "n4"])
+def test_samples_past_the_printable_digits_fail_with_one_line(capsys, argv):
+    code, out, err = run_cli(capsys, "emit", "--samples", *argv)
+    assert code == 1 and out == ""
+    assert err == (f"error: sample values at depth {argv[-1]} pass the limit of "
+                   f"{sys.get_int_max_str_digits()} printed digits\n")
+
+
+def test_samples_just_under_the_printable_digits_print(capsys):
+    code, out, err = run_cli(capsys, "emit", "--samples", "--n", "3", "--a", _HUGE_Q,
+                             "--d", "8")
+    assert code == 0 and err == ""
+    rows = out.splitlines()
+    assert len(rows) == 258
+    # R_a(1/256) = 1/q^8, whose 4001 digits are the most of any printed integer
+    assert rows[2].split(",")[1] == f"1/{(10**500 + 3) ** 8}"
+    assert max(len(v) for row in rows for v in row.replace("/", ",").split(",")) == 4001
 
 
 def test_lengths_at_the_printable_bits_print(capsys):

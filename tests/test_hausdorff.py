@@ -50,6 +50,7 @@ from dbecurves.singular import (
     image_measure,
 )
 from test_curves import _inside_leaf_count
+from test_singular import _pointwise
 
 F = Fraction
 
@@ -134,6 +135,26 @@ def test_upper_bound_equals_block_sum_over_partitions_of_the_unit_interval():
     short = LRPartition([IntervalUnion.closed(0, F(15, 16))])
     spec = CurveSpec(3, (RieszNagy(F(1, 4)),), F(1, 2))
     assert _block_sum_upper(spec, short) == F(415, 256) < upper_bound_h1(spec)
+
+
+def test_upper_bound_equals_the_pointwise_total_variation_on_generic_specs():
+    # each component's two-point column against its ends one by one, read
+    # without any column; decreasing inner functions reverse the column
+    mapper = build_extremal_curve(4, a=F(2, 7), M=2).mappers[0]
+    stair = mapper.terms[0]
+    # x = 0 and x = 1 go to the middles of the first and last leaves
+    first, last = ((c.iv.lo + c.iv.hi) / 2 for c in stair.leaves()[::len(stair.leaves()) - 1])
+    specs = [
+        CurveSpec(3, (Affine(F(-3, 4), F(7, 8)),), F(1, 2)),
+        CurveSpec(4, (Composition(mapper, Affine(-1, 1)),
+                      Composition(mapper, Affine(F(-1, 3), F(2, 3)))), F(1, 3)),
+        CurveSpec(5, (stair, Composition(stair, Affine(last - first, first)),
+                      Composition(RieszNagy(F(1, 3)), Affine(F(-1, 2), F(1, 2)))), F(1, 4)),
+    ]
+    for spec in specs:
+        want = 1 + sum(abs(_pointwise(f, 1) - _pointwise(f, 0)) for f in spec.components)
+        assert upper_bound_h1(spec) == want
+    assert want not in (1, 2, 3, 4)  # the variations are not all 0 or 1
 
 
 # -- polyline lower bounds ----------------------------------------------------

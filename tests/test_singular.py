@@ -296,8 +296,22 @@ def test_image_measure():
     assert image_measure(RieszNagy(F(1, 4)), two) == F(1, 16) + F(3, 4)
 
 
+def _pointwise(f, x):
+    """f(x) without any column: a weighted sum adds its terms, a composition
+    nests them, and a staircase is its leaf count plus the oracle's climb.
+    Cantor, R_a, affine and piecewise-linear functions are their own call."""
+    x = F(x)
+    if isinstance(f, WeightedSum):
+        return sum((w * _pointwise(t, x) for t, w in zip(f.terms, f.weights)), F(0))
+    if isinstance(f, Composition):
+        return _pointwise(f.outer, _pointwise(f.inner, x))
+    if isinstance(f, IntervalStaircase):
+        return _count_plus_climb(f, x)
+    return f(x)
+
+
 def _pointwise_image_measure(f, u):
-    return sum((abs(f(c.hi) - f(c.lo)) for c in u.components), F(0))
+    return sum((abs(_pointwise(f, c.hi) - _pointwise(f, c.lo)) for c in u.components), F(0))
 
 
 @pytest.mark.parametrize("a", [F(1, 4), F(2, 7)])
@@ -375,7 +389,7 @@ def _column_points(f, den, rng):
 
 
 def _assert_column_is_pointwise(f, den, nums):
-    want = [f(F(v, den)) for v in nums]
+    want = [_pointwise(f, F(v, den)) for v in nums]
     for g in (f, fn_from_json(json.loads(json.dumps(f.to_json())))):
         d, got = g.column(den, nums)
         assert type(d) is int and d > 0 and all(type(v) is int for v in got)
