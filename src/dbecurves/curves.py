@@ -25,6 +25,7 @@ from .singular import (
     MonotoneFn,
     RieszNagy,
     RieszNagyImageGrid,
+    _Excluded,
     build_full_measure_mapper,
     fn_from_json,
 )
@@ -38,17 +39,17 @@ MAX_NESTING = 64
 # Each mapper term builds 2^depth leaf cells and the spec JSON doubles per
 # level; depth 8 already takes seconds, so larger depths are refused up front.
 _MAX_STAIRCASE_DEPTH = 7
-# construction time grows faster than n^2: n = 100 takes 1.7 s and n = 200
-# 10.6 s (2 vCPUs, x86_64)
+# construction time grows faster than n^2: `construct` takes 0.6 s at n = 100
+# and, with this bound lifted, 2.5 s at n = 200 (2 vCPUs, x86_64)
 _MAX_N = 100
 # Build time follows the (n - 3) * M * 2^staircase_depth leaf cells; near 4096,
-# 2.5 s (n = 4, M = 128, depth 5) to 16.7 s (n = 4, M = 1024, depth 2), 2 vCPUs.
+# 1.5 s (n = 4, M = 128, depth 5) to 12 s (n = 4, M = 1024, depth 2), 2 vCPUs.
 _MAX_LEAF_CELLS = 4096
 # A grid generation shrinks a staircase cell by r = max(a, 1 - a) = s/q at most
 # and puts its ends over q times the denominator.  The last leaves are under
 # 2^-(M + depth + 5) wide, so their ends lie over at most q^g, least r^g <= that.
-# Past 2^14000 a spec can pass CPython's 4300 printable digits.  Near it, 0.2 s at
-# n = 4 and 48 s at n = 100 (a = 232/233), 38 s at a = 7/8, M = 891 (2 vCPUs).
+# Past 2^14000 a spec can pass CPython's 4300 printable digits.  Near it, 0.1 s at
+# n = 4 and 6.4 s at n = 100 (a = 232/233), 40 s at a = 7/8, M = 891 (2 vCPUs).
 _MAX_LEAF_DEN_BITS = 14000
 
 
@@ -154,13 +155,12 @@ def build_extremal_curve(n: int, a=Fraction(1, 4), M: int = 4,
                              f"depth {staircase_depth}: leaf ends over 2^{_MAX_LEAF_DEN_BITS}")
     h = RieszNagy(a)
     grid = RieszNagyImageGrid(a)
-    avoid = IntervalUnion.empty()
+    avoid = _Excluded(IntervalUnion.empty(), grid.a.denominator)  # grown by each mapper
     components, n_truncs = [h], []
     for _ in range(n - 3):
         n_trunc, f = build_full_measure_mapper(avoid, M, staircase_depth, grid=grid)
         components.append(Composition(f, h))
         n_truncs.append(n_trunc)
-        avoid = avoid.union(n_trunc)
     return ExtremalCurve(n, components, alpha, a, M, staircase_depth, tuple(n_truncs))
 
 

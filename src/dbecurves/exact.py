@@ -202,14 +202,10 @@ class Interval:
         }
 
 
-def _normalize(intervals: Iterable[Interval]) -> tuple[Interval, ...]:
-    """Drop empties, sort, and merge overlapping or touching intervals."""
-    items = sorted(
-        (iv for iv in intervals if not iv.is_empty),
-        key=lambda iv: (_start_cut(iv), _end_cut(iv)),
-    )
+def _merge(intervals: Iterable[Interval]) -> tuple[Interval, ...]:
+    """Merge overlapping or touching intervals, given nonempty and in start order."""
     out: list[Interval] = []
-    for iv in items:
+    for iv in intervals:
         if out and not _gap_between(_end_cut(out[-1]), _start_cut(iv)):
             last = out[-1]
             if _end_cut(iv) > _end_cut(last):
@@ -217,6 +213,12 @@ def _normalize(intervals: Iterable[Interval]) -> tuple[Interval, ...]:
         else:
             out.append(iv)
     return tuple(out)
+
+
+def _normalize(intervals: Iterable[Interval]) -> tuple[Interval, ...]:
+    """Drop empties, sort, and merge overlapping or touching intervals."""
+    return _merge(sorted((iv for iv in intervals if not iv.is_empty),
+                         key=lambda iv: (_start_cut(iv), _end_cut(iv))))
 
 
 class IntervalUnion:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import IntervalUnion, ZERO, _end_cut, _start_cut
+from .exact import IntervalUnion, ZERO, _end_cut, _merge, _start_cut
 
 
 class DomainMismatchError(ValueError):
@@ -67,24 +67,36 @@ def refine(p: LRPartition, q: LRPartition) -> LRPartition:
     and raises ValueError for interleaved blocks.  The refinement's diameter
     sum can then never exceed either input's; that inequality is checked
     exactly here and a failure raises RefinementBoundError.
+
+    One sweep: in left-right order the blocks' components are in start
+    order, so each support is one merge, and a two-pointer walk meets every
+    intersecting pair of blocks.  The block ending first (by its last end
+    cut) meets no later block of the other partition, so it is the one to
+    advance; the pieces come out left to right.
     """
+    ordered = []
     for part in (p, q):
         blocks = sorted(part.blocks, key=lambda b: b.inf)
         if any(left.sup > right.inf for left, right in zip(blocks, blocks[1:])):
             raise ValueError("refine needs left-right ordered partitions")
-    if p.support() != q.support():
+        ordered.append(blocks)
+    ps, qs = ordered
+    if (_merge(c for b in ps for c in b.components)
+            != _merge(c for b in qs for c in b.components)):
         raise DomainMismatchError("partitions cover different sets")
     blocks = []
-    for v in p.blocks:
-        for w in q.blocks:
-            piece = v.intersect(w)
-            if not piece.is_empty:
-                blocks.append(piece)
-    blocks.sort(key=lambda b: (b.inf, b.sup))
+    i = j = 0
+    while i < len(ps) and j < len(qs):
+        piece = ps[i].intersect(qs[j])
+        if not piece.is_empty:
+            blocks.append(piece)
+        if _end_cut(ps[i].components[-1]) <= _end_cut(qs[j].components[-1]):
+            i += 1
+        else:
+            j += 1
     result = LRPartition(blocks)
     bound = min(diam_sum(p), diam_sum(q))
-    if diam_sum(result) > bound:
-        raise RefinementBoundError(
-            f"refinement diameter sum {diam_sum(result)} exceeds {bound}"
-        )
+    total = diam_sum(result)
+    if total > bound:
+        raise RefinementBoundError(f"refinement diameter sum {total} exceeds {bound}")
     return result

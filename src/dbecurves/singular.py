@@ -18,7 +18,7 @@ Everything evaluates in exact rational arithmetic or raises; no floats.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -494,15 +494,56 @@ def _cut_over(c, den: int):
     it becomes the cut just above the lower one.
     """
     v, side = c
-    t, r = divmod(v.numerator * den, v.denominator)
-    return (t, side) if r == 0 else (t, _ABOVE)
+    m, r = divmod(den, v.denominator)
+    if r:
+        return v.numerator * den // v.denominator, _ABOVE
+    return v.numerator * m, side
 
 
-def _meeting(u: IntervalUnion, iv: Interval) -> tuple[Interval, ...]:
-    """The components of u that meet the closed interval iv, by bisection."""
-    comps = u.components
-    return comps[bisect_left(comps, (iv.lo, _AT), key=_end_cut):
-                 bisect_right(comps, (iv.hi, _AT), key=_start_cut)]
+class _Excluded:
+    """The set a staircase search avoids, as one sorted index of integer cuts.
+
+    `cuts` lists the components left to right as (start, end) integer cut
+    pairs over `den` = L0 * q^gen, for q the grid's split denominator and L0
+    the lcm of the given union's denominators.  Every end is exact, and
+    every grid point of generation <= gen lies on the 1/den lattice.  The
+    components are disjoint but may touch.  A finer generation rescales the
+    whole index by a power of q, so no lcm or gcd runs while the search
+    descends.
+    """
+
+    def __init__(self, u: IntervalUnion, q: int):
+        dens = {v.denominator for c in u for v in (c.lo, c.hi)}
+        self.q, self.gen, self.den = q, 0, math.lcm(1, *dens)
+        scale = {d: self.den // d for d in dens}
+
+        def over(cut):
+            v, side = cut
+            return v.numerator * scale[v.denominator], side
+
+        self.cuts = [(over(_start_cut(c)), over(_end_cut(c))) for c in u]
+
+    def at(self, g: int) -> int:
+        """den, once the index is rescaled to generation g if that is finer."""
+        if g > self.gen:
+            f = self.q ** (g - self.gen)
+            self.cuts = [((s * f, s_side), (e * f, e_side))
+                         for (s, s_side), (e, e_side) in self.cuts]
+            self.den *= f
+            self.gen = g
+        return self.den
+
+    def meeting(self, iv: Interval) -> list:
+        """The cut pairs of the components that meet the closed interval iv."""
+        cuts = self.cuts
+        return cuts[bisect_left(cuts, _cut_over((iv.lo, _AT), self.den), key=lambda c: c[1]):
+                    bisect_right(cuts, _cut_over((iv.hi, _AT), self.den), key=lambda c: c[0])]
+
+    def add(self, cells) -> None:
+        """Insert closed grid cells of generation <= gen that meet no component."""
+        for c in cells:
+            insort(self.cuts, ((_num_over(c.iv.lo, self.den), _AT),
+                               (_num_over(c.iv.hi, self.den), _AT)))
 
 
 def _admissible_cells(p: int, q: int, node, g: int, cuts):
@@ -541,8 +582,7 @@ def _admissible_cells(p: int, q: int, node, g: int, cuts):
             yield k, lo, hi
 
 
-def _find_children(grid, parent: StairCell, width_bound: Fraction,
-                   excluded: IntervalUnion):
+def _find_children(grid, parent: StairCell, width_bound: Fraction, excluded: _Excluded):
     """Pick the two leftmost separated admissible cells under one parent.
 
     The tree's root (k = -1) need not be a grid cell, so its cells come from
@@ -554,12 +594,12 @@ def _find_children(grid, parent: StairCell, width_bound: Fraction,
     generation.  If a generation has no admissible pair the search retries
     one generation finer, up to a cap.
 
-    The search runs on integers: the width loop compares numerators, and
-    each generation converts the cut list once to integer cuts over the
-    descent's denominator.  The cut list is the outside of the parent, as
-    one piece ending just left of it and one starting just right of it,
-    around the excluded components that meet the parent, in start order and
-    not merged with the outside pieces.  Only the two returned cells become
+    The search runs on integers over the index's denominator: the width
+    loop compares numerators, and the cut list is the outside of the
+    parent, as one piece ending just left of it and one starting just right
+    of it, around the index's cut pairs that meet the parent, in start order
+    and not merged with the outside pieces.  It is rebuilt only when a finer
+    generation rescales the index.  Only the two returned cells become
     Fractions.
     """
     bounds = parent.iv
@@ -578,16 +618,13 @@ def _find_children(grid, parent: StairCell, width_bound: Fraction,
         under *= q
         extra += 1
     g0 = start.g + max(extra, least)
-    cuts = [((bounds.lo - 1, _AT), (bounds.lo, _BELOW)),
-            *((_start_cut(c), _end_cut(c)) for c in _meeting(excluded, bounds)),
-            ((bounds.hi, _ABOVE), (bounds.hi + 1, _AT))]
-    start_lo, start_hi = start.iv.lo, start.iv.hi
-    den0 = math.lcm(start_lo.denominator, start_hi.denominator)
     for g in range(g0, g0 + _RETRY_GENERATIONS + 1):
-        den = den0 * q ** (g - start.g)
-        node = (start.k, start.g, _num_over(start_lo, den), _num_over(start_hi, den))
-        cells = _admissible_cells(
-            p, q, node, g, [(_cut_over(a, den), _cut_over(b, den)) for a, b in cuts])
+        if g == g0 or g > excluded.gen:
+            den = excluded.at(g)
+            lo, hi = _cut_over((bounds.lo, _BELOW), den), _cut_over((bounds.hi, _ABOVE), den)
+            cuts = [((lo[0] - den, _AT), lo), *excluded.meeting(bounds), (hi, (hi[0] + den, _AT))]
+            node = (start.k, start.g, _num_over(start.iv.lo, den), _num_over(start.iv.hi, den))
+        cells = _admissible_cells(p, q, node, g, cuts)
         first = next(cells, None)
         for cell in cells:
             if cell[0] >= first[0] + 2:  # leave at least a one-cell gap
@@ -695,11 +732,25 @@ def build_interval_staircase(I: Interval, excluded: IntervalUnion, depth: int,
     """
     if grid is None:
         grid = RieszNagyImageGrid()
+    return _staircase(I, _Excluded(excluded, grid.a.denominator), depth, grid, leaf_cap)
+
+
+def _staircase(I: Interval, excluded: _Excluded, depth: int, grid, leaf_cap):
+    """`build_interval_staircase` against an index.  The gaps between I's
+    ends and the components that meet I compare as integer cuts, exactly:
+    each gap has a component end on the lattice, and with no component
+    meeting it, I has room."""
     if not (I.lo_closed and I.hi_closed and ZERO <= I.lo < I.hi <= ONE):
         raise ValueError("I must be a nondegenerate closed interval in [0, 1]")
-    ends = [I.lo, *(x for c in _meeting(excluded, I) for x in (c.lo, c.hi)), I.hi]
-    if all(right <= left for left, right in zip(ends[::2], ends[1::2])):
-        raise ConstructionError("excluded set leaves no room inside I")
+    meeting = excluded.meeting(I)
+    left = _cut_over((I.lo, _AT), excluded.den)
+    for (start, _), (end, _) in meeting:
+        if (start, _AT) > left:
+            break  # a gap of positive length left of this component
+        left = (end, _AT)
+    else:
+        if meeting and _cut_over((I.hi, _AT), excluded.den) <= left:
+            raise ConstructionError("excluded set leaves no room inside I")
     root = StairCell(-1, 0, I)
     levels: list[list[StairCell]] = [[root]]
     for n in range(1, depth + 1):
@@ -740,6 +791,18 @@ def enumerate_rational_intervals():
         b += 1
 
 
+_INTERVALS = enumerate_rational_intervals()
+_LISTED: list[Interval] = []
+
+
+def _rational_intervals(M: int) -> list[Interval]:
+    """The first M intervals of `enumerate_rational_intervals`, listed once
+    per process."""
+    while len(_LISTED) < M:
+        _LISTED.append(next(_INTERVALS))
+    return _LISTED[:M]
+
+
 def image_measure(f: MonotoneFn, u: IntervalUnion) -> Fraction:
     """Measure of f(u) for monotone f: summed endpoint differences.
 
@@ -763,29 +826,33 @@ def build_full_measure_mapper(excluded: IntervalUnion, M: int,
     is strictly increasing with f(0)=0, f(1)=1 and the exact image bound
     measure(f(N_trunc)) >= 1 - 2^-M = 1 - f.weights[-1].  The mapper's level
     M is len(f.terms) - 1.
+
+    `excluded` may also be the `_Excluded` index of the grid's earlier
+    builds, which this build then grows by its own leaf cells: that is how
+    `build_extremal_curve` hands one mapper's N_trunc on to the next.
     """
     if M < 1:
         raise ValueError("M must be >= 1")
     # a depth-0 tree's only leaf is its whole root, leaving later terms no room
     if type(staircase_depth) is not int or staircase_depth < 1:
         raise ValueError(f"staircase depth is not an integer >= 1: {staircase_depth!r}")
-    avoid = excluded
+    if grid is None:
+        grid = RieszNagyImageGrid()
+    index = (excluded if isinstance(excluded, _Excluded)
+             else _Excluded(excluded, grid.a.denominator))
     stairs = []
-    unions: list[IntervalUnion] = []
-    gen = enumerate_rational_intervals()
-    for m in range(M):
-        I_m = next(gen)
+    for m, I_m in enumerate(_rational_intervals(M)):
         cap = Fraction(1, 1 << (m + 6 + staircase_depth))
         try:
-            N_m, g_m = build_interval_staircase(
-                I_m, avoid, staircase_depth, grid=grid, leaf_cap=cap
-            )
+            _, g_m = _staircase(I_m, index, staircase_depth, grid, cap)
         except ConstructionError as e:
             raise ConstructionError(f"mapper term {m} failed inside {I_m}: {e}") from e
         stairs.append(g_m)
-        unions.append(N_m)
-        avoid = avoid.union(N_m)
-    n_trunc = IntervalUnion(c for u in unions for c in u.components)
+        index.add(g_m.leaves())
+    # the leaf cells of all terms are closed and pairwise separated
+    den = index.den
+    n_trunc = IntervalUnion._canonical(tuple(sorted(
+        (c.iv for g_m in stairs for c in g_m.leaves()), key=lambda iv: _num_over(iv.lo, den))))
     weights = [Fraction(1, 1 << (m + 1)) for m in range(M)]
     tail = Fraction(1, 1 << M)
     f = WeightedSum(stairs + [Affine(1, 0)], weights + [tail])

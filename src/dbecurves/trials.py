@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .exact import Interval, IntervalUnion, ZERO
+from .exact import Interval, IntervalUnion, ZERO, _merge
 from .hausdorff import (
     LipschitzWitnessError,
     check_derivative_bound,
@@ -71,10 +71,10 @@ def random_partition(rng: random.Random, u: IntervalUnion) -> LRPartition:
     for piece in pieces:
         run.append(piece)
         if rng.random() < 0.6:
-            blocks.append(IntervalUnion(run))
+            blocks.append(IntervalUnion._canonical(_merge(run)))
             run = []
     if run:
-        blocks.append(IntervalUnion(run))
+        blocks.append(IntervalUnion._canonical(_merge(run)))
     return LRPartition(blocks)
 
 

@@ -331,6 +331,15 @@ _CONSTRUCT_SHA256 = {
         "21e2539790bfa6c3b0ad1cbf80f309932ba6f637bfca49e5b92655efb0cf1ce3",
     ("4", "15/16", "9", "3"):
         "8d52c5d3cb43bb7fb9ca2e8401356c1304b67dffb621cbe5b6fe1ad047c791c1",
+    # many mappers, a non-dyadic weight at depth 3, and a later mapper whose
+    # excluded set starts coarser than its search, fixed before the search
+    # ran against one integer index of the excluded set
+    ("40", "1/4", "4", "2"):
+        "b5796c5f3705604ea71a9e2ef85ef7119b89b3bd298d7a61f73d86320d0e8167",
+    ("12", "5/7", "8", "3"):
+        "d09805dfa9ebc6a6a0e5e9d001b042b1c8435434fb2cc67216e7b25f3dea264a",
+    ("30", "3/10", "6", "2"):
+        "8a16d0be5c5a055112f5edaed26b015d69b02191457c9fecd09fba16a24a1c1c",
 }
 
 

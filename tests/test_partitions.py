@@ -1,6 +1,7 @@
 """Ordered partitions and their common refinements."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -129,3 +130,59 @@ def test_refine_refuses_interleaved_blocks():
     # blocks that touch at one end are still ordered
     touching = LRPartition([_u((F(1, 2), 1)), half_open(0, F(1, 2))])
     assert len(refine(touching, touching)) == 2
+
+
+def _refine_reference(p, q):
+    """Reference for `refine`: every block of p met with every block of q,
+    the pieces sorted by (inf, sup), behind the same checks."""
+    for part in (p, q):
+        blocks = sorted(part.blocks, key=lambda b: b.inf)
+        if any(left.sup > right.inf for left, right in zip(blocks, blocks[1:])):
+            raise ValueError("refine needs left-right ordered partitions")
+    if p.support() != q.support():
+        raise DomainMismatchError("partitions cover different sets")
+    blocks = [v.intersect(w) for v in p.blocks for w in q.blocks]
+    blocks = [b for b in blocks if not b.is_empty]
+    blocks.sort(key=lambda b: (b.inf, b.sup))
+    return LRPartition(blocks)
+
+
+def _outcome(fn, p, q):
+    try:
+        return fn(p, q).blocks
+    except ValueError as e:  # DomainMismatchError is one
+        return type(e), str(e)
+
+
+def _interleave(rng, part):
+    """part with two blocks that have a third between them joined into one."""
+    blocks = sorted(part.blocks, key=lambda b: b.inf)
+    i = rng.randrange(len(blocks) - 2)
+    joined = IntervalUnion((*blocks[i], *blocks[i + 2]))
+    return LRPartition([joined, *blocks[:i], blocks[i + 1], *blocks[i + 3:]])
+
+
+def _mirror(u):
+    """u reflected by x -> 1 - x: its half-open pieces turn to (u, v]."""
+    return IntervalUnion(Interval(1 - c.hi, 1 - c.lo, c.hi_closed, c.lo_closed) for c in u)
+
+
+def test_refine_sweep_matches_the_pairwise_reference():
+    rng = random.Random(5150)
+    seen = Counter()
+    for _ in range(800):
+        u = random_union(rng, max_components=4, den=rng.choice((None, 16)))
+        p, q = random_partition(rng, u), random_partition(rng, u)
+        case = rng.randrange(4)
+        if case == 1:
+            q = random_partition(rng, random_union(rng, max_components=4))
+        elif case == 2 and len(q) >= 3:
+            q = _interleave(rng, q)
+        elif case == 3:  # blocks that touch p's from the other side
+            q = LRPartition(map(_mirror, random_partition(rng, _mirror(u))))
+        for args in ((p, q), (q, p)):
+            want = _outcome(_refine_reference, *args)
+            assert _outcome(refine, *args) == want, args
+            seen[want[0] if type(want[0]) is type else "blocks"] += 1
+    assert seen["blocks"] > 600
+    assert seen[ValueError] > 100 and seen[DomainMismatchError] > 100

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,8 @@ import pytest
 from dbecurves import oracle, singular, trials
 from dbecurves.oracle import riesz_nagy_inverse
 from dbecurves.curves import build_extremal_curve, curve_from_json, curve_to_json
-from dbecurves.exact import _ABOVE, _AT, _BELOW, Interval, IntervalUnion
+from dbecurves.exact import (
+    _ABOVE, _AT, _BELOW, Interval, IntervalUnion, _end_cut, _start_cut)
 from dbecurves.singular import (
     Affine,
     Cantor,
@@ -24,6 +26,7 @@ from dbecurves.singular import (
     RieszNagyImageGrid,
     StairCell,
     WeightedSum,
+    _Excluded,
     _cut_over,
     _find_children,
     build_full_measure_mapper,
@@ -782,8 +785,8 @@ def test_find_children_matches_brute_force_scan(grid):
     for parent, bound, excluded in cases:
         first, want = _scan_children(grid, parent, bound, excluded)
         try:
-            got = [(c.k, c.g, c.iv) for c in
-                   _find_children(grid, parent, bound, excluded)]
+            got = [(c.k, c.g, c.iv) for c in _find_children(
+                grid, parent, bound, _Excluded(excluded, grid.a.denominator))]
         except ConstructionError:
             got = None
         if want is None:  # then no pair exists before the reference gave up
@@ -813,6 +816,70 @@ def test_integer_cut_orders_like_the_fraction_cut(grid):
                     for x in (floor - 1, floor, floor + 1):
                         assert (_cmp(cut, (x, _AT))
                                 == _cmp((v, side), (F(x, den), _AT))), (v, side, x)
+
+
+
+def _meeting(u, iv):
+    """Reference for `_Excluded.meeting`: the components of u that meet the
+    closed interval iv, by bisection over Fraction cuts."""
+    comps = u.components
+    return comps[bisect_left(comps, (iv.lo, _AT), key=_end_cut):
+                 bisect_right(comps, (iv.hi, _AT), key=_start_cut)]
+
+
+def _as_intervals(pairs, den):
+    return tuple(Interval(F(s, den), F(e, den), s_side == _AT, e_side == _AT)
+                 for (s, s_side), (e, e_side) in pairs)
+
+
+def _assert_index_is(index, union, grid, rng):
+    """index holds union's components exactly and meets what the bisection
+    meets, for closed queries with ends on grid points, on component ends
+    and off every lattice."""
+    assert _as_intervals(index.cuts, index.den) == union.components
+    ends = [x for c in union for x in (c.lo, c.hi)]
+
+    def point():
+        kind = rng.randrange(3)
+        if kind == 0 and ends:
+            return rng.choice(ends)
+        return grid.point(rng.randint(0, 32), 5) if kind == 1 else F(rng.randint(0, 97), 97)
+
+    for _ in range(60):
+        iv = Interval(*sorted((point(), point())))
+        assert _as_intervals(index.meeting(iv), index.den) == _meeting(union, iv), iv
+
+
+@pytest.mark.parametrize("grid", _DESCENT_GRIDS, ids=_DESCENT_IDS)
+def test_index_meets_what_the_fraction_bisection_meets(grid):
+    rng = random.Random(f"index {grid.to_json()}")
+    q = grid.a.denominator
+    grown = 0
+    for _ in range(25):
+        g = rng.randint(0, 3)
+        k = rng.randrange(1 << g)
+        union = _random_excluded(rng, grid, k, g, 5)
+        index = _Excluded(union, q)
+        _assert_index_is(index, union, grid, rng)
+        # closed cells of a finer generation, apart from the union's closure
+        # and from each other, as the staircase search adds its leaves
+        fine = g + rng.randint(1, 6)
+        hull = IntervalUnion(Interval(c.lo, c.hi) for c in union)
+        cells = []
+        for j in sorted(rng.sample(range(1 << fine), min(6, 1 << fine))):
+            cell = StairCell(j, fine, Interval(grid.point(j, fine), grid.point(j + 1, fine)))
+            if not intersects(IntervalUnion((cell.iv,)), hull):
+                hull = hull.union(IntervalUnion((cell.iv,)))
+                cells.append(cell)
+        index.at(fine)
+        index.add(cells)
+        union = IntervalUnion((*union, *(c.iv for c in cells)))
+        grown += len(cells)
+        _assert_index_is(index, union, grid, rng)
+        den = index.den
+        assert index.at(index.gen + rng.randint(1, 3)) > den  # a rescale
+        _assert_index_is(index, union, grid, rng)
+    assert grown >= 25
 
 
 # -- staircase trees --------------------------------------------------------
