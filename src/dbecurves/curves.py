@@ -103,16 +103,25 @@ class ExtremalCurve(CurveSpec):
         return tuple(c.outer for c in self.components[1:])
 
     @cached_property
+    def _w_cells(self) -> tuple[tuple[int, int, int, Fraction], ...]:
+        """(j, k, g, step) per leaf of mapper j's staircase terms, in term order.
+
+        Leaf (k, g) is the image under h of the W cell [k/2^g, (k+1)/2^g].  A
+        term of weight w and depth s is constant in x off its W cells and
+        climbs by step = w/2^s across each of them.
+        """
+        return tuple((j, c.k, c.g, w / t._scale)
+                     for j, f in enumerate(self.mappers)
+                     for t, w in zip(f.terms, f.weights) if isinstance(t, IntervalStaircase)
+                     for c in t.leaves())
+
+    @cached_property
     def w_domains(self) -> tuple[IntervalUnion, ...]:
-        """W_j = h^{-1}(N_j): leaf (k, g) is the image of [k/2^g, (k+1)/2^g]."""
-        return tuple(
-            IntervalUnion(
-                Interval(Fraction(c.k, 1 << c.g), Fraction(c.k + 1, 1 << c.g))
-                for t in f.terms if isinstance(t, IntervalStaircase)
-                for c in t.leaves()
-            )
-            for f in self.mappers
-        )
+        """W_j = h^{-1}(N_j): the union of mapper j's W cells."""
+        cells = [[] for _ in self.mappers]
+        for j, k, g, _ in self._w_cells:
+            cells[j].append(Interval(Fraction(k, 1 << g), Fraction(k + 1, 1 << g)))
+        return tuple(map(IntervalUnion, cells))
 
     @cached_property
     def q1(self) -> IntervalUnion:

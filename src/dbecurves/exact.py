@@ -80,10 +80,9 @@ def decimal_str(x: Fraction) -> str:
     """
     x = Fraction(x)
     num, den = x.numerator, x.denominator
-    twos = fives = 0
-    while den % 2 == 0:
-        den //= 2
-        twos += 1
+    twos = (den & -den).bit_length() - 1  # the factors of two, read off the low bits
+    den >>= twos
+    fives = 0
     while den % 5 == 0:
         den //= 5
         fives += 1

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 
-from .curves import _columns
+from .curves import ExtremalCurve, _columns
 from .exact import Interval, IntervalUnion, ONE, ZERO, decimal_str, format_rational
 from .singular import (
     Affine,
@@ -115,7 +115,8 @@ def polyline_length(curve, depth: int, precision: int = 64):
     The true chord sum lies within error_radius of value; chord square roots
     are enclosed dyadically at `precision` fractional bits and everything
     else is exact, so the bound is rigorous.  Single-R_a curves use the
-    collapsed binomial sum; everything else walks the 2^depth sample cells.
+    collapsed binomial sum, extremal curves with mappers the W-cell classes,
+    and everything else walks the 2^depth sample cells.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -126,6 +127,8 @@ def polyline_length(curve, depth: int, precision: int = 64):
     bits = precision + depth
     if _is_collapsible(curve):
         lo, hi = _collapsed_riesz_length(curve.components[0].a, depth, bits)
+    elif isinstance(curve, ExtremalCurve):
+        lo, hi = _w_cell_chord_sum(curve, depth, bits)
     else:
         lo, hi = _chord_sum(curve, depth, bits)
     return (lo + hi) / 2, (hi - lo) / 2
@@ -156,6 +159,66 @@ def _chord_sum(curve, depth: int, bits: int) -> tuple[Fraction, Fraction]:
         squares[x_square + sum((m * d) ** 2 for m, d in zip(scales, step))] += count
     L2 = L * L
     return _sqrt_sum(((count, s, L2) for s, count in squares.items()), bits)
+
+
+def _w_cell_chord_sum(curve, depth: int, bits: int) -> tuple[Fraction, Fraction]:
+    """`_chord_sum` of an extremal curve with mappers, read off its W cells.
+
+    Component 0 is h = R_a for a = p/q, and mapper j is 2^-M h plus staircase
+    terms that are constant in x off their W cells (`ExtremalCurve._w_cells`).
+    Chord c of popcount o moves x by 2^-d, h by P_o/q^d with
+    P_o = p^(d-o) (q-p)^o, and mapper j by 2^-M P_o/q^d plus the climbs of
+    its W cells there.  A W cell of generation g > d lies inside chord
+    k >> (g - d) and climbs by its whole step in it.  The chords inside a W
+    cell of generation g <= d are read from the component columns at their
+    ends.  Every other chord of popcount o has the same square, so they form
+    one class of C(d, o) minus the chords above with that popcount.  Every
+    square is the rational S/L^2 that `_chord_sum` forms for its chord, so
+    (lo, hi) is `_chord_sum`'s.
+    """
+    p, q = curve.a.numerator, curve.a.denominator
+    cells = curve._w_cells
+    maps = len(curve.components) - 1
+    # mapper increments are numerators over q^d U, and chords over L = q^d E
+    U = math.lcm(1 << curve.M, *(step.denominator for *_, step in cells))
+    E = math.lcm(1 << depth, U)
+    qd, e, powers = q ** depth, E // U, [p ** (depth - o) * (q - p) ** o
+                                         for o in range(depth + 1)]
+
+    def square(o: int, climb: dict) -> int:
+        tail = powers[o] * (U >> curve.M)
+        return ((qd * (E >> depth)) ** 2 + (powers[o] * E) ** 2
+                + (maps - len(climb)) * (e * tail) ** 2
+                + sum((e * (tail + t * qd)) ** 2 for t in climb.values()))
+
+    climbs: dict[int, dict[int, int]] = {}  # chord -> {mapper: climb over U}
+    inside = set()  # the chords inside a W cell of generation <= d
+    for j, k, g, step in cells:
+        if g > depth:
+            climb = climbs.setdefault(k >> (g - depth), {})
+            climb[j] = climb.get(j, 0) + _num_over(step, U)
+        else:
+            inside.update(range(k << (depth - g), (k + 1) << (depth - g)))
+    counts = [math.comb(depth, o) for o in range(depth + 1)]
+    for c in inside.union(climbs):
+        counts[c.bit_count()] -= 1
+    squares = Counter(square(c.bit_count(), climb) for c, climb in climbs.items()
+                      if c not in inside)
+    for o, count in enumerate(counts):
+        if count:
+            squares[square(o, {})] += count
+    terms = [(count, s, (qd * E) ** 2) for s, count in squares.items()]
+    if inside:
+        ends = sorted({x for c in inside for x in (c, c + 1)})
+        at = {x: i for i, x in enumerate(ends)}
+        columns = [f.column(1 << depth, ends) for f in curve.components]
+        L = math.lcm(1 << depth, *(den for den, _ in columns))
+        scaled = [(L // den, nums) for den, nums in columns]
+        squares = Counter((L >> depth) ** 2 + sum((m * (nums[at[c + 1]] - nums[at[c]])) ** 2
+                                                  for m, nums in scaled)
+                          for c in inside)
+        terms += [(count, s, L * L) for s, count in squares.items()]
+    return _sqrt_sum(terms, bits)
 
 
 @dataclass(frozen=True)

@@ -394,6 +394,18 @@ def test_certify_bytes_are_pinned(capsys, tmp_path, case):
     assert hashlib.sha256(out.encode()).hexdigest() == _CERTIFY_SHA256[case]
 
 
+@pytest.mark.parametrize("case", sorted(c for c in _CERTIFY_SHA256 if len(c) == 3))
+def test_certify_on_extremal_curves_reads_no_full_column(capsys, monkeypatch, case):
+    def no_columns(curve, depth):
+        raise AssertionError("a full column was read")
+
+    monkeypatch.setattr(hausdorff, "_columns", no_columns)
+    n, a, depth = case
+    code, out, _ = run_cli(capsys, "certify", "--n", n, "--a", a, "--d", depth)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _CERTIFY_SHA256[case]
+
+
 @pytest.mark.parametrize("a", ["1/16", "15/16"])
 def test_construct_at_skewed_weights(capsys, a):
     code, out, _ = run_cli(capsys, "construct", "--n", "6", "--a", a)

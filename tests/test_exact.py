@@ -43,6 +43,42 @@ def test_decimal_str_exact():
         decimal_str(F(1, 3))
 
 
+def _loop_decimal_str(x):
+    """Reference: `decimal_str` counting the factors of two by division."""
+    num, den = x.numerator, x.denominator
+    twos = fives = 0
+    while den % 2 == 0:
+        den //= 2
+        twos += 1
+    while den % 5 == 0:
+        den //= 5
+        fives += 1
+    if den != 1:
+        raise ValueError
+    digits = max(twos, fives)
+    scaled = num * 10 ** digits // x.denominator
+    sign = "-" if scaled < 0 else ""
+    text = str(abs(scaled))
+    if digits == 0:
+        return sign + text
+    text = text.rjust(digits + 1, "0")
+    return f"{sign}{text[:-digits]}.{text[-digits:]}"
+
+
+def test_decimal_str_equals_the_division_loop():
+    rng = random.Random(34)
+    values = [F(0), F(-7), F(12), F(5 ** 9), F(-1, 5 ** 7), F(3, 2 ** 5 * 5 ** 11),
+              F(-(2 ** 80) - 1, 2 ** 80), F(1, 2 ** 200 * 5 ** 3)]
+    for _ in range(300):
+        num = rng.randrange(-(1 << 140), 1 << 140)
+        values.append(F(num, 2 ** rng.randrange(150) * 5 ** rng.randrange(8)))
+    for x in values:
+        assert decimal_str(x) == _loop_decimal_str(x), x
+    for x in (F(1, 3), F(-5, 2 ** 70 * 7), F(1, 5 ** 4 * 11)):
+        with pytest.raises(ValueError, match="no terminating decimal"):
+            decimal_str(x)
+
+
 def test_interval_basic():
     iv = Interval.closed(0, 1)
     assert iv.diam == 1

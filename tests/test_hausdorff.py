@@ -319,6 +319,90 @@ def test_chord_sum_takes_one_root_per_distinct_square(monkeypatch):
         assert len(terms) < (1 << d) // 4
 
 
+def _special_chords(curve, depth):
+    """(inside, containing): the chords inside a W cell of generation <= depth,
+    and the chords that hold a finer W cell."""
+    inside, containing = set(), set()
+    for _, k, g, _ in curve._w_cells:
+        if g > depth:
+            containing.add(k >> (g - depth))
+        else:
+            inside.update(range(k << (depth - g), (k + 1) << (depth - g)))
+    return inside, containing
+
+
+def _assert_w_cell_sum_is_the_chord_sum(c, depths, fraction_depths=()):
+    for d in depths:
+        for precision in (1, 64):
+            value, radius = polyline_length(c, d, precision)
+            assert (value - radius, value + radius) == _chord_sum(c, d, precision + d), \
+                (c.n, c.a, c.M, c.staircase_depth, d, precision)
+            if d in fraction_depths:
+                assert (value, radius) == _fraction_chord_sum(c, d, precision)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_w_cell_chord_sum_equals_the_column_chord_sums(n):
+    for a in _STRATUM_WEIGHTS:
+        _assert_w_cell_sum_is_the_chord_sum(build_extremal_curve(n, a=a), range(13), (0, 3, 6, 9))
+
+
+@pytest.mark.parametrize("M, staircase_depth", [(2, 1), (6, 3)])
+def test_w_cell_chord_sum_at_other_mapper_shapes(M, staircase_depth):
+    for n in (4, 5, 6):
+        for a in (F(3, 8), F(2, 5), F(7, 8)):
+            c = build_extremal_curve(n, a, M, F(1, 2), staircase_depth)
+            _assert_w_cell_sum_is_the_chord_sum(c, range(13), (4,))
+    # the W cells of 3/8 are coarser than the depth-12 chords and finer than
+    # the depth-5 ones, so both kinds of special chord are summed
+    c = build_extremal_curve(6, F(3, 8), M, F(1, 2), staircase_depth)
+    assert _special_chords(c, 12)[0] and _special_chords(c, 5)[1]
+
+
+def test_w_cell_chord_sum_on_a_loaded_extremal_curve():
+    c = curve_from_json(curve_to_json(build_extremal_curve(5, F(2, 5), 3, F(1, 3), 2)))
+    _assert_w_cell_sum_is_the_chord_sum(c, range(0, 13, 3), (6,))
+
+
+@pytest.mark.parametrize("n, a", [(4, F(3, 8)), (5, F(7, 8))])
+def test_w_cell_chord_sum_matches_naive_oracle(n, a):
+    c = build_extremal_curve(n, a=a)
+    inside, containing = _special_chords(c, 8)
+    if a == F(3, 8):
+        assert inside  # some W cell is coarser than the chords
+    else:
+        assert not inside and containing  # every W cell is finer
+    value, radius = polyline_length(c, 8)
+    rasters = [oracle.raster_from_fn(f, 8) for f in c.components]
+    assert abs(value - oracle.naive_polyline(rasters, 8)) <= radius + F(1, 1 << 40)
+
+
+def test_w_cell_chord_sum_reads_only_the_chords_inside_coarse_cells(monkeypatch):
+    def no_columns(curve, depth):
+        raise AssertionError("a full column was read")
+
+    cases = [(build_extremal_curve(n, a=a), d)
+             for n, a, d in ((4, F(2, 7), 11), (5, F(1, 3), 10), (4, F(3, 8), 9),
+                             (6, F(4, 5), 10))]
+    expected = [_chord_sum(c, d, 64 + d) for c, d in cases]
+    monkeypatch.setattr(hausdorff, "_columns", no_columns)
+    for (c, d), (lo, hi) in zip(cases, expected):
+        reads = []
+        for f in set(c.components):
+            def column(den, nums, read=f.column):
+                reads.append((den, list(nums)))
+                return read(den, nums)
+            monkeypatch.setattr(f, "column", column)
+        inside, containing = _special_chords(c, d)
+        ends = sorted({x for k in inside for x in (k, k + 1)})
+        value, radius = polyline_length(c, d)
+        assert (value - radius, value + radius) == (lo, hi)
+        # a W cell of generation d is one chord, summed from its step
+        assert all(den == 1 << d and nums == ends for den, nums in reads), (c.a, d)
+        assert all(len(nums) <= 2 * len(inside | containing) + 2 for _, nums in reads)
+        assert bool(reads) == bool(inside)
+
+
 def test_polyline_chord_sum_matches_naive_oracle_with_in_leaf_points():
     c = build_extremal_curve(5, a=F(3, 8), M=3)
     assert _inside_leaf_count(c, 10) >= 1
