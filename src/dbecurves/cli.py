@@ -62,10 +62,12 @@ _MAX_TRIALS = 100_000
 # a length at precision + depth = b bits prints about b + 1 decimal digits,
 # and CPython refuses to print an integer of over 4300 digits
 _MAX_LENGTH_BITS = 4096
-# the collapsed length at depth d divides d + 1 numerators of m = 2d(k + 1) + 2b
-# bits, k the bits of q in a = p/q, each in about m(8 sqrt(m) + b) bit operations;
-# at the budget 1.6 s (certify --d 4032, a = 1/4) to 3.8 s (--length-series
-# --d 1..658 at 1/4, certify --d 94 with a 6644-bit q), 2 vCPUs, x86_64
+# the collapsed length at depth d is costed as d + 1 divisions of m = 2d(k + 1) + 2b
+# bits, k the bits of q in a = p/q, each in about m(8 sqrt(m) + b) bit operations
+# (the sum cancels its 4^d, so this overcounts); at the budget a fresh process takes
+# 0.13 s (certify --d 4032, a = 1/4), 0.33 s (--length-series --d 1..658 at 1/4),
+# 0.11 s (certify --d 94 with a 6644-bit q) and 0.21 s (certify --d 215 at
+# a = 1/(10^500 + 3)), 2 vCPUs, x86_64
 _MAX_COLLAPSED_WORK = 1 << 40
 
 

@@ -89,7 +89,8 @@ def decimal_str(x: Fraction) -> str:
     if den != 1:
         raise ValueError(f"{x} has no terminating decimal expansion")
     digits = max(twos, fives)
-    scaled = num * 10 ** digits // x.denominator
+    # 10^digits / den is 2^(digits - twos) * 5^(digits - fives): no division
+    scaled = num * 5 ** (digits - fives) << (digits - twos)
     sign = "-" if scaled < 0 else ""
     scaled = abs(scaled)
     if digits == 0:

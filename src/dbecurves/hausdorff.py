@@ -95,14 +95,31 @@ def _collapsed_riesz_length(a: Fraction, depth: int, bits: int):
     Cells with the same digit counts share their increment, so the 2^d chords
     collapse into d+1 binomial-weighted terms.  With a = p/q and
     P_k = p^(d-k) (q-p)^k the k-th squared chord is
-    (q^2d + 4^d P_k^2) / (4^d q^2d), so each term is one integer isqrt.
+    (q^2d + 4^d P_k^2) / (4^d q^2d), and each term is the floor and
+    exactness of the root of its value times 4^bits, as in `_sqrt_sum`.
+    That value is (4^up q^2d + 4^(d+up) P_k^2) / (4^down q^2d) with
+    up = max(bits - d, 0) and down = max(d - bits, 0): the 4^d cancels, so
+    one integer isqrt of the quotient gives the floor, and the root is exact
+    iff the remainder is 0 and the quotient a square.  P_k^2 and C(d, k) are
+    walked from k = 0 by exact divisions, so no term squares a big P_k.
     """
     p, q = a.numerator, a.denominator
+    up, down = max(bits - depth, 0), max(depth - bits, 0)
     q2d = q ** (2 * depth)
-    den = q2d << (2 * depth)
-    pks = (p ** (depth - k) * (q - p) ** k for k in range(depth + 1))
-    return _sqrt_sum(((math.comb(depth, k), q2d + (pk * pk << (2 * depth)), den)
-                      for k, pk in enumerate(pks)), bits)
+    lift, den, shift = q2d << (2 * up), q2d << (2 * down), 2 * (depth + up)
+    p2, s2 = p * p, (q - p) ** 2
+    pk2, count = p2 ** depth, 1
+    r_sum = inexact = 0
+    for k in range(depth + 1):
+        quo, rem = divmod(lift + (pk2 << shift), den)
+        r = math.isqrt(quo)
+        r_sum += count * r
+        if rem or r * r != quo:
+            inexact += count
+        pk2 = pk2 // p2 * s2
+        count = count * (depth - k) // (k + 1)
+    lo = Fraction(r_sum, 1 << bits)
+    return lo, lo + Fraction(inexact, 1 << bits)
 
 
 def _is_collapsible(curve) -> bool:

@@ -44,7 +44,8 @@ def test_decimal_str_exact():
 
 
 def _loop_decimal_str(x):
-    """Reference: `decimal_str` counting the factors of two by division."""
+    """Reference: `decimal_str` counting the factors of two by division and
+    scaling the numerator by 10^digits // den."""
     num, den = x.numerator, x.denominator
     twos = fives = 0
     while den % 2 == 0:
@@ -72,6 +73,11 @@ def test_decimal_str_equals_the_division_loop():
     for _ in range(300):
         num = rng.randrange(-(1 << 140), 1 << 140)
         values.append(F(num, 2 ** rng.randrange(150) * 5 ** rng.randrange(8)))
+    for _ in range(200):  # more fives than twos, and the reverse
+        num = rng.randrange(-(1 << 210), 1 << 210)
+        values.append(F(num, 2 ** rng.randrange(60) * 5 ** rng.randrange(100)))
+    for _ in range(100):  # 200-bit dyadics, as the length bounds print them
+        values.append(F(rng.randrange(-(1 << 202), 1 << 202), 1 << 200))
     for x in values:
         assert decimal_str(x) == _loop_decimal_str(x), x
     for x in (F(1, 3), F(-5, 2 ** 70 * 7), F(1, 5 ** 4 * 11)):

@@ -202,6 +202,60 @@ def test_collapsed_length_equals_sqrt_enclosure_sum(a):
             assert _collapsed_riesz_length(a, d, bits) == (lo, hi)
 
 
+def _sqrt_sum_collapsed(a, depth, bits):
+    """Reference: the collapsed sum as d + 1 `_sqrt_sum` terms over 4^d q^2d,
+    each P_k and C(d, k) computed afresh."""
+    p, q = a.numerator, a.denominator
+    q2d = q ** (2 * depth)
+    den = q2d << (2 * depth)
+    pks = (p ** (depth - k) * (q - p) ** k for k in range(depth + 1))
+    return _sqrt_sum(((math.comb(depth, k), q2d + (pk * pk << (2 * depth)), den)
+                      for k, pk in enumerate(pks)), bits)
+
+
+# the weights of the length-series slots in perfbench's sample-consumers
+_SERIES_WEIGHTS = [w for p in ("3/7", "2/5", "3/8", "1/3", "5/16", "3/10", "2/7", "1/4")
+                   for w in (F(p), 1 - F(p))]
+
+
+def test_collapsed_length_walk_equals_the_sqrt_sum_reference():
+    for a in _SERIES_WEIGHTS:
+        for d in range(141):
+            for bits in (1, 32, 64 + d):
+                assert _collapsed_riesz_length(a, d, bits) == \
+                    _sqrt_sum_collapsed(a, d, bits), (a, d, bits)
+    for a in (F(1, 1024), F(999, 1000), F(1, 10 ** 50 + 151)):
+        for d in range(61):
+            for bits in (1, d, 64 + d):
+                assert _collapsed_riesz_length(a, d, bits) == \
+                    _sqrt_sum_collapsed(a, d, bits), (a, d, bits)
+    # precision 4000 at depth 96, the edge of the printed-length budget
+    assert _collapsed_riesz_length(F(1, 4), 96, 4096) == \
+        _sqrt_sum_collapsed(F(1, 4), 96, 4096)
+
+
+def test_collapsed_length_reads_an_exact_root():
+    # at a = 3/8, d = 1 the first chord is (1/2, 3/8), of length exactly 5/8,
+    # and the second (1/2, 5/8) has the irrational length sqrt(41)/8
+    for bits in (3, 10, 64):
+        lo, hi = _collapsed_riesz_length(F(3, 8), 1, bits)
+        assert hi - lo == F(1, 1 << bits)
+        r41 = math.isqrt(41 << (2 * bits - 6))
+        assert lo == F(5, 8) + F(r41, 1 << bits)
+    for bits in (1, 2, 3):  # below 3 bits 5/8 is not a dyadic r / 2^bits
+        assert _collapsed_riesz_length(F(3, 8), 1, bits) == \
+            _sqrt_sum_collapsed(F(3, 8), 1, bits)
+
+
+@pytest.mark.parametrize("a", [F(3, 7), F(1, 4), F(7, 10)])
+def test_collapsed_polyline_matches_the_decimal_oracle(a):
+    c = build_extremal_curve(3, a=a)
+    for d in (64, 132):
+        value, radius = polyline_length(c, d)
+        oracle_value = oracle.collapsed_riesz_length(a, d, prec=80)
+        assert abs(value - oracle_value) <= radius + F(1, 10 ** 60)
+
+
 def _fraction_chord_sum(curve, depth, precision=64):
     """Reference: the chord loop summing `sqrt_enclosure` of Fraction squares."""
     bits = precision + depth
