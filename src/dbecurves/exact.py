@@ -12,7 +12,6 @@ into ordinary comparisons.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -284,33 +283,8 @@ class IntervalUnion:
         return any(iv.contains(x) for iv in self.components)
 
     def union(self, other: "IntervalUnion") -> "IntervalUnion":
-        """self or other, in one merge of the two canonical lists.
-
-        Each component of the shorter list finds, by bisection in the longer
-        one, the run of components it meets or touches; the components
-        between runs are copied unchanged.  A merged piece may reach the
-        next component of the shorter list, which then extends it.
-        """
-        a, b = self.components, other.components
-        if len(a) < len(b):
-            a, b = b, a
-        out: list[Interval] = []
-        i = 0
-        for iv in b:
-            start, end = _start_cut(iv), _end_cut(iv)
-            lo = bisect_left(a, _pred(start), i, key=_end_cut)  # a[i:lo] end before iv
-            hi = bisect_right(a, _succ(end), lo, key=_start_cut)  # a[lo:hi] reach it
-            out += a[i:lo]
-            if lo < hi:
-                start = min(start, _start_cut(a[lo]))
-                end = max(end, _end_cut(a[hi - 1]))
-            if out and not _gap_between(_end_cut(out[-1]), start):
-                last = out.pop()
-                start, end = _start_cut(last), max(end, _end_cut(last))
-            out.append(Interval._from_cuts(start, end))
-            i = hi
-        out += a[i:]
-        return IntervalUnion._canonical(tuple(out))
+        """self or other: both component lists, normalized as one."""
+        return IntervalUnion(self.components + other.components)
 
     def intersect(self, other: "IntervalUnion") -> "IntervalUnion":
         """self and other, in one two-pointer pass over both lists.

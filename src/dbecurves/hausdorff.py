@@ -189,9 +189,11 @@ def _w_cell_chord_sum(curve, depth: int, bits: int) -> tuple[Fraction, Fraction]
     k >> (g - d) and climbs by its whole step in it.  The chords inside a W
     cell of generation g <= d are read from the component columns at their
     ends.  Every other chord of popcount o has the same square, so they form
-    one class of C(d, o) minus the chords above with that popcount.  Every
-    square is the rational S/L^2 that `_chord_sum` forms for its chord, so
-    (lo, hi) is `_chord_sum`'s.
+    one class of C(d, o) minus the chords above with that popcount.  The W
+    cells are pairwise separated and dyadic cells nest, so no chord holding
+    a finer W cell lies inside a coarser one.  Every square is the rational
+    S/L^2 that `_chord_sum` forms for its chord, so (lo, hi) is
+    `_chord_sum`'s.
     """
     p, q = curve.a.numerator, curve.a.denominator
     cells = curve._w_cells
@@ -219,8 +221,7 @@ def _w_cell_chord_sum(curve, depth: int, bits: int) -> tuple[Fraction, Fraction]
     counts = [math.comb(depth, o) for o in range(depth + 1)]
     for c in inside.union(climbs):
         counts[c.bit_count()] -= 1
-    squares = Counter(square(c.bit_count(), climb) for c, climb in climbs.items()
-                      if c not in inside)
+    squares = Counter(square(c.bit_count(), climb) for c, climb in climbs.items())
     for o, count in enumerate(counts):
         if count:
             squares[square(o, {})] += count
@@ -265,6 +266,9 @@ class H1Certificate:
 
 
 def certify_h1(curve, depth: int, precision: int = 64) -> H1Certificate:
+    """`upper_bound_h1` paired with `polyline_length` at depth and precision;
+    `lower_method` names the collapsed binomial sum for a lone R_a, else the
+    chord sum."""
     value, radius = polyline_length(curve, depth, precision)
     return H1Certificate(
         upper=upper_bound_h1(curve),

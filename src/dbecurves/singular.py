@@ -513,15 +513,9 @@ class _Excluded:
     """
 
     def __init__(self, u: IntervalUnion, q: int):
-        dens = {v.denominator for c in u for v in (c.lo, c.hi)}
-        self.q, self.gen, self.den = q, 0, math.lcm(1, *dens)
-        scale = {d: self.den // d for d in dens}
-
-        def over(cut):
-            v, side = cut
-            return v.numerator * scale[v.denominator], side
-
-        self.cuts = [(over(_start_cut(c)), over(_end_cut(c))) for c in u]
+        self.q, self.gen = q, 0
+        self.den = den = math.lcm(1, *(v.denominator for c in u for v in (c.lo, c.hi)))
+        self.cuts = [(_cut_over(_start_cut(c), den), _cut_over(_end_cut(c), den)) for c in u]
 
     def at(self, g: int) -> int:
         """den, once the index is rescaled to generation g if that is finer."""
@@ -722,9 +716,10 @@ def build_interval_staircase(I: Interval, excluded: IntervalUnion, depth: int,
                              grid=None, leaf_cap=None):
     """Return (N, f_I): the leaf-cell union and the depth-`depth` staircase under I.
 
-    N is the union of the 2^depth leaf cells (measure <= 1/(depth+1)), every
-    cell at level >= 1 avoids `excluded`, and f_I is continuous non-decreasing
-    with f_I = 0 left of I, 1 right of I, and image of N equal to [0,1].
+    N is the union of the 2^depth leaf cells (measure <= 1/(depth+1)), formed
+    here from f_I's leaves, every cell at level >= 1 avoids `excluded`, and
+    f_I is continuous non-decreasing with f_I = 0 left of I, 1 right of I,
+    and image of N equal to [0,1].
 
     Raises ConstructionError up front when the part of excluded inside I has
     all of I's length: the components that meet I, in order, leave no gap of
@@ -732,14 +727,17 @@ def build_interval_staircase(I: Interval, excluded: IntervalUnion, depth: int,
     """
     if grid is None:
         grid = RieszNagyImageGrid()
-    return _staircase(I, _Excluded(excluded, grid.a.denominator), depth, grid, leaf_cap)
+    f = _staircase(I, _Excluded(excluded, grid.a.denominator), depth, grid, leaf_cap)
+    # f has checked that the closed leaf cells are separated, left to right
+    return IntervalUnion._canonical(tuple(c.iv for c in f.leaves())), f
 
 
 def _staircase(I: Interval, excluded: _Excluded, depth: int, grid, leaf_cap):
-    """`build_interval_staircase` against an index.  The gaps between I's
-    ends and the components that meet I compare as integer cuts, exactly:
-    each gap has a component end on the lattice, and with no component
-    meeting it, I has room."""
+    """`build_interval_staircase`'s f_I, built against an index; callers
+    read the leaf cells from it.  The gaps between I's ends and the
+    components that meet I compare as integer cuts, exactly: each gap has a
+    component end on the lattice, and with no component meeting it, I has
+    room."""
     if not (I.lo_closed and I.hi_closed and ZERO <= I.lo < I.hi <= ONE):
         raise ValueError("I must be a nondegenerate closed interval in [0, 1]")
     meeting = excluded.meeting(I)
@@ -761,9 +759,7 @@ def _staircase(I: Interval, excluded: _Excluded, depth: int, grid, leaf_cap):
         for cell in levels[-1]:
             nxt.extend(_find_children(grid, cell, bound, excluded))
         levels.append(nxt)
-    f = IntervalStaircase(I, levels, grid)
-    # f has checked that the closed leaf cells are separated, left to right
-    return IntervalUnion._canonical(tuple(c.iv for c in f.leaves())), f
+    return IntervalStaircase(I, levels, grid)
 
 
 # -- truncated full-measure mappers -------------------------------------------
@@ -844,7 +840,7 @@ def build_full_measure_mapper(excluded: IntervalUnion, M: int,
     for m, I_m in enumerate(_rational_intervals(M)):
         cap = Fraction(1, 1 << (m + 6 + staircase_depth))
         try:
-            _, g_m = _staircase(I_m, index, staircase_depth, grid, cap)
+            g_m = _staircase(I_m, index, staircase_depth, grid, cap)
         except ConstructionError as e:
             raise ConstructionError(f"mapper term {m} failed inside {I_m}: {e}") from e
         stairs.append(g_m)

@@ -92,6 +92,19 @@ def test_build_extremal_curve_n5_disjoint_w():
     assert not intersects(n1, n2)
 
 
+@pytest.mark.parametrize("M, staircase_depth", [(4, 2), (6, 3), (2, 1)])
+@pytest.mark.parametrize("a", [F(1, 4), F(3, 8), F(7, 8), F(2, 5), F(1, 7)])
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_extremal_w_cells_are_pairwise_separated(n, a, M, staircase_depth):
+    # not only disjoint: no two W cells of any mappers touch, so a dyadic
+    # chord holding a finer W cell never lies inside a coarser one
+    c = build_extremal_curve(n, a=a, M=M, staircase_depth=staircase_depth)
+    cells = sorted((F(k, 1 << g), F(k + 1, 1 << g)) for _, k, g, _ in c._w_cells)
+    assert len(cells) == (n - 3) * M << staircase_depth
+    for (_, left_hi), (right_lo, _) in zip(cells, cells[1:]):
+        assert left_hi < right_lo, (n, a, M, staircase_depth, left_hi, right_lo)
+
+
 def test_extremal_curve_fields_are_the_builders_choices():
     # W_j and q1 are derived from the mappers, so they must not come back as fields
     assert [f.name for f in dataclasses.fields(ExtremalCurve)] == [

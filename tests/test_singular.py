@@ -1081,6 +1081,22 @@ def test_interval_staircase_closed_form_matches_reference(grid, depth):
     assert checked > 3 * 50
 
 
+@pytest.mark.parametrize("excluded", [
+    IntervalUnion.empty(),
+    IntervalUnion((Interval.closed(F(1, 5), F(2, 7)), Interval.closed(F(3, 5), F(2, 3)))),
+    IntervalUnion((Interval(F(1, 5), F(2, 7), False, False),
+                   Interval(F(3, 5), F(2, 3), True, False),
+                   Interval(F(5, 6), 1, False, True))),
+], ids=["empty", "closed-ends", "open-ends"])
+def test_staircase_n_is_the_union_of_its_leaf_cells(excluded):
+    for grid in (RieszNagyImageGrid(), RieszNagyImageGrid(F(3, 8))):
+        for root, depth in ((Interval.closed(0, 1), 3), (Interval.closed(F(1, 8), F(7, 9)), 2)):
+            n, stair = build_interval_staircase(root, excluded, depth, grid=grid)
+            assert n == IntervalUnion(c.iv for c in stair.leaves())
+            assert len(n) == 1 << depth
+            assert not intersects(n, excluded)
+
+
 def _tree_json_with_leaves(leaves, root=("0/1", "1/1")):
     _, tree = build_interval_staircase(Interval.closed(0, 1), IntervalUnion.empty(), 1)
     blob = tree.to_json()["tree"]
