@@ -37,7 +37,6 @@ from .singular import (
     WeightedSum,
     build_full_measure_mapper,
     build_interval_staircase,
-    enumerate_rational_intervals,
     eval_cantor,
     eval_riesz_nagy,
     image_measure,
@@ -113,7 +112,6 @@ __all__ = [
     "curve_to_json",
     "decimal_str",
     "diam_sum",
-    "enumerate_rational_intervals",
     "eval_cantor",
     "eval_riesz_nagy",
     "format_rational",

@@ -12,9 +12,12 @@ leaf ends would lie over 2^14000 at its M and staircase depth.
 `certify`, `verify --dbe` and `emit --samples` take one depth `--d`, and
 `emit --length-series` a range.  A request to evaluate over 2^20 curve
 points, or over 4 * 2^20 component column entries ((n - 2) * 2^depth, so
-n >= 7 is refused at depth 20), exits 2 before any is evaluated; `certify`
-and `--length-series` on a curve with a collapsed length sum (n = 3, or one
-R_a) take instead a budget of 2^40 bit operations over all their depths.
+n >= 7 is refused at depth 20), exits 2 before any is evaluated, and so
+does a sample of an extremal curve past 2^29 estimated column bits
+((n - 2) * 2^depth * depth * bits(q) for a = p/q, so n = 3 at a huge q is
+refused far below depth 20).  `certify` and `--length-series` on a curve
+with a collapsed length sum (n = 3, or one R_a) take instead a budget of
+2^40 bit operations over all their depths.
 A length whose precision + depth passes 4096 bits could not be printed, so
 `certify` and `--length-series` exit 2 on such a request before any work,
 and `emit --samples` exits 1 on values past CPython's printable digits.
@@ -30,6 +33,7 @@ import math
 import sys
 
 from .curves import (
+    ExtremalCurve,
     _columns,
     build_extremal_curve,
     check_dbe_property,
@@ -56,6 +60,12 @@ _MAX_SAMPLE_DEPTH = 20
 # and n - 2 component columns of 2^d + 1 integers each; n = 6 at depth 20 is
 # the largest request this admits
 _MAX_COLUMN_ENTRIES = 4 << 20
+# an extremal curve's depth-d column holds values over about q^d, a = p/q, so
+# its n - 2 columns take about (n - 2) * 2^d * d * bits(q) bits.  At the budget,
+# verify --dbe --n 3 takes 4.3 s and 92 MB at a = 1/(10^3000 + 1), depth 12,
+# and 3.8 s and 101 MB at a = 1/(10^1500 + 7), depth 13; n = 6 at depth 20
+# passes for every q < 64 (3.9 s and 0.47 GB at a = 1/63), 2 vCPUs, x86_64
+_MAX_COLUMN_BITS = 1 << 29
 # a lemmas trial runs each of the four suites once, about 2 ms (2 vCPUs,
 # x86_64), so the largest batch takes a few minutes
 _MAX_TRIALS = 100_000
@@ -122,7 +132,7 @@ def _check_length_depths(depths, curve, precision: int) -> None:
     """Refuse lengths past their budgets: a collapsed sum (n = 3, or one R_a)
     by its work summed over the depths, any other by its deepest sample."""
     if not _is_collapsible(curve):
-        return _check_sample_depth(max(depths), curve)
+        return _check_sample_depth(max(depths), curve, whole_columns=False)
     q_bits = curve.components[0].a.denominator.bit_length() + 1
     work = sum((d + 1) * (m := 2 * d * q_bits + 2 * (precision + d))
                * (8 * math.isqrt(m) + precision + d) for d in depths)
@@ -131,9 +141,10 @@ def _check_length_depths(depths, curve, precision: int) -> None:
                          f"operations, over the budget of {_MAX_COLLAPSED_WORK:.1e}")
 
 
-def _check_sample_depth(depth: int, curve) -> None:
+def _check_sample_depth(depth: int, curve, whole_columns: bool = True) -> None:
     """Refuse 2^depth curve points or (n - 2) * 2^depth column entries past
-    their budgets."""
+    their budgets, and whole columns of an extremal curve past their estimated
+    bits.  An extremal curve's lengths read no whole column."""
     if depth > _MAX_SAMPLE_DEPTH:
         raise UsageError(f"sample depth {depth} is over the budget of "
                          f"{_MAX_SAMPLE_DEPTH} (2^depth curve points)")
@@ -142,6 +153,12 @@ def _check_sample_depth(depth: int, curve) -> None:
         raise UsageError(f"{len(curve.components)} columns at sample depth {depth} "
                          f"are {entries} entries, over the budget of "
                          f"{_MAX_COLUMN_ENTRIES}")
+    if whole_columns and isinstance(curve, ExtremalCurve):
+        q_bits = curve.a.denominator.bit_length()
+        if (bits := entries * depth * q_bits) > _MAX_COLUMN_BITS:
+            raise UsageError(f"{len(curve.components)} columns at sample depth {depth} "
+                             f"over a {q_bits}-bit q are about {bits:.1e} bits, over "
+                             f"the budget of {_MAX_COLUMN_BITS:.1e}")
 
 
 def _write(text: str, out: str | None) -> None:

@@ -21,6 +21,7 @@ import math
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .exact import (
     _ABOVE,
@@ -765,38 +766,20 @@ def _staircase(I: Interval, excluded: _Excluded, depth: int, grid, leaf_cap):
 # -- truncated full-measure mappers -------------------------------------------
 
 
-def enumerate_rational_intervals():
-    """Yield [p,q] in [0,1] ordered by largest denominator, then by (lo, hi).
+@cache
+def _rational_intervals(M: int) -> tuple[Interval, ...]:
+    """The first M intervals [p,q] in [0,1] ordered by largest denominator, then
+    by (lo, hi), listed once per M as a tuple of immutable intervals.
 
     The first few: [0,1], [0,1/2], [1/2,1], [0,1/3], [0,2/3], [1/3,1/2], ...
     """
-    b = 1
-    while True:
-        points = sorted(
-            {Fraction(p, q) for q in range(1, b + 1) for p in range(q + 1)}
-        )
-        fresh = [
-            (lo, hi)
-            for i, lo in enumerate(points)
-            for hi in points[i + 1:]
-            if max(lo.denominator, hi.denominator) == b
-        ]
-        fresh.sort()
-        for lo, hi in fresh:
-            yield Interval(lo, hi)
+    out, b = [], 0
+    while len(out) < M:
         b += 1
-
-
-_INTERVALS = enumerate_rational_intervals()
-_LISTED: list[Interval] = []
-
-
-def _rational_intervals(M: int) -> list[Interval]:
-    """The first M intervals of `enumerate_rational_intervals`, listed once
-    per process."""
-    while len(_LISTED) < M:
-        _LISTED.append(next(_INTERVALS))
-    return _LISTED[:M]
+        points = sorted({Fraction(p, q) for q in range(1, b + 1) for p in range(q + 1)})
+        out += [Interval(lo, hi) for i, lo in enumerate(points) for hi in points[i + 1:]
+                if max(lo.denominator, hi.denominator) == b]
+    return tuple(out[:M])
 
 
 def image_measure(f: MonotoneFn, u: IntervalUnion) -> Fraction:

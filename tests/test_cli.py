@@ -832,6 +832,50 @@ def test_column_budget_admits_n6_at_the_deepest_sample():
         cli._check_sample_depth(20, build_extremal_curve(7))
 
 
+# at a = 1/(10^500 + 3), a 1661-bit q, one column at depth 14 is about
+# 3.8e8 bits and at depth 15 about 8.2e8, past the column-bit budget
+@pytest.mark.parametrize("argv", [
+    ("verify", "--dbe", "--d", "15"),
+    ("emit", "--samples", "--d", "15"),
+    ("emit", "--boxcount", "--m", "9..13"),
+], ids=["verify-dbe", "samples", "boxcount"])
+def test_column_bits_past_the_budget_are_refused_unsampled(capsys, monkeypatch, argv):
+    _refuse_sampling(monkeypatch)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv[:-2], "--n", "3", "--a", _HUGE_Q,
+                             *argv[-2:])
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and f"{cli._MAX_COLUMN_BITS:.1e}" in err
+
+
+def test_column_bit_budget_admits_its_edge():
+    huge = build_extremal_curve(3, F(1, 10**500 + 3))
+    cli._check_sample_depth(14, huge)
+    with pytest.raises(cli.UsageError, match="bits"):
+        cli._check_sample_depth(15, huge)
+    # n = 6 at the deepest sample passes for every q < 64
+    cli._check_sample_depth(20, build_extremal_curve(6, F(1, 63)))
+    wide = build_extremal_curve(6, F(1, 64))
+    with pytest.raises(cli.UsageError, match="bits"):
+        cli._check_sample_depth(20, wide)
+    # an extremal curve's lengths read no whole column
+    cli._check_length_depths([20], wide, 64)
+
+
+@pytest.mark.parametrize("argv, rows", [
+    (("verify", "--dbe", "--d", "10"), None),
+    (("emit", "--samples", "--d", "10"), 1026),
+    (("emit", "--boxcount", "--m", "4..10"), 8),
+], ids=["verify-dbe", "samples", "boxcount"])
+def test_column_bit_budget_admits_workload_sized_n3_requests(capsys, argv, rows):
+    code, out, err = run_cli(capsys, *argv[:-2], "--n", "3", "--a", "25/32",
+                             *argv[-2:])
+    assert code == 0 and err == ""
+    if rows is not None:
+        assert len(out.splitlines()) == rows
+
+
 def test_lemmas_trials_over_the_budget_are_refused_before_any_trial(capsys,
                                                                      monkeypatch):
     def run_all(*_):

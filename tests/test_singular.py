@@ -4,6 +4,8 @@ import itertools
 import json
 import math
 import random
+import sys
+import threading
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
@@ -29,9 +31,9 @@ from dbecurves.singular import (
     _Excluded,
     _cut_over,
     _find_children,
+    _rational_intervals,
     build_full_measure_mapper,
     build_interval_staircase,
-    enumerate_rational_intervals,
     eval_cantor,
     eval_riesz_nagy,
     fn_from_json,
@@ -1142,11 +1144,7 @@ def test_interval_staircase_refuses_unequal_cell_and_address_lists():
 
 
 def test_enumerate_rational_intervals_order():
-    got = []
-    gen = enumerate_rational_intervals()
-    for _ in range(6):
-        iv = next(gen)
-        got.append((iv.lo, iv.hi))
+    got = [(iv.lo, iv.hi) for iv in _rational_intervals(6)]
     assert got == [
         (F(0), F(1)),
         (F(0), F(1, 2)),
@@ -1155,6 +1153,35 @@ def test_enumerate_rational_intervals_order():
         (F(0), F(2, 3)),
         (F(1, 3), F(1, 2)),
     ]
+
+
+def test_rational_intervals_first_use_from_many_threads():
+    """Eight threads listing the intervals at once on a cleared memo all get
+    the single-thread tuple, and none raises."""
+    M = 3000
+    want = _rational_intervals(M)
+    _rational_intervals.cache_clear()
+    results, errors = [None] * 8, []
+
+    def run(i):
+        try:
+            results[i] = _rational_intervals(M)
+        except Exception as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert all(got == want for got in results)
 
 
 def test_full_measure_mapper_bounds():
