@@ -13,11 +13,14 @@ leaf ends would lie over 2^14000 at its M and staircase depth.
 `emit --length-series` a range.  A request to evaluate over 2^20 curve
 points, or over 4 * 2^20 component column entries ((n - 2) * 2^depth, so
 n >= 7 is refused at depth 20), exits 2 before any is evaluated, and so
-does a sample of an extremal curve past 2^29 estimated column bits
-((n - 2) * 2^depth * depth * bits(q) for a = p/q, so n = 3 at a huge q is
-refused far below depth 20).  `certify` and `--length-series` on a curve
-with a collapsed length sum (n = 3, or one R_a) take instead a budget of
-2^40 bit operations over all their depths.
+does a request that reads whole columns past 2^29 estimated column bits
+(2^depth * depth * bits(q) summed over every R_a, a = p/q, in the
+components' function trees, which is (n - 2) * 2^depth * depth * bits(q)
+on an extremal curve; n = 3 at a huge q is refused far below depth 20).
+That covers every sample, and the lengths of generic specs.  `certify`
+and `--length-series` on an extremal curve with n >= 4 read no whole
+column, and on a curve with a collapsed length sum (n = 3, or one R_a)
+they take instead a budget of 2^40 bit operations over all their depths.
 A length whose precision + depth passes 4096 bits could not be printed, so
 `certify` and `--length-series` exit 2 on such a request before any work,
 and `emit --samples` exits 1 on values past CPython's printable digits.
@@ -43,7 +46,7 @@ from .curves import (
 from .exact import decimal_str, format_rational, parse_rational
 from .hausdorff import _is_collapsible, box_counts, certify_h1, polyline_length
 from .setfamily import max_family_size, near_pencil, unique_intersection
-from .singular import ConstructionError, NotEvaluableError
+from .singular import Composition, ConstructionError, NotEvaluableError, RieszNagy, WeightedSum
 from .trials import run_all
 
 SCHEMA_VERSION = 1
@@ -60,11 +63,14 @@ _MAX_SAMPLE_DEPTH = 20
 # and n - 2 component columns of 2^d + 1 integers each; n = 6 at depth 20 is
 # the largest request this admits
 _MAX_COLUMN_ENTRIES = 4 << 20
-# an extremal curve's depth-d column holds values over about q^d, a = p/q, so
-# its n - 2 columns take about (n - 2) * 2^d * d * bits(q) bits.  At the budget,
-# verify --dbe --n 3 takes 4.3 s and 92 MB at a = 1/(10^3000 + 1), depth 12,
-# and 3.8 s and 101 MB at a = 1/(10^1500 + 7), depth 13; n = 6 at depth 20
-# passes for every q < 64 (3.9 s and 0.47 GB at a = 1/63), 2 vCPUs, x86_64
+# each R_a in a component's function tree holds depth-d values over q^d, a = p/q,
+# so the columns take about 2^d * d * bits(q) bits summed over every R_a, and an
+# extremal curve's n - 2 columns about (n - 2) * 2^d * d * bits(q).  At the
+# budget, verify --dbe --n 3 takes 4.3 s and 92 MB at a = 1/(10^3000 + 1), depth
+# 12, and 3.8 s and 101 MB at a = 1/(10^1500 + 7), depth 13; n = 6 at depth 20
+# passes for every q < 64 (3.9 s and 0.47 GB at a = 1/63).  A generic spec of
+# that R_a and an affine component is refused from depth 13; certify took 5.3 s
+# and 93 MB at depth 12 (2 vCPUs, x86_64)
 _MAX_COLUMN_BITS = 1 << 29
 # a lemmas trial runs each of the four suites once, about 2 ms (2 vCPUs,
 # x86_64), so the largest batch takes a few minutes
@@ -130,9 +136,11 @@ def _check(args: argparse.Namespace) -> None:
 
 def _check_length_depths(depths, curve, precision: int) -> None:
     """Refuse lengths past their budgets: a collapsed sum (n = 3, or one R_a)
-    by its work summed over the depths, any other by its deepest sample."""
+    by its work summed over the depths, any other by its deepest sample.  An
+    extremal curve's lengths read no whole column."""
     if not _is_collapsible(curve):
-        return _check_sample_depth(max(depths), curve, whole_columns=False)
+        return _check_sample_depth(max(depths), curve,
+                                   whole_columns=not isinstance(curve, ExtremalCurve))
     q_bits = curve.components[0].a.denominator.bit_length() + 1
     work = sum((d + 1) * (m := 2 * d * q_bits + 2 * (precision + d))
                * (8 * math.isqrt(m) + precision + d) for d in depths)
@@ -141,10 +149,20 @@ def _check_length_depths(depths, curve, precision: int) -> None:
                          f"operations, over the budget of {_MAX_COLLAPSED_WORK:.1e}")
 
 
+def _riesz_bits(f) -> int:
+    """The bits of q summed over every R_a, a = p/q, in f's function tree."""
+    if isinstance(f, RieszNagy):
+        return f.a.denominator.bit_length()
+    if isinstance(f, Composition):
+        return _riesz_bits(f.outer) + _riesz_bits(f.inner)
+    if isinstance(f, WeightedSum):
+        return sum(map(_riesz_bits, f.terms))
+    return 0
+
+
 def _check_sample_depth(depth: int, curve, whole_columns: bool = True) -> None:
     """Refuse 2^depth curve points or (n - 2) * 2^depth column entries past
-    their budgets, and whole columns of an extremal curve past their estimated
-    bits.  An extremal curve's lengths read no whole column."""
+    their budgets, and whole columns past their estimated bits."""
     if depth > _MAX_SAMPLE_DEPTH:
         raise UsageError(f"sample depth {depth} is over the budget of "
                          f"{_MAX_SAMPLE_DEPTH} (2^depth curve points)")
@@ -153,12 +171,11 @@ def _check_sample_depth(depth: int, curve, whole_columns: bool = True) -> None:
         raise UsageError(f"{len(curve.components)} columns at sample depth {depth} "
                          f"are {entries} entries, over the budget of "
                          f"{_MAX_COLUMN_ENTRIES}")
-    if whole_columns and isinstance(curve, ExtremalCurve):
-        q_bits = curve.a.denominator.bit_length()
-        if (bits := entries * depth * q_bits) > _MAX_COLUMN_BITS:
-            raise UsageError(f"{len(curve.components)} columns at sample depth {depth} "
-                             f"over a {q_bits}-bit q are about {bits:.1e} bits, over "
-                             f"the budget of {_MAX_COLUMN_BITS:.1e}")
+    q_bits = sum(map(_riesz_bits, curve.components)) if whole_columns else 0
+    if (bits := (depth << depth) * q_bits) > _MAX_COLUMN_BITS:
+        raise UsageError(f"{len(curve.components)} columns at sample depth {depth} "
+                         f"over R_a denominators of {q_bits} bits in all are about "
+                         f"{bits:.1e} bits, over the budget of {_MAX_COLUMN_BITS:.1e}")
 
 
 def _write(text: str, out: str | None) -> None:

@@ -57,14 +57,15 @@ def sqrt_enclosure(x, bits: int) -> tuple[Fraction, Fraction]:
     return lo, lo + Fraction(1, 1 << bits)
 
 
-def _sqrt_sum(terms, bits: int) -> tuple[Fraction, Fraction]:
-    """Dyadic (lo, hi) around the sum of count * sqrt(num / den).
+def _sqrt_sum(terms, bits: int) -> tuple[int, int]:
+    """(r_sum, inexact) with the sum of count * sqrt(num / den) in
+    [r_sum, r_sum + inexact] / 2^bits.
 
     `terms` yields integer triples (count, num, den) with num >= 0, den > 0.
     Each root is floored to r / 2^bits with r = isqrt(num * 4^bits // den),
-    exact iff r^2 * den == num * 4^bits, and an inexact root adds 2^-bits to
-    hi.  The floor does not depend on how num / den is reduced, so every term
-    contributes exactly what `sqrt_enclosure(num / den, bits)` gives.
+    exact iff r^2 * den == num * 4^bits, and inexact counts the inexact
+    roots.  The floor does not depend on how num / den is reduced, so every
+    term contributes exactly what `sqrt_enclosure(num / den, bits)` gives.
     """
     r_sum = inexact = 0
     for count, num, den in terms:
@@ -73,8 +74,7 @@ def _sqrt_sum(terms, bits: int) -> tuple[Fraction, Fraction]:
         r_sum += count * r
         if r * r * den != num:
             inexact += count
-    lo = Fraction(r_sum, 1 << bits)
-    return lo, lo + Fraction(inexact, 1 << bits)
+    return r_sum, inexact
 
 
 def upper_bound_h1(curve) -> Fraction:
@@ -89,39 +89,6 @@ def upper_bound_h1(curve) -> Fraction:
     return ONE + sum((Fraction(abs(v1 - v0), den) for den, (v0, v1) in ends), ZERO)
 
 
-def _collapsed_riesz_length(a: Fraction, depth: int, bits: int):
-    """O(depth) enclosure of the depth-d polyline length of (x, R_a(x), alpha).
-
-    Cells with the same digit counts share their increment, so the 2^d chords
-    collapse into d+1 binomial-weighted terms.  With a = p/q and
-    P_k = p^(d-k) (q-p)^k the k-th squared chord is
-    (q^2d + 4^d P_k^2) / (4^d q^2d), and each term is the floor and
-    exactness of the root of its value times 4^bits, as in `_sqrt_sum`.
-    That value is (4^up q^2d + 4^(d+up) P_k^2) / (4^down q^2d) with
-    up = max(bits - d, 0) and down = max(d - bits, 0): the 4^d cancels, so
-    one integer isqrt of the quotient gives the floor, and the root is exact
-    iff the remainder is 0 and the quotient a square.  P_k^2 and C(d, k) are
-    walked from k = 0 by exact divisions, so no term squares a big P_k.
-    """
-    p, q = a.numerator, a.denominator
-    up, down = max(bits - depth, 0), max(depth - bits, 0)
-    q2d = q ** (2 * depth)
-    lift, den, shift = q2d << (2 * up), q2d << (2 * down), 2 * (depth + up)
-    p2, s2 = p * p, (q - p) ** 2
-    pk2, count = p2 ** depth, 1
-    r_sum = inexact = 0
-    for k in range(depth + 1):
-        quo, rem = divmod(lift + (pk2 << shift), den)
-        r = math.isqrt(quo)
-        r_sum += count * r
-        if rem or r * r != quo:
-            inexact += count
-        pk2 = pk2 // p2 * s2
-        count = count * (depth - k) // (k + 1)
-    lo = Fraction(r_sum, 1 << bits)
-    return lo, lo + Fraction(inexact, 1 << bits)
-
-
 def _is_collapsible(curve) -> bool:
     return len(curve.components) == 1 and isinstance(curve.components[0], RieszNagy)
 
@@ -131,9 +98,9 @@ def polyline_length(curve, depth: int, precision: int = 64):
 
     The true chord sum lies within error_radius of value; chord square roots
     are enclosed dyadically at `precision` fractional bits and everything
-    else is exact, so the bound is rigorous.  Single-R_a curves use the
-    collapsed binomial sum, extremal curves with mappers the W-cell classes,
-    and everything else walks the 2^depth sample cells.
+    else is exact, so the bound is rigorous.  Extremal and single-R_a curves
+    sum their chords by popcount class and everything else walks the 2^depth
+    sample cells, both to the integers of `_sqrt_sum`.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -142,16 +109,14 @@ def polyline_length(curve, depth: int, precision: int = 64):
     # Per-chord enclosures get depth extra bits so that the sum over the
     # 2^depth chords still lands within 2^-precision of the true length.
     bits = precision + depth
-    if _is_collapsible(curve):
-        lo, hi = _collapsed_riesz_length(curve.components[0].a, depth, bits)
-    elif isinstance(curve, ExtremalCurve):
-        lo, hi = _w_cell_chord_sum(curve, depth, bits)
+    if isinstance(curve, ExtremalCurve) or _is_collapsible(curve):
+        r_sum, inexact = _class_chord_sum(curve, depth, bits)
     else:
-        lo, hi = _chord_sum(curve, depth, bits)
-    return (lo + hi) / 2, (hi - lo) / 2
+        r_sum, inexact = _chord_sum(curve, depth, bits)
+    return Fraction(2 * r_sum + inexact, 2 << bits), Fraction(inexact, 2 << bits)
 
 
-def _chord_sum(curve, depth: int, bits: int) -> tuple[Fraction, Fraction]:
+def _chord_sum(curve, depth: int, bits: int) -> tuple[int, int]:
     """`_sqrt_sum` over the 2^depth chords of the depth-d sample, one root
     per distinct chord square.
 
@@ -162,7 +127,7 @@ def _chord_sum(curve, depth: int, bits: int) -> tuple[Fraction, Fraction]:
     Chords with the same tuple of column increments are one class, squared
     once, and classes with equal S merge, so `_sqrt_sum` takes each distinct
     S once with its count.  Equal S have equal floors and equal exactness,
-    so (lo, hi) is the per-chord sum exactly.
+    so the integers are those of the per-chord sum.
     """
     columns = _columns(curve, depth)
     L = math.lcm(1 << depth, *(den for den, _ in columns))
@@ -178,38 +143,34 @@ def _chord_sum(curve, depth: int, bits: int) -> tuple[Fraction, Fraction]:
     return _sqrt_sum(((count, s, L2) for s, count in squares.items()), bits)
 
 
-def _w_cell_chord_sum(curve, depth: int, bits: int) -> tuple[Fraction, Fraction]:
-    """`_chord_sum` of an extremal curve with mappers, read off its W cells.
+def _class_chord_sum(curve, depth: int, bits: int) -> tuple[int, int]:
+    """`_chord_sum` of an extremal curve or of a lone R_a, by popcount class.
 
-    Component 0 is h = R_a for a = p/q, and mapper j is 2^-M h plus staircase
-    terms that are constant in x off their W cells (`ExtremalCurve._w_cells`).
-    Chord c of popcount o moves x by 2^-d, h by P_o/q^d with
-    P_o = p^(d-o) (q-p)^o, and mapper j by 2^-M P_o/q^d plus the climbs of
-    its W cells there.  A W cell of generation g > d lies inside chord
-    k >> (g - d) and climbs by its whole step in it.  The chords inside a W
-    cell of generation g <= d are read from the component columns at their
-    ends.  Every other chord of popcount o has the same square, so they form
-    one class of C(d, o) minus the chords above with that popcount.  The W
-    cells are pairwise separated and dyadic cells nest, so no chord holding
-    a finer W cell lies inside a coarser one.  Every square is the rational
-    S/L^2 that `_chord_sum` forms for its chord, so (lo, hi) is
-    `_chord_sum`'s.
+    Component 0 is h = R_a for a = p/q, and each of the `maps` mappers is
+    2^-M h plus staircase terms that are constant in x off their W cells
+    (`ExtremalCurve._w_cells`); with no mapper M is 0.  Chord c of popcount
+    o moves x by 2^-d, h by P_o/q^d with P_o = p^(d-o) (q-p)^o, and mapper j
+    by 2^-M P_o/q^d plus the climbs of its W cells there.  A W cell of
+    generation g > d lies inside chord k >> (g - d) and climbs by its whole
+    step in it.  The chords inside a W cell of generation g <= d are read
+    from the component columns at their ends.  The W cells are pairwise
+    separated and dyadic cells nest, so no chord holding a finer W cell lies
+    inside a coarser one.  Every other chord of popcount o has the square
+    (4^M q^2d + 4^d (4^M + maps) P_o^2) / (4^(d+M) q^2d), one class of
+    C(d, o) less the chords above.  Times 4^bits, with up = max(bits - d, 0)
+    and down = max(d - bits, 0), that is
+    (4^(M+up) q^2d + 4^(d+up) (4^M + maps) P_o^2) / (4^(M+down) q^2d): the
+    isqrt of the quotient is the floor, exact iff the remainder is 0 and the
+    quotient a square.  (4^M + maps) P_o^2 and C(d, o) are walked from o = 0
+    by exact divisions.  Each square is the rational S/L^2 that `_chord_sum`
+    forms for its chord, and a floor does not depend on how it is reduced,
+    so the integers are `_chord_sum`'s.
     """
-    p, q = curve.a.numerator, curve.a.denominator
-    cells = curve._w_cells
+    p, q = curve.components[0].a.as_integer_ratio()
     maps = len(curve.components) - 1
-    # mapper increments are numerators over q^d U, and chords over L = q^d E
-    U = math.lcm(1 << curve.M, *(step.denominator for *_, step in cells))
-    E = math.lcm(1 << depth, U)
-    qd, e, powers = q ** depth, E // U, [p ** (depth - o) * (q - p) ** o
-                                         for o in range(depth + 1)]
-
-    def square(o: int, climb: dict) -> int:
-        tail = powers[o] * (U >> curve.M)
-        return ((qd * (E >> depth)) ** 2 + (powers[o] * E) ** 2
-                + (maps - len(climb)) * (e * tail) ** 2
-                + sum((e * (tail + t * qd)) ** 2 for t in climb.values()))
-
+    M, cells = (curve.M, curve._w_cells) if maps else (0, ())
+    # mapper climbs are numerators over U
+    U = math.lcm(1 << M, *(step.denominator for *_, step in cells))
     climbs: dict[int, dict[int, int]] = {}  # chord -> {mapper: climb over U}
     inside = set()  # the chords inside a W cell of generation <= d
     for j, k, g, step in cells:
@@ -218,14 +179,33 @@ def _w_cell_chord_sum(curve, depth: int, bits: int) -> tuple[Fraction, Fraction]
             climb[j] = climb.get(j, 0) + _num_over(step, U)
         else:
             inside.update(range(k << (depth - g), (k + 1) << (depth - g)))
-    counts = [math.comb(depth, o) for o in range(depth + 1)]
+    special = [0] * (depth + 1)  # the chords above, by popcount
     for c in inside.union(climbs):
-        counts[c.bit_count()] -= 1
-    squares = Counter(square(c.bit_count(), climb) for c, climb in climbs.items())
-    for o, count in enumerate(counts):
-        if count:
-            squares[square(o, {})] += count
-    terms = [(count, s, (qd * E) ** 2) for s, count in squares.items()]
+        special[c.bit_count()] += 1
+    qd = q ** depth
+    up, down = max(bits - depth, 0), max(depth - bits, 0)
+    lift, den = (qd * qd) << 2 * (M + up), (qd * qd) << 2 * (M + down)
+    shift, p2, s2 = 2 * (depth + up), p * p, (q - p) ** 2
+    pk2, count = ((1 << 2 * M) + maps) * p2 ** depth, 1
+    r_sum = inexact = 0
+    for o in range(depth + 1):
+        if uniform := count - special[o]:
+            quo, rem = divmod(lift + (pk2 << shift), den)
+            r = math.isqrt(quo)
+            r_sum += uniform * r
+            if rem or r * r != quo:
+                inexact += uniform
+        pk2 = pk2 // p2 * s2
+        count = count * (depth - o) // (o + 1)
+    # a climbing chord's square is S/L^2 over L = q^d E
+    E = math.lcm(1 << depth, U)
+    e, L2, terms = E // U, (qd * E) ** 2, []
+    for c, climb in climbs.items():
+        P = p ** (depth - c.bit_count()) * (q - p) ** c.bit_count()
+        tail = P * (U >> M)
+        s = ((qd * (E >> depth)) ** 2 + (P * E) ** 2 + (maps - len(climb)) * (e * tail) ** 2
+             + sum((e * (tail + t * qd)) ** 2 for t in climb.values()))
+        terms.append((1, s, L2))
     if inside:
         ends = sorted({x for c in inside for x in (c, c + 1)})
         at = {x: i for i, x in enumerate(ends)}
@@ -236,7 +216,8 @@ def _w_cell_chord_sum(curve, depth: int, bits: int) -> tuple[Fraction, Fraction]
                                                   for m, nums in scaled)
                           for c in inside)
         terms += [(count, s, L * L) for s, count in squares.items()]
-    return _sqrt_sum(terms, bits)
+    r, i = _sqrt_sum(terms, bits)
+    return r_sum + r, inexact + i
 
 
 @dataclass(frozen=True)
@@ -268,7 +249,7 @@ class H1Certificate:
 def certify_h1(curve, depth: int, precision: int = 64) -> H1Certificate:
     """`upper_bound_h1` paired with `polyline_length` at depth and precision;
     `lower_method` names the collapsed binomial sum for a lone R_a, else the
-    chord sum."""
+    chord sum, which an extremal curve takes by the same popcount classes."""
     value, radius = polyline_length(curve, depth, precision)
     return H1Certificate(
         upper=upper_bound_h1(curve),

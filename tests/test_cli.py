@@ -863,6 +863,69 @@ def test_column_bit_budget_admits_its_edge():
     cli._check_length_depths([20], wide, 64)
 
 
+def _riesz_spec(tmp_path, q, affine):
+    """A generic spec of R_(1/q), with an affine component when `affine`."""
+    components = [{"kind": "riesz_nagy", "a": f"1/{q}"}]
+    if affine:
+        components.append({"kind": "affine", "slope": "1/2", "offset": "1/4"})
+    path = tmp_path / f"riesz-{len(components)}.json"
+    path.write_text(json.dumps({"schema_version": 1, "type": "curve", "alpha": "1/2",
+                                "n": 2 + len(components), "components": components}))
+    return str(path)
+
+
+# a 133-bit q puts the column-bit edge of a generic spec with one R_a at
+# depth 17: 2^17 * 17 * 133 bits are within the budget and 2^18 * 18 * 133
+# are not.  certify on a lone R_a takes the collapsed sum, so its spec also
+# has an affine component.
+@pytest.mark.parametrize("command, affine", [(("verify", "--dbe"), False),
+                                             (("certify",), True)],
+                         ids=["verify-dbe", "certify"])
+def test_column_bits_of_generic_specs_are_refused_unsampled(capsys, monkeypatch, tmp_path,
+                                                            command, affine):
+    spec = _riesz_spec(tmp_path, 10 ** 40 + 3, affine)
+    code, out, err = run_cli(capsys, *command, "--spec", spec, "--d", "17")
+    assert code == 0 and out and err == ""
+    _refuse_sampling(monkeypatch)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *command, "--spec", spec, "--d", "18")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and f"{cli._MAX_COLUMN_BITS:.1e}" in err
+
+
+_A_POOL = tuple(map(F, ("2/7", "3/10", "1/4", "5/16", "1/3", "3/8", "5/7", "2/3", "7/10",
+                        "11/16", "2/5", "5/12", "3/7", "5/8", "7/16", "3/5", "4/7", "9/16",
+                        "7/32", "3/4", "25/32", "1/5", "3/16", "4/5", "1/8", "13/16", "7/8")))
+
+
+def test_column_bit_budget_reads_every_r_a_of_a_generic_spec():
+    h = RieszNagy(F(1, 10 ** 3000 + 1))  # a 9966-bit q, as at the extremal edge
+    one = CurveSpec(3, (h,), F(1, 2))
+    cli._check_sample_depth(12, one)
+    with pytest.raises(cli.UsageError, match="bits"):
+        cli._check_sample_depth(13, one)
+    # inside a weighted sum and a composition h counts twice, and the edge is
+    # one level lower; the affine component adds no bits
+    nested = CurveSpec(4, (WeightedSum((h, Cantor()), (F(1, 2), F(1, 2))),
+                           Composition(Affine(F(1, 2), F(1, 4)), h)), F(1, 2))
+    cli._check_sample_depth(11, nested)
+    with pytest.raises(cli.UsageError, match="bits"):
+        cli._check_sample_depth(12, nested)
+    generic = CurveSpec(4, (h, Affine(F(1, 2), F(1, 4))), F(1, 2))
+    cli._check_length_depths([12], generic, 64)
+    with pytest.raises(cli.UsageError, match="bits"):
+        cli._check_length_depths([13], generic, 64)
+    # the negative controls of the benchmark: n - 3 copies of R_a and one
+    # flat piece, at depth 9 over its weights; and a Cantor curve, with no R_a
+    flat = PiecewiseLinear([(0, 0), (F(3, 8), F(1, 2)), (F(1, 2), F(1, 2)), (1, 1)])
+    for a in _A_POOL:
+        for n in (3, 4, 5):
+            cli._check_sample_depth(9, CurveSpec(n, (RieszNagy(a),) * (n - 3) + (flat,),
+                                                 F(1, 2)))
+    cli._check_sample_depth(20, CurveSpec(3, (Cantor(),), F(1, 2)))
+
+
 @pytest.mark.parametrize("argv, rows", [
     (("verify", "--dbe", "--d", "10"), None),
     (("emit", "--samples", "--d", "10"), 1026),

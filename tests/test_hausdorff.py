@@ -21,7 +21,7 @@ from dbecurves.hausdorff import (
     _BISECT_CAP,
     BoxCount,
     _chord_sum,
-    _collapsed_riesz_length,
+    _class_chord_sum,
     _level_cuts,
     _sample_nums,
     _sqrt_sum,
@@ -188,6 +188,17 @@ def test_polyline_collapsed_matches_naive_oracle():
         assert abs(value - naive) <= radius + F(1, 1 << 40)
 
 
+def _enclosure(sums, bits):
+    """(lo, hi) of the integers (r_sum, inexact) that the chord sums return."""
+    r_sum, inexact = sums
+    return F(r_sum, 1 << bits), F(r_sum + inexact, 1 << bits)
+
+
+def _lone_riesz_sum(a, depth, bits):
+    """The class walk on the curve (x, R_a(x), 1/2) given as a plain spec."""
+    return _class_chord_sum(CurveSpec(3, (RieszNagy(a),), F(1, 2)), depth, bits)
+
+
 @pytest.mark.parametrize("a", [F(1, 4), F(1, 3), F(2, 7), F(3, 7), F(1, 1024),
                                F(999, 1000)])
 def test_collapsed_length_equals_sqrt_enclosure_sum(a):
@@ -199,7 +210,7 @@ def test_collapsed_length_equals_sqrt_enclosure_sum(a):
                 tlo, thi = sqrt_enclosure(F(1, 4 ** d) + w * w, bits)
                 lo += math.comb(d, k) * tlo
                 hi += math.comb(d, k) * thi
-            assert _collapsed_riesz_length(a, d, bits) == (lo, hi)
+            assert _enclosure(_lone_riesz_sum(a, d, bits), bits) == (lo, hi)
 
 
 def _sqrt_sum_collapsed(a, depth, bits):
@@ -222,15 +233,15 @@ def test_collapsed_length_walk_equals_the_sqrt_sum_reference():
     for a in _SERIES_WEIGHTS:
         for d in range(141):
             for bits in (1, 32, 64 + d):
-                assert _collapsed_riesz_length(a, d, bits) == \
+                assert _lone_riesz_sum(a, d, bits) == \
                     _sqrt_sum_collapsed(a, d, bits), (a, d, bits)
     for a in (F(1, 1024), F(999, 1000), F(1, 10 ** 50 + 151)):
         for d in range(61):
             for bits in (1, d, 64 + d):
-                assert _collapsed_riesz_length(a, d, bits) == \
+                assert _lone_riesz_sum(a, d, bits) == \
                     _sqrt_sum_collapsed(a, d, bits), (a, d, bits)
     # precision 4000 at depth 96, the edge of the printed-length budget
-    assert _collapsed_riesz_length(F(1, 4), 96, 4096) == \
+    assert _lone_riesz_sum(F(1, 4), 96, 4096) == \
         _sqrt_sum_collapsed(F(1, 4), 96, 4096)
 
 
@@ -238,12 +249,12 @@ def test_collapsed_length_reads_an_exact_root():
     # at a = 3/8, d = 1 the first chord is (1/2, 3/8), of length exactly 5/8,
     # and the second (1/2, 5/8) has the irrational length sqrt(41)/8
     for bits in (3, 10, 64):
-        lo, hi = _collapsed_riesz_length(F(3, 8), 1, bits)
+        lo, hi = _enclosure(_lone_riesz_sum(F(3, 8), 1, bits), bits)
         assert hi - lo == F(1, 1 << bits)
         r41 = math.isqrt(41 << (2 * bits - 6))
         assert lo == F(5, 8) + F(r41, 1 << bits)
     for bits in (1, 2, 3):  # below 3 bits 5/8 is not a dyadic r / 2^bits
-        assert _collapsed_riesz_length(F(3, 8), 1, bits) == \
+        assert _lone_riesz_sum(F(3, 8), 1, bits) == \
             _sqrt_sum_collapsed(F(3, 8), 1, bits)
 
 
@@ -389,7 +400,9 @@ def _assert_w_cell_sum_is_the_chord_sum(c, depths, fraction_depths=()):
     for d in depths:
         for precision in (1, 64):
             value, radius = polyline_length(c, d, precision)
-            assert (value - radius, value + radius) == _chord_sum(c, d, precision + d), \
+            bits = precision + d
+            assert (value - radius, value + radius) == \
+                _enclosure(_chord_sum(c, d, bits), bits), \
                 (c.n, c.a, c.M, c.staircase_depth, d, precision)
             if d in fraction_depths:
                 assert (value, radius) == _fraction_chord_sum(c, d, precision)
@@ -438,7 +451,7 @@ def test_w_cell_chord_sum_reads_only_the_chords_inside_coarse_cells(monkeypatch)
     cases = [(build_extremal_curve(n, a=a), d)
              for n, a, d in ((4, F(2, 7), 11), (5, F(1, 3), 10), (4, F(3, 8), 9),
                              (6, F(4, 5), 10))]
-    expected = [_chord_sum(c, d, 64 + d) for c, d in cases]
+    expected = [_enclosure(_chord_sum(c, d, 64 + d), 64 + d) for c, d in cases]
     monkeypatch.setattr(hausdorff, "_columns", no_columns)
     for (c, d), (lo, hi) in zip(cases, expected):
         reads = []
@@ -485,7 +498,20 @@ def test_chord_sum_equals_collapsed_length_exactly_on_n3(a):
     for d in range(15):
         for precision in (1, 64):
             bits = precision + d
-            assert _collapsed_riesz_length(a, d, bits) == _chord_sum(c, d, bits)
+            assert _lone_riesz_sum(a, d, bits) == _chord_sum(c, d, bits)
+
+
+@pytest.mark.parametrize("a", [F(1, 4), F(3, 7), F(999, 1000)])
+def test_class_walk_on_n3_does_not_depend_on_M(a):
+    # an n = 3 curve has no mapper, so M has no chord to scale
+    loaded = curve_from_json(curve_to_json(CurveSpec(3, (RieszNagy(a),), F(1, 2))))
+    assert type(loaded) is CurveSpec
+    extremal = [build_extremal_curve(3, a, M) for M in (1, 4, 9)]
+    for d in range(41):
+        for precision in (1, 64):
+            expected = polyline_length(loaded, d, precision)
+            for c in extremal:
+                assert polyline_length(c, d, precision) == expected, (c.M, d, precision)
 
 
 def test_polyline_taxicab_bounds_per_depth():
