@@ -18,7 +18,7 @@ does a request that reads whole columns past 2^29 estimated column bits
 components' function trees, which is (n - 2) * 2^depth * depth * bits(q)
 on an extremal curve; n = 3 at a huge q is refused far below depth 20).
 That covers every sample, and the lengths of generic specs.  `certify`
-and `--length-series` on an extremal curve with n >= 4 read no whole
+and `--length-series` on an extremal curve with n >= 4 read no
 column, and on a curve with a collapsed length sum (n = 3, or one R_a)
 they take instead a budget of 2^40 bit operations over all their depths.
 A length whose precision + depth passes 4096 bits could not be printed, so
@@ -56,9 +56,9 @@ _MIN_PRECISION = 32
 # level.  The sample budgets bound verify --dbe, emit --samples and --boxcount,
 # and certify on generic specs; at depth 20 and n = 4, verify --dbe takes 1.0 s
 # and 0.34 GB, emit --samples 1.1 s and 0.59 GB, and certify with a Cantor
-# component 3.0 s and 0.20 GB.  certify on an extremal curve reads columns only
-# inside the W cells at least as wide as a chord: 0.12 s and 0.02 GB at a = 1/4,
-# 0.42 s and 0.12 GB at a = 3/8 (2 vCPUs, x86_64).
+# component 3.0 s and 0.20 GB.  certify on an extremal curve reads no column:
+# n = 4 takes 0.04 s at a = 1/4 and 0.13-0.24 s at a = 3/8, both in 0.02 GB
+# (2 vCPUs, x86_64).
 _MAX_SAMPLE_DEPTH = 20
 # and n - 2 component columns of 2^d + 1 integers each; n = 6 at depth 20 is
 # the largest request this admits
@@ -137,7 +137,8 @@ def _check(args: argparse.Namespace) -> None:
 def _check_length_depths(depths, curve, precision: int) -> None:
     """Refuse lengths past their budgets: a collapsed sum (n = 3, or one R_a)
     by its work summed over the depths, any other by its deepest sample.  An
-    extremal curve's lengths read no whole column."""
+    extremal curve's lengths read no column, so its sample budgets count
+    points and entries but no column bits."""
     if not _is_collapsible(curve):
         return _check_sample_depth(max(depths), curve,
                                    whole_columns=not isinstance(curve, ExtremalCurve))

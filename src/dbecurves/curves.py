@@ -340,7 +340,8 @@ def curve_from_json(obj: dict):
         return _extremal_from_json(obj)
     if kind != "curve":
         raise ValueError(f"unknown curve type {kind!r}")
-    components = tuple(map(fn_from_json, _spec_key(obj, "components", list)))
+    leaves = {}  # equal R_a leaves of the spec share their dense level
+    components = tuple(fn_from_json(f, leaves) for f in _spec_key(obj, "components", list))
     # Every component kind is monotone, so its values at 0 and 1 bound it.
     for i, f in enumerate(components, 2):
         for x in (ZERO, ONE):

@@ -28,6 +28,8 @@ from .singular import (
     PiecewiseLinear,
     RieszNagy,
     _num_over,
+    _riesz_nagy_nums,
+    eval_cantor,
     image_measure,
 )
 
@@ -99,8 +101,9 @@ def polyline_length(curve, depth: int, precision: int = 64):
     The true chord sum lies within error_radius of value; chord square roots
     are enclosed dyadically at `precision` fractional bits and everything
     else is exact, so the bound is rigorous.  Extremal and single-R_a curves
-    sum their chords by popcount class and everything else walks the 2^depth
-    sample cells, both to the integers of `_sqrt_sum`.
+    sum their chords by popcount class in closed form, reading no component
+    column, and everything else walks the 2^depth sample cells of
+    `_columns`; both give the integers of `_sqrt_sum`.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -152,35 +155,43 @@ def _class_chord_sum(curve, depth: int, bits: int) -> tuple[int, int]:
     o moves x by 2^-d, h by P_o/q^d with P_o = p^(d-o) (q-p)^o, and mapper j
     by 2^-M P_o/q^d plus the climbs of its W cells there.  A W cell of
     generation g > d lies inside chord k >> (g - d) and climbs by its whole
-    step in it.  The chords inside a W cell of generation g <= d are read
-    from the component columns at their ends.  The W cells are pairwise
-    separated and dyadic cells nest, so no chord holding a finer W cell lies
-    inside a coarser one.  Every other chord of popcount o has the square
-    (4^M q^2d + 4^d (4^M + maps) P_o^2) / (4^(d+M) q^2d), one class of
-    C(d, o) less the chords above.  Times 4^bits, with up = max(bits - d, 0)
-    and down = max(d - bits, 0), that is
+    step in it.  On a W cell (k, g) with g <= d, h = lo + (hi - lo) R_a(t)
+    at x = (k + t)/2^g, so with e = d - g its chord (k << e) + i climbs by
+    step (C[i+1] - C[i]), C[i] = c(R_a(i/2^e)) read once per e.  The W cells
+    are pairwise separated and dyadic cells nest, so no chord holding a
+    finer W cell lies inside a coarser one.  Every chord that does not climb
+    has the square (4^M q^2d + 4^d (4^M + maps) P_o^2) / (4^(d+M) q^2d), one
+    class of C(d, o) less the climbing chords.  Times 4^bits, with
+    up = max(bits - d, 0) and down = max(d - bits, 0), that is
     (4^(M+up) q^2d + 4^(d+up) (4^M + maps) P_o^2) / (4^(M+down) q^2d): the
     isqrt of the quotient is the floor, exact iff the remainder is 0 and the
     quotient a square.  (4^M + maps) P_o^2 and C(d, o) are walked from o = 0
-    by exact divisions.  Each square is the rational S/L^2 that `_chord_sum`
-    forms for its chord, and a floor does not depend on how it is reduced,
-    so the integers are `_chord_sum`'s.
+    by exact divisions.  A climbing chord's square is S/(q^d E)^2 over E,
+    the lcm of 2^d, 2^M and its climbs' denominators (a Cantor value need
+    not be dyadic).  Each square is the rational that `_chord_sum` forms for
+    its chord, and a floor does not depend on how it is reduced, so the
+    integers are `_chord_sum`'s.
     """
-    p, q = curve.components[0].a.as_integer_ratio()
+    a = curve.components[0].a
+    p, q = a.as_integer_ratio()
     maps = len(curve.components) - 1
     M, cells = (curve.M, curve._w_cells) if maps else (0, ())
-    # mapper climbs are numerators over U
-    U = math.lcm(1 << M, *(step.denominator for *_, step in cells))
-    climbs: dict[int, dict[int, int]] = {}  # chord -> {mapper: climb over U}
-    inside = set()  # the chords inside a W cell of generation <= d
+    climbs: dict[int, dict[int, Fraction]] = {}  # chord -> {mapper: climb}
+    rises: dict[int, list[tuple[int, Fraction]]] = {}  # e -> the nonzero (i, C[i+1] - C[i])
     for j, k, g, step in cells:
         if g > depth:
             climb = climbs.setdefault(k >> (g - depth), {})
-            climb[j] = climb.get(j, 0) + _num_over(step, U)
-        else:
-            inside.update(range(k << (depth - g), (k + 1) << (depth - g)))
-    special = [0] * (depth + 1)  # the chords above, by popcount
-    for c in inside.union(climbs):
+            climb[j] = climb.get(j, ZERO) + step
+            continue
+        e = depth - g
+        if e not in rises:
+            qe, nums = _riesz_nagy_nums(a, e)
+            C = [eval_cantor(Fraction(v, qe)) for v in nums]
+            rises[e] = [(i, v - u) for i, (u, v) in enumerate(zip(C, C[1:])) if v != u]
+        for i, rise in rises[e]:
+            climbs[(k << e) + i] = {j: step * rise}
+    special = [0] * (depth + 1)  # the climbing chords, by popcount
+    for c in climbs:
         special[c.bit_count()] += 1
     qd = q ** depth
     up, down = max(bits - depth, 0), max(depth - bits, 0)
@@ -197,25 +208,14 @@ def _class_chord_sum(curve, depth: int, bits: int) -> tuple[int, int]:
                 inexact += uniform
         pk2 = pk2 // p2 * s2
         count = count * (depth - o) // (o + 1)
-    # a climbing chord's square is S/L^2 over L = q^d E
-    E = math.lcm(1 << depth, U)
-    e, L2, terms = E // U, (qd * E) ** 2, []
+    terms = []
     for c, climb in climbs.items():
         P = p ** (depth - c.bit_count()) * (q - p) ** c.bit_count()
-        tail = P * (U >> M)
-        s = ((qd * (E >> depth)) ** 2 + (P * E) ** 2 + (maps - len(climb)) * (e * tail) ** 2
-             + sum((e * (tail + t * qd)) ** 2 for t in climb.values()))
-        terms.append((1, s, L2))
-    if inside:
-        ends = sorted({x for c in inside for x in (c, c + 1)})
-        at = {x: i for i, x in enumerate(ends)}
-        columns = [f.column(1 << depth, ends) for f in curve.components]
-        L = math.lcm(1 << depth, *(den for den, _ in columns))
-        scaled = [(L // den, nums) for den, nums in columns]
-        squares = Counter((L >> depth) ** 2 + sum((m * (nums[at[c + 1]] - nums[at[c]])) ** 2
-                                                  for m, nums in scaled)
-                          for c in inside)
-        terms += [(count, s, L * L) for s, count in squares.items()]
+        E = math.lcm(1 << max(depth, M), *(t.denominator for t in climb.values()))
+        tail = P * (E >> M)
+        s = ((qd * (E >> depth)) ** 2 + (P * E) ** 2 + (maps - len(climb)) * tail ** 2
+             + sum((tail + _num_over(t, E) * qd) ** 2 for t in climb.values()))
+        terms.append((1, s, (qd * E) ** 2))
     r, i = _sqrt_sum(terms, bits)
     return r_sum + r, inexact + i
 

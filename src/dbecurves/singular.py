@@ -220,7 +220,9 @@ class RieszNagy(MonotoneFn):
         self.a = Fraction(a)
         if not (ZERO < self.a < ONE):
             raise ValueError("need 0 < a < 1")
-        self._level = None, None  # (d, _riesz_nagy_nums(a, d)) last read densely
+        # [(d, _riesz_nagy_nums(a, d))] last read densely, shared by the equal
+        # R_a leaves of a loaded spec
+        self._level = [(None, None)]
 
     def __call__(self, x) -> Fraction:
         return eval_riesz_nagy(self.a, x)
@@ -232,9 +234,9 @@ class RieszNagy(MonotoneFn):
         d = den.bit_length() - 1
         if (den == 1 << d and den <= _DENSE_LEVEL * len(nums)
                 and 0 <= nums[0] and nums[-1] <= den):
-            last = self._level
+            last = self._level[0]
             if last[0] != d:
-                last = self._level = d, _riesz_nagy_nums(self.a, d)
+                last = self._level[0] = d, _riesz_nagy_nums(self.a, d)
             qd, level = last[1]
             return qd, [level[v] for v in nums]
         return super().column(den, nums)
@@ -845,14 +847,19 @@ def build_full_measure_mapper(excluded: IntervalUnion, M: int,
 # -- serialization -------------------------------------------------------------
 
 
-def fn_from_json(obj: dict) -> MonotoneFn:
+def fn_from_json(obj: dict, leaves: dict | None = None) -> MonotoneFn:
+    """The function of a `to_json` spec.  Equal R_a leaves share one dense
+    level across the calls given one `leaves` dict, a -> level."""
     if not isinstance(obj, dict):
         raise ValueError("function spec is not a JSON object")
+    leaves = {} if leaves is None else leaves
     kind = _spec_key(obj, "kind")
     if kind == "cantor":
         return Cantor()
     if kind == "riesz_nagy":
-        return RieszNagy(_spec_key(obj, "a", Fraction))
+        f = RieszNagy(_spec_key(obj, "a", Fraction))
+        f._level = leaves.setdefault(f.a, f._level)
+        return f
     if kind == "affine":
         return Affine(_spec_key(obj, "slope", Fraction), _spec_key(obj, "offset", Fraction))
     if kind == "piecewise_linear":
@@ -860,9 +867,9 @@ def fn_from_json(obj: dict) -> MonotoneFn:
     if kind == "interval_staircase":
         return IntervalStaircase.from_json(obj)
     if kind == "weighted_sum":
-        return WeightedSum(map(fn_from_json, _spec_key(obj, "terms", list)),
+        return WeightedSum((fn_from_json(t, leaves) for t in _spec_key(obj, "terms", list)),
                            _spec_key(obj, "weights", [Fraction]))
     if kind == "composition":
-        return Composition(fn_from_json(_spec_key(obj, "outer")),
-                           fn_from_json(_spec_key(obj, "inner")))
+        return Composition(fn_from_json(_spec_key(obj, "outer"), leaves),
+                           fn_from_json(_spec_key(obj, "inner"), leaves))
     raise ValueError(f"unknown function kind {kind!r}")

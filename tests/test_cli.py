@@ -28,6 +28,7 @@ from dbecurves.singular import (
     Affine,
     Cantor,
     Composition,
+    IntervalStaircase,
     PiecewiseLinear,
     RieszNagy,
     WeightedSum,
@@ -404,6 +405,46 @@ def test_certify_on_extremal_curves_reads_no_full_column(capsys, monkeypatch, ca
     code, out, _ = run_cli(capsys, "certify", "--n", n, "--a", a, "--d", depth)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == _CERTIFY_SHA256[case]
+
+
+@pytest.mark.parametrize("case", sorted(c for c in _CERTIFY_SHA256 if len(c) == 3))
+def test_certify_on_extremal_curves_reads_only_the_end_values(capsys, monkeypatch, case):
+    # the build reads mapper columns; once the curve is built, the only read
+    # left is the upper bound's f(0) and f(1) of each component
+    def guarded(read):
+        def column(self, den, nums):
+            if den != 1 or list(nums) != [0, 1]:
+                raise AssertionError(f"{type(self).__name__} read a column over {den}")
+            return read(self, den, nums)
+        return column
+
+    def build(*args, **kwargs):
+        curve = build_extremal_curve(*args, **kwargs)
+        for cls in (RieszNagy, WeightedSum, Composition, IntervalStaircase):
+            monkeypatch.setattr(cls, "column", guarded(cls.column))
+        return curve
+
+    monkeypatch.setattr(cli, "build_extremal_curve", build)
+    n, a, depth = case
+    code, out, _ = run_cli(capsys, "certify", "--n", n, "--a", a, "--d", depth)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _CERTIFY_SHA256[case]
+
+
+# sha256 of `certify` stdout at the deepest sample depth, fixed while the
+# chords inside coarse W cells were still read from the component columns
+_DEEP_CERTIFY_SHA256 = {
+    "4": "0df4943878a2594a7d85bb21d6fa3338d15f755778fc42eb7feb02582825bf5f",
+    "6": "835b39a581022db8d431af9015d3d995d2626ca9dbc15585d97cfcae3740333f",
+}
+
+
+@pytest.mark.parametrize("n", sorted(_DEEP_CERTIFY_SHA256))
+def test_certify_at_the_deepest_sample_depth_is_pinned(capsys, n):
+    code, out, _ = run_cli(capsys, "certify", "--n", n, "--a", "3/8",
+                           "--d", str(cli._MAX_SAMPLE_DEPTH))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _DEEP_CERTIFY_SHA256[n]
 
 
 @pytest.mark.parametrize("a", ["1/16", "15/16"])

@@ -258,6 +258,30 @@ def test_extremal_columns_compute_the_riesz_level_once_per_depth(n, monkeypatch)
     assert depths == [8, 6]
 
 
+def test_loaded_spec_builds_each_riesz_level_once_for_all_its_copies(monkeypatch):
+    # four copies of R_{2/7} in a weighted sum, one more as a composition's
+    # inner function and one as a component; R_{1/3} twice
+    r = RieszNagy
+    spec = CurveSpec(6, (
+        WeightedSum((r(F(2, 7)), r(F(2, 7)), r(F(1, 3)), r(F(2, 7)), r(F(2, 7))),
+                    [F(1, 5)] * 5),
+        Composition(Affine(F(1, 2), F(1, 4)), r(F(2, 7))), r(F(2, 7)), r(F(1, 3))), F(1, 3))
+    want = {depth: curves._columns(spec, depth) for depth in (6, 8)}
+    built = []
+    level = singular._riesz_nagy_nums
+
+    def counted(a, depth):
+        built.append((a, depth))
+        return level(a, depth)
+    monkeypatch.setattr(singular, "_riesz_nagy_nums", counted)
+    c = curve_from_json(curve_to_json(spec))
+    for depth in (8, 8, 6):
+        assert curves._columns(c, depth) == want[depth]
+    # the load's unit-cube check reads each R_a at 0 and 1 off its level 0
+    assert built == [(F(2, 7), 0), (F(1, 3), 0), (F(2, 7), 8), (F(1, 3), 8),
+                     (F(2, 7), 6), (F(1, 3), 6)]
+
+
 def test_sample_raises_the_pointwise_error():
     # the first component fails only right of 1/2, the second already at 0
     left = PiecewiseLinear(((F(0), F(0)), (F(1, 2), F(1))))
